@@ -12,6 +12,7 @@ floats, so identical inputs yield byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Any
 
 from . import __version__, config
@@ -23,13 +24,14 @@ from .branch import (
     membership_in_K,
     parse_tword,
 )
-from .decide import is_trivial
+from .decide import are_equal, is_trivial
 from .engel import (
     BoundedLeftRefutation,
     EngelSink,
     NoSinkUpTo,
     RightRefutation,
     iterated_commutator,
+    tower,
 )
 from .tree import act, decompose
 from .words import (
@@ -120,10 +122,10 @@ def _check_chain(x: str, chain: list[list[Any]], x_active: str) -> str | None:
         if d.active:
             return "chain descends through a word outside St(1)"
         expected = d.left if bit == 0 else d.right
-        if not is_trivial(multiply(expected, invert(section_word))):
+        if not are_equal(expected, section_word):
             return f"chain section at bit {bit} does not match"
         cur = section_word
-    if not is_trivial(multiply(cur, invert(x_active))):
+    if not are_equal(cur, x_active):
         return "chain does not end at x_active"
     if not cur.count("a") & 1:
         return "x_active is not active at the root"
@@ -136,6 +138,8 @@ def _moved(word: str, vertex: str) -> bool:
 
 def verify(data: dict[str, Any]) -> tuple[bool, str]:
     """Re-check a certificate dict; returns (ok, detail)."""
+    if not isinstance(data, dict):
+        return False, "malformed certificate: not a JSON object"
     if data.get("schema") != config.SCHEMA_VERSION:
         return False, f"unsupported schema {data.get('schema')!r}"
     kind = data.get("kind")
@@ -161,12 +165,10 @@ def _verify_sink(data: dict[str, Any]) -> tuple[bool, str]:
     n = data["n"]
     if n < 1:
         return False, "sink depth must be >= 1"
-    tower = x
-    for m in range(1, n + 1):
-        tower = reduce_word(tower[::-1] + g[::-1] + tower + g)
-        if m < n and is_trivial(tower):
+    for m, t in zip(range(1, n + 1), tower(x, g)):
+        if m < n and is_trivial(t):
             return False, f"tower already trivial at depth {m}"
-    if not is_trivial(tower):
+    if not is_trivial(t):
         return False, f"tower not trivial at claimed depth {n}"
     return True, f"sink at depth {n} confirmed"
 
@@ -175,12 +177,12 @@ def _verify_no_sink(data: dict[str, Any]) -> tuple[bool, str]:
     g = parse_word(data["g"])
     x = parse_word(data["x"])
     bound = data["bound"]
-    tower = x
-    for m in range(1, bound + 1):
-        tower = reduce_word(tower[::-1] + g[::-1] + tower + g)
-        if is_trivial(tower):
+    if bound < 1:
+        return False, "bound must be >= 1"
+    for m, t in zip(range(1, bound + 1), tower(x, g)):
+        if is_trivial(t):
             return False, f"tower trivial at depth {m} <= bound"
-    if not _moved(tower, data["witness"]):
+    if not _moved(t, data["witness"]):
         return False, "witness vertex is not moved by the final tower"
     return True, f"no sink through depth {bound} confirmed"
 
@@ -193,7 +195,7 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     bound = data["bound"]
     if is_trivial(x):
         return False, "x is trivial"
-    if not is_trivial(multiply(x, x)):
+    if not is_trivial(x + x):
         return False, "x is not an involution"
     chain = [[bit, parse_word(w)] for bit, w in data["chain"]]
     problem = _check_chain(x, chain, x_active)
@@ -202,13 +204,12 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     flat = flatten(k)
     if is_trivial(power(flat, 1 << (bound - 1))):
         return False, f"k does not have order > 2^{bound - 1}"
-    if not is_trivial(multiply(y, invert(emb_pair(k, TWord())))):
+    if not are_equal(y, emb_pair(k, TWord())):
         return False, "y does not embed (flatten(k), 1)"
     d = decompose(y)
-    if d.active or not is_trivial(multiply(d.left, invert(flat))) or not is_trivial(d.right):
+    if d.active or not are_equal(d.left, flat) or not is_trivial(d.right):
         return False, "decomposition of y is not (flatten(k), 1)"
-    tower = iterated_commutator(y, x_active, bound)
-    if not _moved(tower, data["witness"]):
+    if not _moved(iterated_commutator(y, x_active, bound), data["witness"]):
         return False, "witness vertex is not moved by the tower"
     return True, f"left-{bound}-Engel refutation confirmed"
 
@@ -222,6 +223,8 @@ def _verify_right(data: dict[str, Any]) -> tuple[bool, str]:
     y = parse_word(data["y"])
     bound = data["bound"]
     witnesses = data["witnesses"]
+    if bound < 1:
+        return False, "bound must be >= 1"
     if is_trivial(x):
         return False, "x is trivial"
     chain = [[bit, parse_word(w)] for bit, w in data["chain"]]
@@ -230,21 +233,22 @@ def _verify_right(data: dict[str, Any]) -> tuple[bool, str]:
         return False, problem
     g1 = decompose(multiply("a", x_active)).left
     expected_y2 = y1.commutator_with(h).conjugated(invert(g1))
-    if not is_trivial(multiply(flatten(y2), invert(flatten(expected_y2)))):
+    if not are_equal(flatten(y2), flatten(expected_y2)):
         return False, "y2 is not [y1, h]^(g1^-1)"
-    if not is_trivial(multiply(y, invert(emb_pair(y1, y2)))):
+    if not are_equal(y, emb_pair(y1, y2)):
         return False, "y does not embed (y1, y2)"
     if len(witnesses) != bound:
         return False, "one witness vertex per tower depth is required"
-    fh = flatten(h)
     fy1 = flatten(y1)
-    for m in range(1, bound + 1):
-        tower = iterated_commutator(x_active, y, m + 1)
-        if not _moved(tower, witnesses[m - 1]):
+    # Entries m + 1 = 2 .. bound + 1 of both towers, in step.
+    pairs = zip(
+        islice(tower(x_active, y), 1, bound + 1), islice(tower(flatten(h), fy1), 1, None)
+    )
+    for m, (t, first) in enumerate(pairs, 1):
+        if not _moved(t, witnesses[m - 1]):
             return False, f"witness at m={m} is not moved by the tower"
-        d = decompose(tower)
-        expected_first = conjugate(iterated_commutator(fh, fy1, m + 1), fy1)
-        if d.active or not is_trivial(multiply(d.left, invert(expected_first))):
+        d = decompose(t)
+        if d.active or not are_equal(d.left, conjugate(first, fy1)):
             return False, f"tower identity cross-check failed at m={m}"
     return True, f"right-Engel refutation through sink bound {bound + 1} confirmed"
 

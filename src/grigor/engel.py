@@ -1,8 +1,8 @@
 """Iterated commutators, Engel probes, the two tower lemmas, and proof replays.
 
 The left-normed tower is [x,_1 g] = x^-1 g^-1 x g and
-[x,_n g] = [[x,_{n-1} g], g].  Towers are reduced after every step and
-abort visibly if the reduced length outgrows the configured cap.
+[x,_n g] = [[x,_{n-1} g], g].  Every tower, here and in the verifier, comes
+from `tower`: reduced after every step, aborting visibly past the length cap.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
@@ -13,8 +13,11 @@ from a non-Engel pair in K, cross-checked against the tower identity of
 
 from __future__ import annotations
 
+import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 from . import config
 from .branch import (
@@ -24,8 +27,9 @@ from .branch import (
     random_tword,
     search_high_order,
 )
-from .decide import is_trivial, order, witness_vertex
+from .decide import are_equal, is_trivial, order, witness_vertex
 from .errors import (
+    CapExceeded,
     PreconditionViolated,
     SearchExhausted,
     WordLengthCapExceeded,
@@ -34,6 +38,7 @@ from .tree import decompose, first_active_level
 from .words import (
     IDENTITY,
     a_parity,
+    commutator,
     conjugate,
     invert,
     multiply,
@@ -42,20 +47,40 @@ from .words import (
 )
 
 
+def tower(x: str, g: str, length_cap: float = config.WORD_LENGTH_CAP) -> Iterator[str]:
+    """[x,_1 g], [x,_2 g], ... each reduced; WordLengthCapExceeded past the cap."""
+    for n in count(1):
+        x = commutator(x, g)
+        if len(x) > length_cap:
+            raise WordLengthCapExceeded(f"tower at depth {n} grew past {length_cap} letters")
+        yield x
+
+
 def iterated_commutator(
     x: str, g: str, n: int, length_cap: int = config.WORD_LENGTH_CAP
 ) -> str:
     """The left-normed tower [x,_n g], reduced after every step."""
     if n < 1:
         raise ValueError("tower depth must be >= 1")
-    cur = x
-    for _ in range(n):
-        cur = reduce_word(cur[::-1] + g[::-1] + cur + g)
-        if len(cur) > length_cap:
-            raise WordLengthCapExceeded(
-                f"tower representative grew past {length_cap} letters"
-            )
-    return cur
+    return next(islice(tower(x, g, length_cap), n - 1, None))
+
+
+def exact_witness(t: str) -> str:
+    """The minimal-depth, lexicographically least vertex moved by nontrivial t.
+
+    The section recursion gives the depth and the leaf-permutation oracle the
+    vertex; the two must agree.  The oracle builds 2**depth-entry arrays, so
+    depths past 2 * MAX_DEPTH raise CapExceeded.
+    """
+    level = first_active_level(t)
+    if level is None:
+        raise PreconditionViolated("a trivial element moves no vertex")
+    if level + 1 > 2 * config.MAX_DEPTH:
+        raise CapExceeded(f"first moved vertex lies below depth {2 * config.MAX_DEPTH}")
+    witness = witness_vertex(t, level + 1)
+    if witness is None or len(witness) != level + 1:
+        raise AssertionError(f"leaf permutations disagree with first active level {level}")
+    return witness
 
 
 @dataclass(frozen=True)
@@ -84,31 +109,17 @@ def left_engel_probe(
     x: str,
     bound: int,
     length_cap: int = config.WORD_LENGTH_CAP,
-    witness_depth: int = config.MAX_DEPTH,
 ) -> EngelSink | NoSinkUpTo:
     """Search the tower [x,_n g] for its first trivial entry, n <= bound."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     transcript: list[int] = []
-    cur = reduce_word(x)
     g = reduce_word(g)
-    for n in range(1, bound + 1):
-        cur = reduce_word(cur[::-1] + g[::-1] + cur + g)
-        if len(cur) > length_cap:
-            raise WordLengthCapExceeded(
-                f"tower at depth {n} grew past {length_cap} letters"
-            )
+    for n, cur in enumerate(islice(tower(reduce_word(x), g, length_cap), bound), 1):
         transcript.append(len(cur))
         if is_trivial(cur):
             return EngelSink(g, x, n, tuple(transcript))
-    witness = witness_vertex(cur, witness_depth)
-    depth = witness_depth
-    while witness is None:
-        # Nontrivial (is_trivial said so at every step), so a moved vertex
-        # exists; deepen until found.
-        depth *= 2
-        witness = witness_vertex(cur, depth)
-    return NoSinkUpTo(g, x, bound, tuple(transcript), witness)
+    return NoSinkUpTo(g, x, bound, tuple(transcript), exact_witness(cur))
 
 
 def lemma1_check(k: TWord, g: str, m: int) -> bool:
@@ -125,7 +136,7 @@ def lemma1_check(k: TWord, g: str, m: int) -> bool:
     if a_parity(g):
         raise PreconditionViolated("g must lie in St(1)")
     x = multiply("a", g)
-    if not is_trivial(multiply(x, x)):
+    if not is_trivial(x + x):
         raise PreconditionViolated("a.g must be an involution")
     y = emb_pair(k, TWord())
     lhs = decompose(iterated_commutator(y, x, m))
@@ -136,9 +147,7 @@ def lemma1_check(k: TWord, g: str, m: int) -> bool:
     exp = 1 << (m - 1)
     first = power(flat, exp if m % 2 == 0 else -exp)
     second = power(conjugate(flat, g2), exp if m % 2 == 1 else -exp)
-    return is_trivial(multiply(lhs.left, invert(first))) and is_trivial(
-        multiply(lhs.right, invert(second))
-    )
+    return are_equal(lhs.left, first) and are_equal(lhs.right, second)
 
 
 def lemma2_check(x: str, y: str, m: int) -> bool:
@@ -172,9 +181,7 @@ def lemma2_check(x: str, y: str, m: int) -> bool:
         iterated_commutator(conjugate(invert(dy.left), dg.right), dy.right, m),
         dy.right,
     )
-    return is_trivial(multiply(lhs.left, invert(first))) and is_trivial(
-        multiply(lhs.right, invert(second))
-    )
+    return are_equal(lhs.left, first) and are_equal(lhs.right, second)
 
 
 @dataclass(frozen=True)
@@ -257,21 +264,14 @@ def replay_bounded_left(
     x = reduce_word(x)
     if is_trivial(x):
         raise PreconditionViolated("x must be nontrivial")
-    if not is_trivial(multiply(x, x)):
+    if not is_trivial(x + x):
         raise PreconditionViolated(
             "x must be an involution; non-involutions are handled empirically"
         )
     chain, active = section_chain(x)
     k = search_high_order(1 << bound, budget=budget, seed=seed)
     y = emb_pair(k, TWord())
-    tower = iterated_commutator(y, active, bound)
-    witness = witness_vertex(tower)
-    depth = config.MAX_DEPTH
-    while witness is None:
-        if is_trivial(tower):
-            raise AssertionError("tower vanished despite high-order k")
-        depth *= 2
-        witness = witness_vertex(tower, depth)
+    witness = exact_witness(iterated_commutator(y, active, bound))
     return BoundedLeftRefutation(x, chain, active, k, bound, y, witness)
 
 
@@ -290,13 +290,10 @@ def search_nonengel_pair(
     rng = random.Random(seed)
 
     def qualifies(h: TWord, y1: TWord) -> bool:
-        cur = flatten(h)
-        fy = flatten(y1)
-        for _ in range(bound):
-            cur = reduce_word(cur[::-1] + fy[::-1] + cur + fy)
-            if is_trivial(cur):
-                return False
-        return True
+        # Not capped: the first candidate's tower outgrows WORD_LENGTH_CAP at
+        # depth 12 and still qualifies, so search-pair answers bounds past 11.
+        towers = islice(tower(flatten(h), flatten(y1), math.inf), bound)
+        return not any(is_trivial(t) for t in towers)
 
     # Simple canonical candidates first, then random ones.
     simple = [
@@ -339,23 +336,19 @@ def replay_right(
     h, y1 = search_nonengel_pair(bound + 1, budget=budget, seed=seed)
     y2 = y1.commutator_with(h).conjugated(invert(g1))
     y = emb_pair(y1, y2)
-    fh = flatten(h)
     fy1 = flatten(y1)
     witnesses: list[str] = []
-    for m in range(1, bound + 1):
-        tower = iterated_commutator(active, y, m + 1)
-        d = decompose(tower)
+    # Entries m + 1 = 2 .. bound + 1 of both towers, in step.
+    pairs = zip(
+        islice(tower(active, y), 1, bound + 1), islice(tower(flatten(h), fy1), 1, None)
+    )
+    for t, first in pairs:
+        d = decompose(t)
         if d.active:
             raise AssertionError("tower left St(1); identity preconditions broken")
-        expected_first = conjugate(iterated_commutator(fh, fy1, m + 1), fy1)
-        if not is_trivial(multiply(d.left, invert(expected_first))):
+        if not are_equal(d.left, conjugate(first, fy1)):
             raise AssertionError("tower identity cross-check failed")
-        witness = witness_vertex(tower)
-        depth = config.MAX_DEPTH
-        while witness is None:
-            depth *= 2
-            witness = witness_vertex(tower, depth)
-        witnesses.append(witness)
+        witnesses.append(exact_witness(t))
     return RightRefutation(
         x, chain, active, h, y1, y2, y, bound, tuple(witnesses)
     )

@@ -1,6 +1,7 @@
 import json
 
 from grigor import certificates
+from grigor.decide import witness_vertex
 from grigor.engel import (
     find_nonsink_opponent,
     left_engel_probe,
@@ -67,6 +68,19 @@ def test_right_tamper_detection():
     data["y2"] = "1^+1"
     ok, _ = certificates.verify(data)
     assert not ok
+
+
+def test_bound_below_one_rejected():
+    # A bound of 0 would confirm a refutation without checking any tower.
+    no_sink = certificates.to_dict(left_engel_probe("ad", "daca", 6))
+    no_sink["bound"] = 0
+    no_sink["witness"] = witness_vertex("daca")
+    right = certificates.to_dict(replay_right("a", 2, seed=0))
+    right["bound"] = 0
+    right["witnesses"] = []
+    for data in (no_sink, right):
+        ok, detail = certificates.verify(data)
+        assert not ok and "bound" in detail
 
 
 def test_membership_certificate():

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grigor
+from grigor import certificates
 from grigor.cli import main
+from grigor.engel import left_engel_probe, replay_right
 
 
 def run(capsys, *argv):
@@ -134,3 +141,35 @@ def test_json_round_trip_words(capsys):
         _, data = run_json(capsys, "reduce", literal)
         _, again = run_json(capsys, "reduce", data["word"])
         assert data["word"] == again["word"]
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"right_refutation"', "null"])
+def test_verify_rejects_non_object(capsys, tmp_path, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.startswith("FAIL: malformed certificate")
+    assert err == ""
+
+
+def test_verify_caps_tower(tmp_path):
+    # The tower behind a bound-3 witness outgrows the word-length cap long
+    # before depth 30, so verify must stop with exit 3.  It runs in a child
+    # process so that an uncapped tower fails the timeout instead of
+    # hanging the suite.
+    y = replay_right("a", 3).y
+    data = certificates.to_dict(left_engel_probe(y, "a", 3))
+    data["bound"] = 30
+    path = tmp_path / "cert.json"
+    path.write_text(certificates.dumps(data))
+    src = str(Path(grigor.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "grigor.cli", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource cap: tower at depth")

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from grigor import config
 from grigor.branch import TWord, T_ATOM, emb_pair, flatten, random_tword, tword_order
 from grigor.decide import are_equal, is_trivial, order, witness_vertex
 from grigor.engel import (
     EngelSink,
     NoSinkUpTo,
+    exact_witness,
     find_nonsink_opponent,
     involution_survey,
     iterated_commutator,
@@ -18,7 +22,7 @@ from grigor.engel import (
     search_nonengel_pair,
     section_chain,
 )
-from grigor.errors import PreconditionViolated, WordLengthCapExceeded
+from grigor.errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
 from grigor.tree import act, decompose
 from grigor.words import commutator, conjugate, invert, multiply, reduce_word
 
@@ -65,6 +69,36 @@ def test_probe_no_sink_has_witness():
     assert isinstance(outcome, NoSinkUpTo)
     tower = iterated_commutator(x, "ad", 6)
     assert act(tower, outcome.witness) != outcome.witness
+
+
+def _random_words():
+    rng = random.Random(1234)
+    return [make_word(rng, rng.randint(1, 40)) for _ in range(500)]
+
+
+def _right_towers():
+    cert = replay_right("a", 8)
+    return [iterated_commutator(cert.x_active, cert.y, m + 1) for m in range(1, 9)]
+
+
+@pytest.mark.parametrize("words", [_random_words, _right_towers], ids=["random", "right_towers"])
+def test_exact_witness_matches_fixed_depth_oracle(words):
+    checked = 0
+    for w in words():
+        expected = witness_vertex(w, config.MAX_DEPTH)
+        if expected is not None:
+            assert exact_witness(w) == expected, w
+            checked += 1
+    assert checked
+
+
+def test_exact_witness_raises(monkeypatch):
+    with pytest.raises(PreconditionViolated):
+        exact_witness("adadadad")
+    # d first moves a depth-3 vertex
+    monkeypatch.setattr(config, "MAX_DEPTH", 1)
+    with pytest.raises(CapExceeded):
+        exact_witness("d")
 
 
 def test_lemma1_base_case():
