@@ -4,10 +4,10 @@ Two complementary mechanisms:
 
 * constructive: TWord, a formal product of signed conjugates of t, used to
   *build* elements of K (lifts, pair embeddings realizing psi(K) >= K x K);
-* decisional: finite level quotients with Schreier-Sims data, used to
-  *check* membership.  Membership answers are only issued once the index
-  of K's image stabilizes over three consecutive levels (the plateau
-  certificate); until then the answer is Unknown.
+* decisional: membership is read off the level-3 permutation, since
+  St(3) <= K.  The sympy level quotients, imported only when built, serve
+  the `quotient` command and cross-check that the index of K's image
+  plateaus from level 3 on.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-from sympy.combinatorics import Permutation, PermutationGroup
+from typing import TYPE_CHECKING
 
 from . import config
 from .errors import SearchExhausted
-from .decide import _is_trivial_reduced, order
+from .decide import order
 from .leafperm import word_perm
 from .words import (
     IDENTITY,
@@ -29,9 +28,11 @@ from .words import (
     format_word,
     invert,
     parse_word,
-    power,
     reduce_word,
 )
+
+if TYPE_CHECKING:
+    from sympy.combinatorics import PermutationGroup
 
 T = "abab"  # t = (ab)^2
 U = reduce_word("badabada")  # u = (bada)^2, psi(u) = (t, 1)
@@ -143,16 +144,8 @@ class LevelQuotient:
     n: int
     group_order: int
     k_image_index: int
-    group: PermutationGroup
+    base: list[int]
     k_image: PermutationGroup
-
-    @property
-    def base(self) -> list[int]:
-        return self.group.base
-
-    @property
-    def strong_generators(self) -> list[Permutation]:
-        return self.group.strong_gens
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +157,8 @@ def build_level_quotient(n: int) -> LevelQuotient:
     """
     if not 1 <= n <= config.QUOTIENT_MAX_LEVEL:
         raise ValueError(f"level must be in 1..{config.QUOTIENT_MAX_LEVEL}")
+    from sympy.combinatorics import Permutation, PermutationGroup
+
     degree = 1 << n
     gens = [
         Permutation(list(word_perm(letter, n)), size=degree) for letter in "abcd"
@@ -172,7 +167,7 @@ def build_level_quotient(n: int) -> LevelQuotient:
     t_image = Permutation(list(word_perm(T, n)), size=degree)
     k_image = group.normal_closure([t_image])
     g_order = group.order()
-    return LevelQuotient(n, g_order, g_order // k_image.order(), group, k_image)
+    return LevelQuotient(n, g_order, g_order // k_image.order(), group.base, k_image)
 
 
 @lru_cache(maxsize=None)
@@ -190,13 +185,29 @@ def certified_plateau(max_level: int = config.QUOTIENT_MAX_LEVEL) -> int | None:
     return None
 
 
+# St(3) <= K (de la Harpe, *Topics in Geometric Group Theory*, ch. VIII), so
+# g is in K exactly when its level-3 permutation lies in the image of K.
+K_LEVEL = 3
+
+
+@lru_cache(maxsize=None)
+def k_image_table() -> frozenset[tuple[int, ...]]:
+    """The level-K_LEVEL permutations of K: the closure of those of t, u, v."""
+    gens = [word_perm(w, K_LEVEL) for w in k_generators()]
+    image = {tuple(range(1 << K_LEVEL))}
+    while True:
+        grown = image | {tuple(gen[list(p)].tolist()) for p in image for gen in gens}
+        if grown == image:
+            return frozenset(image)
+        image = grown
+
+
 @dataclass(frozen=True)
 class KMembershipResult:
-    """Inside/Outside with the certifying level, or Unknown with a reason."""
+    """Inside/Outside with the level that decided it."""
 
-    verdict: str  # "inside" | "outside" | "unknown"
-    level: int | None = None
-    reason: str | None = None
+    verdict: str  # "inside" | "outside"
+    level: int
 
     @property
     def is_inside(self) -> bool:
@@ -204,23 +215,16 @@ class KMembershipResult:
 
 
 def membership_in_K(g: str) -> KMembershipResult:
-    """Decide membership of g in K via the certified finite quotient.
+    """Decide membership of g in K from its level-K_LEVEL permutation.
 
-    Odd `a`-parity words are Outside unconditionally: t fixes level 1 and
-    level stabilizers are normal, so K <= St(1).
+    Odd `a`-parity words are Outside at level 1: t fixes level 1 and level
+    stabilizers are normal, so K <= St(1).
     """
     g = reduce_word(g)
     if a_parity(g):
-        return KMembershipResult("outside", level=1, reason="odd a-parity")
-    level = certified_plateau()
-    if level is None:
-        return KMembershipResult(
-            "unknown", reason="no index plateau certified within the level budget"
-        )
-    quotient = build_level_quotient(level)
-    image = Permutation(list(word_perm(g, level)), size=1 << level)
-    verdict = "inside" if quotient.k_image.contains(image) else "outside"
-    return KMembershipResult(verdict, level=level)
+        return KMembershipResult("outside", 1)
+    inside = tuple(word_perm(g, K_LEVEL).tolist()) in k_image_table()
+    return KMembershipResult("inside" if inside else "outside", K_LEVEL)
 
 
 def random_tword(
@@ -249,27 +253,22 @@ def search_high_order(
     Deterministic given the seed: t itself is tried first, then random
     products of conjugates of t.  The budget is split over three rounds
     with the conjugator length bound doubling between rounds.  Since all
-    orders are powers of two, order >= 2**e iff the 2**(e-1)-th power is
-    nontrivial, which is what gets checked.  With exact=True the order
-    must equal target_order.
+    orders are powers of two, order >= 2**e iff the order is not exact at
+    cap e-1; `order` squares only up to the element's true order.  With
+    exact=True the order must equal target_order.
     """
     if target_order < 1 or target_order & (target_order - 1):
         raise ValueError("target_order must be a power of two")
     exponent = target_order.bit_length() - 1
 
     def qualifies(k: TWord) -> TWord | None:
-        flat = flatten(k)
-        if exponent == 0:
-            if _is_trivial_reduced(flat):
-                return None
-            return k
-        if _is_trivial_reduced(power(flat, 1 << (exponent - 1))):
+        if order(flatten(k), max(exponent - 1, 0)).is_exact:
             return None
-        if not exact:
+        if exponent == 0 or not exact:
             return k
         # Square down to the exact order: in a cyclic 2-group, squaring
         # halves the order.
-        while not _is_trivial_reduced(power(flatten(k), target_order)):
+        while not order(flatten(k), exponent).is_exact:
             k = k * k
         return k
 

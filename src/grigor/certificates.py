@@ -24,7 +24,7 @@ from .branch import (
     membership_in_K,
     parse_tword,
 )
-from .decide import are_equal, is_trivial
+from .decide import are_equal, is_trivial, order
 from .engel import (
     BoundedLeftRefutation,
     EngelSink,
@@ -40,7 +40,6 @@ from .words import (
     invert,
     multiply,
     parse_word,
-    power,
     reduce_word,
 )
 
@@ -96,13 +95,11 @@ def to_dict(cert: Certificate) -> dict[str, Any]:
 def membership_certificate(word: str) -> dict[str, Any]:
     """Certificate form of a K-membership verdict."""
     result = membership_in_K(word)
-    data = _header("k_membership") | {
+    return _header("k_membership") | {
         "word": format_word(reduce_word(word)),
         "verdict": result.verdict,
+        "level": result.level,
     }
-    if result.level is not None:
-        data["level"] = result.level
-    return data
 
 
 def dumps(data: dict[str, Any]) -> str:
@@ -193,6 +190,8 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     k = parse_tword(data["k"])
     y = parse_word(data["y"])
     bound = data["bound"]
+    if bound < 1:
+        return False, "bound must be >= 1"
     if is_trivial(x):
         return False, "x is trivial"
     if not is_trivial(x + x):
@@ -202,7 +201,7 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     if problem:
         return False, problem
     flat = flatten(k)
-    if is_trivial(power(flat, 1 << (bound - 1))):
+    if order(flat, bound - 1).is_exact:
         return False, f"k does not have order > 2^{bound - 1}"
     if not are_equal(y, emb_pair(k, TWord())):
         return False, "y does not embed (flatten(k), 1)"
@@ -257,6 +256,6 @@ def _verify_membership(data: dict[str, Any]) -> tuple[bool, str]:
     result = membership_in_K(parse_word(data["word"]))
     if result.verdict != data["verdict"]:
         return False, f"recomputed verdict {result.verdict} != {data['verdict']}"
-    if result.level is not None and data.get("level") != result.level:
+    if data.get("level") != result.level:
         return False, f"recomputed level {result.level} != {data.get('level')}"
     return True, f"membership verdict {result.verdict} confirmed"

@@ -109,9 +109,11 @@ def act(g: str, v: str) -> str:
 
 
 def sections_at(g: str, n: int) -> tuple[LevelPerm, list[str]]:
-    """Level-n permutation of g together with its 2**n sections in vertex order."""
+    """Level-n permutation of g and its 2**n sections in vertex order; n <= MAX_DEPTH."""
     if n < 0:
         raise ValueError("level must be >= 0")
+    if n > config.MAX_DEPTH:
+        raise CapExceeded(f"sections at level {n} exceed the depth cap {config.MAX_DEPTH}")
     if n == 0:
         return LevelPerm(0, (0,)), [g]
     d = decompose(g)
@@ -136,12 +138,8 @@ def in_level_stabilizer(g: str, n: int) -> bool:
     """True iff g fixes every vertex of depth n."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    if n == 0:
-        return True
-    if a_parity(g):
-        return False
-    d = decompose(g)
-    return in_level_stabilizer(d.left, n - 1) and in_level_stabilizer(d.right, n - 1)
+    level = first_active_level(g)
+    return level is None or level >= n
 
 
 @lru_cache(maxsize=1 << 16)

@@ -3,12 +3,14 @@ import pytest
 from grigor.branch import (
     TWord,
     T_ATOM,
+    K_LEVEL,
     build_level_quotient,
     certified_plateau,
     emb_pair,
     flatten,
     format_tword,
     k_generators,
+    k_image_table,
     lift_first,
     lift_second,
     membership_in_K,
@@ -19,6 +21,7 @@ from grigor.branch import (
 )
 from grigor.decide import are_equal, is_trivial, order
 from grigor.errors import SearchExhausted
+from grigor.leafperm import word_perm
 from grigor.tree import decompose
 from grigor.words import invert, multiply, reduce_word
 
@@ -129,6 +132,32 @@ def test_membership():
     assert membership_in_K("abab").verdict == "inside"
     assert membership_in_K("b").verdict == "outside"
     assert membership_in_K("").verdict == "inside"
+
+
+def test_k_level_is_the_certified_plateau():
+    assert certified_plateau() == K_LEVEL
+    quotient = build_level_quotient(K_LEVEL)
+    assert len(k_image_table()) == quotient.group_order // quotient.k_image_index
+
+
+def test_membership_matches_sympy_quotient(rng):
+    # The level-3 table against sympy's normal closure of t in G_3.
+    from sympy.combinatorics import Permutation
+
+    k_image = build_level_quotient(K_LEVEL).k_image
+    words = [reduce_word(make_word(rng, rng.randint(0, 40))) for _ in range(200)]
+    words += [flatten(random_tword(rng, conj_len=8)) for _ in range(100)]
+    words += [
+        emb_pair(random_tword(rng, 2, 6), random_tword(rng, 2, 6)) for _ in range(100)
+    ]
+    verdicts = set()
+    for g in words:
+        result = membership_in_K(g)
+        perm = Permutation(list(word_perm(g, K_LEVEL)), size=1 << K_LEVEL)
+        assert result.is_inside == k_image.contains(perm)
+        assert result.level == (1 if g.count("a") & 1 else K_LEVEL)
+        verdicts.add((result.verdict, result.level))
+    assert verdicts == {("inside", K_LEVEL), ("outside", K_LEVEL), ("outside", 1)}
 
 
 def test_membership_of_embeddings(rng):

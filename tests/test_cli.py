@@ -23,6 +23,19 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def run_child(*argv, timeout=30):
+    """Run python with argv in a child process, so that a runaway computation
+    fails the timeout instead of hanging the suite."""
+    src = str(Path(grigor.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def test_reduce(capsys):
     assert run(capsys, "reduce", "bc") == (0, "d", "")
     assert run(capsys, "reduce", "abba")[1] == "1"
@@ -163,13 +176,46 @@ def test_verify_caps_tower(tmp_path):
     data["bound"] = 30
     path = tmp_path / "cert.json"
     path.write_text(certificates.dumps(data))
-    src = str(Path(grigor.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "grigor.cli", "verify", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_child("-m", "grigor.cli", "verify", str(path))
     assert proc.returncode == 3
     assert proc.stderr.startswith("resource cap: tower at depth")
+
+
+def test_verify_rejects_inflated_left_bound(tmp_path):
+    # k in the golden file has order 64; claiming bound 30 must be refuted
+    # from the order of k, without powering k to 2**29.
+    golden = Path(__file__).parent / "golden" / "bounded_left_refutation.json"
+    data = json.loads(golden.read_text())
+    data["bound"] = 30
+    path = tmp_path / "cert.json"
+    path.write_text(certificates.dumps(data))
+    proc = run_child("-m", "grigor.cli", "verify", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("FAIL: k does not have order > 2^29")
+
+
+def test_replay_left_high_bound_exhausts():
+    proc = run_child("-m", "grigor.cli", "replay-left", "a", "-N", "20", "--budget", "3")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource cap: no element of order >= 1048576")
+
+
+def test_stab_deep_level():
+    proc = run_child("-m", "grigor.cli", "stab", "1", "40")
+    assert (proc.returncode, proc.stdout) == (0, "true\n")
+
+
+def test_sections_depth_cap():
+    proc = run_child("-m", "grigor.cli", "sections", "1", "21")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource cap: sections at level 21")
+
+
+def test_cli_import_leaves_out_sympy():
+    # Membership reads the level-3 table; only the quotients need sympy.
+    proc = run_child(
+        "-c",
+        "import grigor.cli, sys; assert 'sympy' not in sys.modules; "
+        "grigor.cli.main(['k-test', 'abab']); assert 'sympy' not in sys.modules",
+    )
+    assert (proc.returncode, proc.stdout) == (0, "inside\n"), proc.stderr

@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+from grigor import config
 from grigor.decide import are_equal
+from grigor.errors import CapExceeded
 from grigor.tree import (
     Decomposition,
     act,
@@ -82,6 +86,10 @@ def test_sections_at_examples():
     perm, secs = sections_at("a", 1)
     assert perm.images == (1, 0) and secs == ["", ""]
 
+    assert len(sections_at("", config.MAX_DEPTH)[1]) == 1 << config.MAX_DEPTH
+    with pytest.raises(CapExceeded):
+        sections_at("", config.MAX_DEPTH + 1)
+
 
 def test_section_at_vertex():
     assert section("b", "0") == "a"
@@ -101,6 +109,13 @@ def test_stabilizer_matches_parity(rng):
     for _ in range(50):
         g = reduce_word(make_word(rng, rng.randint(0, 24)))
         assert in_level_stabilizer(g, 1) == (g.count("a") % 2 == 0)
+
+
+def test_stabilizer_matches_level_permutation(rng):
+    for _ in range(50):
+        g = reduce_word(make_word(rng, rng.randint(0, 24)))
+        for n in range(7):
+            assert in_level_stabilizer(g, n) == level_perm(g, n).is_identity()
 
 
 def test_spherical_transitivity():
