@@ -2,8 +2,9 @@
 
 Every certificate is a self-contained transcript: the verifier re-checks
 it from the serialized inputs alone, using only the decision-module
-primitives (triviality, the moved-vertex action, decomposition), so a
-certificate file can be audited independently of the run that produced it.
+primitives (triviality, the moved-vertex action, decomposition) and, for
+the refutation towers, section-DAG arithmetic, so a certificate file can be
+audited independently of the run that produced it.
 
 Serialization is deterministic: sorted keys, fixed separators, no
 floats, so identical inputs yield byte-identical files.
@@ -24,18 +25,18 @@ from .branch import (
     membership_in_K,
     parse_tword,
 )
+from .dag import Dag
 from .decide import are_equal, is_trivial, order
 from .engel import (
     BoundedLeftRefutation,
     EngelSink,
     NoSinkUpTo,
     RightRefutation,
-    iterated_commutator,
+    right_towers,
     tower,
 )
 from .tree import act, decompose
 from .words import (
-    conjugate,
     format_word,
     invert,
     multiply,
@@ -208,7 +209,9 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     d = decompose(y)
     if d.active or not are_equal(d.left, flat) or not is_trivial(d.right):
         return False, "decomposition of y is not (flatten(k), 1)"
-    if not _moved(iterated_commutator(y, x_active, bound), data["witness"]):
+    dag = Dag()
+    t = next(islice(dag.tower(dag.from_word(y), dag.from_word(x_active)), bound - 1, None))
+    if dag.act(t, data["witness"]) == data["witness"]:
         return False, "witness vertex is not moved by the tower"
     return True, f"left-{bound}-Engel refutation confirmed"
 
@@ -238,16 +241,13 @@ def _verify_right(data: dict[str, Any]) -> tuple[bool, str]:
         return False, "y does not embed (y1, y2)"
     if len(witnesses) != bound:
         return False, "one witness vertex per tower depth is required"
-    fy1 = flatten(y1)
-    # Entries m + 1 = 2 .. bound + 1 of both towers, in step.
-    pairs = zip(
-        islice(tower(x_active, y), 1, bound + 1), islice(tower(flatten(h), fy1), 1, None)
-    )
-    for m, (t, first) in enumerate(pairs, 1):
-        if not _moved(t, witnesses[m - 1]):
+    dag = Dag()
+    pairs = islice(right_towers(dag, x_active, y, h, y1), bound)
+    for m, ((t, first), witness) in enumerate(zip(pairs, witnesses), 1):
+        if dag.act(t, witness) == witness:
             return False, f"witness at m={m} is not moved by the tower"
-        d = decompose(t)
-        if d.active or not are_equal(d.left, conjugate(first, fy1)):
+        t_active, t_left, _ = dag.nodes[t]
+        if t_active or t_left != first:
             return False, f"tower identity cross-check failed at m={m}"
     return True, f"right-Engel refutation through sink bound {bound + 1} confirmed"
 

@@ -16,6 +16,9 @@ FIRST_ACTIVE_CAP = 64
 # Commutator towers abort (visibly) past this reduced length.
 WORD_LENGTH_CAP = 1 << 16
 
+# Section-DAG computations (module `dag`) stop past this many interned nodes.
+NODE_CAP = 1 << 20
+
 # LRU size for the triviality cache.
 MEMO_SIZE = 1 << 20
 

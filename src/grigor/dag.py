@@ -1,0 +1,133 @@
+"""Elements as hash-consed section DAGs over the nucleus {1, a, b, c, d}.
+
+An element is an int id owned by a `Dag`.  Ids 0-4 are the nucleus
+1, a, b, c, d; every other id names an interned triple (active, left,
+right): the root activity bit and the ids of the sections at vertices 0
+and 1.  A triple equal to a nucleus element's own decomposition is never
+interned, it *is* that leaf, so each element has exactly one id: equality
+is id equality and the identity is 0.  The group is contracting with this
+nucleus, so products and inverses recurse through sections and stop at
+leaves (Nekrashevych, *Self-similar groups*, 2005, ch. 2).
+
+Ids mean nothing outside the Dag that made them.  Each top-level
+computation makes its own Dag from words and returns words, so no table
+outlives the call that filled it.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+
+from . import config
+from .errors import CapExceeded
+
+IDENTITY, A, B, C, D = range(5)
+# Decompositions of the nucleus, with 0 for the identity: psi(1) = (1, 1),
+# psi(a) = (1, 1) swapped, psi(b) = (a, c), psi(c) = (a, d), psi(d) = (1, b).
+_LEAVES = ((0, 0, 0), (1, 0, 0), (0, A, C), (0, A, D), (0, 0, B))
+_LETTERS = {"a": A, "b": B, "c": C, "d": D}
+
+
+class Dag:
+    """Intern table and memos of one computation.
+
+    nodes[g] is the decomposition (active, left, right) of element g.
+    Interning a node past config.NODE_CAP raises CapExceeded.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: list[tuple[int, int, int]] = list(_LEAVES)
+        self._ids = {node: g for g, node in enumerate(_LEAVES)}
+        self._mul: dict[tuple[int, int], int] = {}
+        self._inv = {g: g for g in range(len(_LEAVES))}
+        # Seeded: b -> c -> d -> b is a cycle of sections.
+        self._level: dict[int, int | None] = {IDENTITY: None, A: 0, B: 1, C: 1, D: 2}
+
+    def node(self, active: int, left: int, right: int) -> int:
+        """The id of the element with this first-level decomposition."""
+        key = (active, left, right)
+        g = self._ids.get(key)
+        if g is None:
+            if len(self.nodes) >= config.NODE_CAP:
+                raise CapExceeded(f"section DAG grew past {config.NODE_CAP} nodes")
+            g = self._ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return g
+
+    def mul(self, g: int, h: int) -> int:
+        """The product g.h (g acts first)."""
+        if g == IDENTITY:
+            return h
+        if h == IDENTITY:
+            return g
+        if g <= D and h <= D and (g == h or A not in (g, h)):
+            # Generators are involutions; {b, c, d} multiply by the Klein
+            # table.  Recursing instead would loop b.c -> c.d -> d.b -> ...
+            return IDENTITY if g == h else B + C + D - g - h
+        key = (g, h)
+        product = self._mul.get(key)
+        if product is None:
+            g_active, g_left, g_right = self.nodes[g]
+            h_active, h_left, h_right = self.nodes[h]
+            if g_active:
+                h_left, h_right = h_right, h_left
+            product = self._mul[key] = self.node(
+                g_active ^ h_active, self.mul(g_left, h_left), self.mul(g_right, h_right)
+            )
+        return product
+
+    def inv(self, g: int) -> int:
+        """The inverse g^-1."""
+        inverse = self._inv.get(g)
+        if inverse is None:
+            active, left, right = self.nodes[g]
+            left, right = self.inv(left), self.inv(right)
+            if active:
+                left, right = right, left
+            inverse = self._inv[g] = self.node(active, left, right)
+        return inverse
+
+    def from_word(self, w: str) -> int:
+        """The element a (reduced or raw) word over abcd represents."""
+        g = IDENTITY
+        for ch in w:
+            g = self.mul(g, _LETTERS[ch])
+        return g
+
+    def conjugate(self, x: int, w: int) -> int:
+        """w^-1 x w."""
+        return self.mul(self.mul(self.inv(w), x), w)
+
+    def commutator(self, x: int, g: int) -> int:
+        """[x, g] = x^-1 g^-1 x g = (g x)^-1 (x g)."""
+        return self.mul(self.inv(self.mul(g, x)), self.mul(x, g))
+
+    def tower(self, x: int, g: int) -> Iterator[int]:
+        """[x,_1 g], [x,_2 g], ...; the node cap ends a tower that outgrows it."""
+        while True:
+            x = self.commutator(x, g)
+            yield x
+
+    def first_active_level(self, g: int) -> int | None:
+        """The n with g in St(n) \\ St(n+1); None iff g is the identity."""
+        if g not in self._level:
+            active, left, right = self.nodes[g]
+            if active:
+                level = 0
+            else:
+                below = [self.first_active_level(s) for s in (left, right)]
+                below = [m for m in below if m is not None]
+                level = 1 + min(below) if below else None
+            self._level[g] = level
+        return self._level[g]
+
+    def act(self, g: int, v: str) -> str:
+        """Image of vertex v under g; same depth, prefix-compatible."""
+        out: list[str] = []
+        for bit in v:
+            if bit not in "01":
+                raise ValueError(f"invalid vertex symbol {bit!r}")
+            active, left, right = self.nodes[g]
+            out.append(str(int(bit) ^ active))
+            g = right if bit == "1" else left
+        return "".join(out)

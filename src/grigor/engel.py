@@ -1,8 +1,11 @@
 """Iterated commutators, Engel probes, the two tower lemmas, and proof replays.
 
 The left-normed tower is [x,_1 g] = x^-1 g^-1 x g and
-[x,_n g] = [[x,_{n-1} g], g].  Every tower, here and in the verifier, comes
-from `tower`: reduced after every step, aborting visibly past the length cap.
+[x,_n g] = [[x,_{n-1} g], g].  Probes and lemma checks, whose transcripts
+record word lengths, take their towers from `tower`: reduced words,
+aborting visibly past the length cap.  The replays, the non-Engel pair
+search and their verifiers run `Dag.tower` on section-DAG elements, whose
+size does not double with each step; words stay their input and output.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
@@ -13,9 +16,8 @@ from a non-Engel pair in K, cross-checked against the tower identity of
 
 from __future__ import annotations
 
-import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -27,6 +29,7 @@ from .branch import (
     random_tword,
     search_high_order,
 )
+from .dag import Dag
 from .decide import are_equal, is_trivial, order, witness_vertex
 from .errors import (
     CapExceeded,
@@ -34,6 +37,7 @@ from .errors import (
     SearchExhausted,
     WordLengthCapExceeded,
 )
+from .leafperm import moved_vertex, tower_perm
 from .tree import decompose, first_active_level
 from .words import (
     IDENTITY,
@@ -47,7 +51,7 @@ from .words import (
 )
 
 
-def tower(x: str, g: str, length_cap: float = config.WORD_LENGTH_CAP) -> Iterator[str]:
+def tower(x: str, g: str, length_cap: int = config.WORD_LENGTH_CAP) -> Iterator[str]:
     """[x,_1 g], [x,_2 g], ... each reduced; WordLengthCapExceeded past the cap."""
     for n in count(1):
         x = commutator(x, g)
@@ -65,22 +69,56 @@ def iterated_commutator(
     return next(islice(tower(x, g, length_cap), n - 1, None))
 
 
-def exact_witness(t: str) -> str:
+def exact_witness(
+    t,
+    level_of: Callable = first_active_level,
+    vertex_at: Callable = witness_vertex,
+) -> str:
     """The minimal-depth, lexicographically least vertex moved by nontrivial t.
 
-    The section recursion gives the depth and the leaf-permutation oracle the
-    vertex; the two must agree.  The oracle builds 2**depth-entry arrays, so
-    depths past 2 * MAX_DEPTH raise CapExceeded.
+    The section recursion `level_of(t)` gives the depth and the
+    leaf-permutation oracle `vertex_at(t, depth)` the vertex; the two must
+    agree.  The defaults serve words; `_tower_witness` serves DAG elements.
+    The oracle builds 2**depth-entry arrays, so depths past 2 * MAX_DEPTH
+    raise CapExceeded.
     """
-    level = first_active_level(t)
+    level = level_of(t)
     if level is None:
         raise PreconditionViolated("a trivial element moves no vertex")
     if level + 1 > 2 * config.MAX_DEPTH:
         raise CapExceeded(f"first moved vertex lies below depth {2 * config.MAX_DEPTH}")
-    witness = witness_vertex(t, level + 1)
+    witness = vertex_at(t, level + 1)
     if witness is None or len(witness) != level + 1:
         raise AssertionError(f"leaf permutations disagree with first active level {level}")
     return witness
+
+
+def _tower_witness(dag: Dag, t: int, x: str, g: str, m: int) -> str:
+    """`exact_witness` of t = [x,_m g] held in dag.
+
+    The depth comes from t's sections; leafperm rebuilds the level
+    permutation of [x,_m g] from the words x and g alone.
+    """
+    return exact_witness(
+        t, dag.first_active_level, lambda _, n: moved_vertex(tower_perm(x, g, m, n), n)
+    )
+
+
+def right_towers(
+    dag: Dag, x_active: str, y: str, h: TWord, y1: TWord
+) -> Iterator[tuple[int, int]]:
+    """([x_active,_{m+1} y], [h,_{m+1} y1]^y1) for m = 1, 2, ...
+
+    When psi(y) = (y1, [y1, h]^(g1^-1)) and x_active = a.g, the tower
+    identity says the second is the first coordinate of the first.
+    """
+    fy1 = dag.from_word(flatten(y1))
+    towers = zip(
+        dag.tower(dag.from_word(x_active), dag.from_word(y)),
+        dag.tower(dag.from_word(flatten(h)), fy1),
+    )
+    for t, first in islice(towers, 1, None):
+        yield t, dag.conjugate(first, fy1)
 
 
 @dataclass(frozen=True)
@@ -271,7 +309,9 @@ def replay_bounded_left(
     chain, active = section_chain(x)
     k = search_high_order(1 << bound, budget=budget, seed=seed)
     y = emb_pair(k, TWord())
-    witness = exact_witness(iterated_commutator(y, active, bound))
+    dag = Dag()
+    t = next(islice(dag.tower(dag.from_word(y), dag.from_word(active)), bound - 1, None))
+    witness = _tower_witness(dag, t, y, active, bound)
     return BoundedLeftRefutation(x, chain, active, k, bound, y, witness)
 
 
@@ -290,10 +330,9 @@ def search_nonengel_pair(
     rng = random.Random(seed)
 
     def qualifies(h: TWord, y1: TWord) -> bool:
-        # Not capped: the first candidate's tower outgrows WORD_LENGTH_CAP at
-        # depth 12 and still qualifies, so search-pair answers bounds past 11.
-        towers = islice(tower(flatten(h), flatten(y1), math.inf), bound)
-        return not any(is_trivial(t) for t in towers)
+        dag = Dag()
+        towers = dag.tower(dag.from_word(flatten(h)), dag.from_word(flatten(y1)))
+        return 0 not in islice(towers, bound)  # id 0 is the identity
 
     # Simple canonical candidates first, then random ones.
     simple = [
@@ -336,19 +375,15 @@ def replay_right(
     h, y1 = search_nonengel_pair(bound + 1, budget=budget, seed=seed)
     y2 = y1.commutator_with(h).conjugated(invert(g1))
     y = emb_pair(y1, y2)
-    fy1 = flatten(y1)
+    dag = Dag()
     witnesses: list[str] = []
-    # Entries m + 1 = 2 .. bound + 1 of both towers, in step.
-    pairs = zip(
-        islice(tower(active, y), 1, bound + 1), islice(tower(flatten(h), fy1), 1, None)
-    )
-    for t, first in pairs:
-        d = decompose(t)
-        if d.active:
+    for m, (t, first) in enumerate(islice(right_towers(dag, active, y, h, y1), bound), 2):
+        t_active, t_left, _ = dag.nodes[t]
+        if t_active:
             raise AssertionError("tower left St(1); identity preconditions broken")
-        if not are_equal(d.left, conjugate(first, fy1)):
+        if t_left != first:
             raise AssertionError("tower identity cross-check failed")
-        witnesses.append(exact_witness(t))
+        witnesses.append(_tower_witness(dag, t, active, y, m))
     return RightRefutation(
         x, chain, active, h, y1, y2, y, bound, tuple(witnesses)
     )

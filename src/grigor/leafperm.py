@@ -2,9 +2,10 @@
 
 This is the independent route to the action: permutations of the 2**n
 level-n vertices are assembled from the defining recursion of a, b, c, d
-and composed along a word, with no use of word reduction or of the
-`tree` module.  The `decide` module uses it as a cross-validating oracle,
-and the `branch` module uses it to generate finite level quotients.
+and composed along a word, with no use of word reduction, of the `tree`
+module or of section DAGs.  The `decide` and `engel` modules use it as a
+cross-validating oracle, and the `branch` module uses it to generate
+finite level quotients.
 
 Permutations are numpy index arrays; p[i] is the image of vertex i
 (vertices encoded as big-endian binary integers).
@@ -54,6 +55,26 @@ def word_perm(w: str, n: int) -> np.ndarray:
     for ch in w:
         p = gens[ch][p]
     return p
+
+
+def tower_perm(x: str, g: str, m: int, n: int) -> np.ndarray:
+    """Level-n permutation of the tower [x,_m g], from those of x and g alone.
+
+    The level action is a homomorphism, so each step forms the commutator
+    [p, q] = p^-1 q^-1 p q of permutations in the level-n quotient; no word
+    of the tower is built.
+    """
+    p, q = word_perm(x, n), word_perm(g, n)
+    q_inv = _inverse(q)
+    for _ in range(m):
+        p = q[p[q_inv[_inverse(p)]]]
+    return p
+
+
+def _inverse(p: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(p)
+    inv[p] = np.arange(len(p), dtype=p.dtype)
+    return inv
 
 
 def moved_vertex(perm: np.ndarray, n: int) -> str | None:

@@ -205,6 +205,26 @@ def test_stab_deep_level():
     assert (proc.returncode, proc.stdout) == (0, "true\n")
 
 
+def test_search_pair_deep():
+    # The word tower of this pair has about 21 million letters at depth 20;
+    # its section DAG stays small.
+    proc = run_child("-m", "grigor.cli", "--json", "search-pair", "-N", "20", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["h"], data["y1"]) == ("d^-1", "dac^-1")
+
+
+def test_replay_right_deep_verifies(tmp_path):
+    path = tmp_path / "cert.json"
+    argv = ("-m", "grigor.cli", "replay-right", "a", "-N", "16", "--output", str(path))
+    proc = run_child(*argv, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_child("-m", "grigor.cli", "verify", str(path), timeout=10)
+    assert (proc.returncode, proc.stdout) == (
+        0, "OK: right-Engel refutation through sink bound 17 confirmed\n"
+    ), proc.stderr
+
+
 def test_sections_depth_cap():
     proc = run_child("-m", "grigor.cli", "sections", "1", "21")
     assert proc.returncode == 3
