@@ -292,8 +292,3 @@ def search_high_order(
     raise SearchExhausted(
         f"no element of order >= {target_order} found within budget {budget}"
     )
-
-
-def tword_order(k: TWord, cap: int = config.ORDER_CAP):
-    """Order of the flattened element (convenience wrapper)."""
-    return order(flatten(k), cap)

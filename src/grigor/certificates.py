@@ -3,8 +3,9 @@
 Every certificate is a self-contained transcript: the verifier re-checks
 it from the serialized inputs alone, using only the decision-module
 primitives (triviality, the moved-vertex action, decomposition) and, for
-the refutation towers, section-DAG arithmetic, so a certificate file can be
-audited independently of the run that produced it.
+every commutator tower, section-DAG arithmetic, so a certificate file can
+be audited independently of the run that produced it.  Probe transcripts
+are checked too: one reduced word length per tower depth.
 
 Serialization is deterministic: sorted keys, fixed separators, no
 floats, so identical inputs yield byte-identical files.
@@ -32,10 +33,10 @@ from .engel import (
     EngelSink,
     NoSinkUpTo,
     RightRefutation,
+    probe_towers,
     right_towers,
-    tower,
 )
-from .tree import act, decompose
+from .tree import decompose
 from .words import (
     format_word,
     invert,
@@ -130,8 +131,7 @@ def _check_chain(x: str, chain: list[list[Any]], x_active: str) -> str | None:
     return None
 
 
-def _moved(word: str, vertex: str) -> bool:
-    return act(word, vertex) != vertex
+_TRANSCRIPT_MISMATCH = "transcript must list the word length of each tower entry"
 
 
 def verify(data: dict[str, Any]) -> tuple[bool, str]:
@@ -161,12 +161,18 @@ def _verify_sink(data: dict[str, Any]) -> tuple[bool, str]:
     g = parse_word(data["g"])
     x = parse_word(data["x"])
     n = data["n"]
+    transcript = data["transcript"]
     if n < 1:
         return False, "sink depth must be >= 1"
-    for m, t in zip(range(1, n + 1), tower(x, g)):
-        if m < n and is_trivial(t):
+    dag = Dag()
+    lengths: list[int] = []
+    for m, (w, t) in enumerate(islice(probe_towers(dag, x, g), n), 1):
+        lengths.append(len(w))
+        if m < n and t == 0:  # id 0 is the identity
             return False, f"tower already trivial at depth {m}"
-    if not is_trivial(t):
+    if transcript != lengths:
+        return False, _TRANSCRIPT_MISMATCH
+    if t != 0:
         return False, f"tower not trivial at claimed depth {n}"
     return True, f"sink at depth {n} confirmed"
 
@@ -175,12 +181,18 @@ def _verify_no_sink(data: dict[str, Any]) -> tuple[bool, str]:
     g = parse_word(data["g"])
     x = parse_word(data["x"])
     bound = data["bound"]
+    transcript = data["transcript"]
     if bound < 1:
         return False, "bound must be >= 1"
-    for m, t in zip(range(1, bound + 1), tower(x, g)):
-        if is_trivial(t):
+    dag = Dag()
+    lengths: list[int] = []
+    for m, (w, t) in enumerate(islice(probe_towers(dag, x, g), bound), 1):
+        lengths.append(len(w))
+        if t == 0:
             return False, f"tower trivial at depth {m} <= bound"
-    if not _moved(t, data["witness"]):
+    if transcript != lengths:
+        return False, _TRANSCRIPT_MISMATCH
+    if dag.act(t, data["witness"]) == data["witness"]:
         return False, "witness vertex is not moved by the final tower"
     return True, f"no sink through depth {bound} confirmed"
 

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import branch, certificates, config, decide, engel, tree, words
+from . import branch, certificates, config, decide, engel, leafperm, tree, words
 from .errors import CapExceeded, PreconditionViolated, SearchExhausted
 
 
@@ -55,17 +55,11 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_sections(args) -> int:
-    perm, secs = tree.sections_at(words.parse_word(args.word), args.level)
-    data = {
-        "level": args.level,
-        "perm": list(perm.images),
-        "sections": [words.format_word(s) for s in secs],
-    }
-    _emit(
-        args,
-        data,
-        f"perm {list(perm.images)}\nsections {' '.join(words.format_word(s) for s in secs)}",
-    )
+    g = words.parse_word(args.word)
+    secs = [words.format_word(s) for s in tree.sections_at(g, args.level)]
+    perm = leafperm.word_perm(g, args.level).tolist()
+    data = {"level": args.level, "perm": perm, "sections": secs}
+    _emit(args, data, f"perm {perm}\nsections {' '.join(secs)}")
     return 0
 
 

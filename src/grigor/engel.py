@@ -1,11 +1,14 @@
 """Iterated commutators, Engel probes, the two tower lemmas, and proof replays.
 
 The left-normed tower is [x,_1 g] = x^-1 g^-1 x g and
-[x,_n g] = [[x,_{n-1} g], g].  Probes and lemma checks, whose transcripts
-record word lengths, take their towers from `tower`: reduced words,
-aborting visibly past the length cap.  The replays, the non-Engel pair
-search and their verifiers run `Dag.tower` on section-DAG elements, whose
-size does not double with each step; words stay their input and output.
+[x,_n g] = [[x,_{n-1} g], g].  Probes, replays and their verifiers ask
+two questions of a tower entry -- is it the identity, and which vertex
+does it move -- and answer both on `Dag.tower`, whose section-DAG
+elements do not double in size with each step; `exact_witness` is the
+one witness routine.  Probes also walk the reduced-word `tower`
+alongside: their transcripts record word lengths, and its length cap
+ends them visibly.  Lemma checks compare word towers coordinate by
+coordinate.  Words stay the input and output.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
@@ -17,7 +20,7 @@ from a non-Engel pair in K, cross-checked against the tower identity of
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -30,7 +33,7 @@ from .branch import (
     search_high_order,
 )
 from .dag import Dag
-from .decide import are_equal, is_trivial, order, witness_vertex
+from .decide import are_equal, is_trivial, order
 from .errors import (
     CapExceeded,
     PreconditionViolated,
@@ -51,57 +54,51 @@ from .words import (
 )
 
 
-def tower(x: str, g: str, length_cap: int = config.WORD_LENGTH_CAP) -> Iterator[str]:
+def tower(x: str, g: str) -> Iterator[str]:
     """[x,_1 g], [x,_2 g], ... each reduced; WordLengthCapExceeded past the cap."""
     for n in count(1):
         x = commutator(x, g)
-        if len(x) > length_cap:
-            raise WordLengthCapExceeded(f"tower at depth {n} grew past {length_cap} letters")
+        if len(x) > config.WORD_LENGTH_CAP:
+            raise WordLengthCapExceeded(
+                f"tower at depth {n} grew past {config.WORD_LENGTH_CAP} letters"
+            )
         yield x
 
 
-def iterated_commutator(
-    x: str, g: str, n: int, length_cap: int = config.WORD_LENGTH_CAP
-) -> str:
+def iterated_commutator(x: str, g: str, n: int) -> str:
     """The left-normed tower [x,_n g], reduced after every step."""
     if n < 1:
         raise ValueError("tower depth must be >= 1")
-    return next(islice(tower(x, g, length_cap), n - 1, None))
+    return next(islice(tower(x, g), n - 1, None))
 
 
-def exact_witness(
-    t,
-    level_of: Callable = first_active_level,
-    vertex_at: Callable = witness_vertex,
-) -> str:
-    """The minimal-depth, lexicographically least vertex moved by nontrivial t.
+def exact_witness(dag: Dag, t: int, x: str, g: str, m: int) -> str:
+    """The minimal-depth, lexicographically least vertex moved by t = [x,_m g].
 
-    The section recursion `level_of(t)` gives the depth and the
-    leaf-permutation oracle `vertex_at(t, depth)` the vertex; the two must
-    agree.  The defaults serve words; `_tower_witness` serves DAG elements.
-    The oracle builds 2**depth-entry arrays, so depths past 2 * MAX_DEPTH
-    raise CapExceeded.
+    t is held in dag, and m = 0 means t is the plain word x.  The depth
+    comes from t's sections; leafperm rebuilds the level permutation of
+    [x,_m g] from the words x and g alone, and the two must agree.  The
+    oracle builds 2**depth-entry arrays, so depths past 2 * MAX_DEPTH raise
+    CapExceeded.
     """
-    level = level_of(t)
+    level = dag.first_active_level(t)
     if level is None:
         raise PreconditionViolated("a trivial element moves no vertex")
     if level + 1 > 2 * config.MAX_DEPTH:
         raise CapExceeded(f"first moved vertex lies below depth {2 * config.MAX_DEPTH}")
-    witness = vertex_at(t, level + 1)
+    witness = moved_vertex(tower_perm(x, g, m, level + 1), level + 1)
     if witness is None or len(witness) != level + 1:
         raise AssertionError(f"leaf permutations disagree with first active level {level}")
     return witness
 
 
-def _tower_witness(dag: Dag, t: int, x: str, g: str, m: int) -> str:
-    """`exact_witness` of t = [x,_m g] held in dag.
+def probe_towers(dag: Dag, x: str, g: str) -> Iterator[tuple[str, int]]:
+    """[x,_m g] for m = 1, 2, ... as (reduced word, id in dag) pairs.
 
-    The depth comes from t's sections; leafperm rebuilds the level
-    permutation of [x,_m g] from the words x and g alone.
+    The word comes first in the zip, so its length cap raises before the
+    DAG takes the step.
     """
-    return exact_witness(
-        t, dag.first_active_level, lambda _, n: moved_vertex(tower_perm(x, g, m, n), n)
-    )
+    return zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
 
 
 def right_towers(
@@ -142,22 +139,23 @@ class NoSinkUpTo:
     witness: str
 
 
-def left_engel_probe(
-    g: str,
-    x: str,
-    bound: int,
-    length_cap: int = config.WORD_LENGTH_CAP,
-) -> EngelSink | NoSinkUpTo:
-    """Search the tower [x,_n g] for its first trivial entry, n <= bound."""
+def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
+    """Search the tower [x,_n g] for its first trivial entry, n <= bound.
+
+    The word tower gives the transcript lengths and the length cap; its
+    section-DAG twin decides triviality and the witness.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     transcript: list[int] = []
     g = reduce_word(g)
-    for n, cur in enumerate(islice(tower(reduce_word(x), g, length_cap), bound), 1):
-        transcript.append(len(cur))
-        if is_trivial(cur):
+    rx = reduce_word(x)
+    dag = Dag()
+    for n, (w, t) in enumerate(islice(probe_towers(dag, rx, g), bound), 1):
+        transcript.append(len(w))
+        if t == 0:  # id 0 is the identity
             return EngelSink(g, x, n, tuple(transcript))
-    return NoSinkUpTo(g, x, bound, tuple(transcript), exact_witness(cur))
+    return NoSinkUpTo(g, x, bound, tuple(transcript), exact_witness(dag, t, rx, g, bound))
 
 
 def lemma1_check(k: TWord, g: str, m: int) -> bool:
@@ -311,7 +309,7 @@ def replay_bounded_left(
     y = emb_pair(k, TWord())
     dag = Dag()
     t = next(islice(dag.tower(dag.from_word(y), dag.from_word(active)), bound - 1, None))
-    witness = _tower_witness(dag, t, y, active, bound)
+    witness = exact_witness(dag, t, y, active, bound)
     return BoundedLeftRefutation(x, chain, active, k, bound, y, witness)
 
 
@@ -383,7 +381,7 @@ def replay_right(
             raise AssertionError("tower left St(1); identity preconditions broken")
         if t_left != first:
             raise AssertionError("tower identity cross-check failed")
-        witnesses.append(_tower_witness(dag, t, active, y, m))
+        witnesses.append(exact_witness(dag, t, active, y, m))
     return RightRefutation(
         x, chain, active, h, y1, y2, y, bound, tuple(witnesses)
     )

@@ -8,6 +8,8 @@ import json
 import random
 import time
 
+from sympy.combinatorics import Permutation
+
 from grigor import certificates
 from grigor.branch import (
     TWord,
@@ -15,10 +17,10 @@ from grigor.branch import (
     build_level_quotient,
     certified_plateau,
     emb_pair,
+    flatten,
     membership_in_K,
     random_tword,
     search_high_order,
-    tword_order,
 )
 from grigor.decide import is_trivial, order, witness_vertex
 from grigor.engel import (
@@ -31,7 +33,8 @@ from grigor.engel import (
     replay_bounded_left,
     replay_right,
 )
-from grigor.tree import decompose, level_perm
+from grigor.leafperm import word_perm
+from grigor.tree import decompose
 from grigor.words import conjugate, multiply, reduce_word
 
 from conftest import make_even_word, make_word
@@ -64,7 +67,7 @@ def test_a2_classical_orders_two_ways():
         assert order(w).value == value, w
         # level-perm orders are monotone in the level and settle at the
         # true order within levels 4..6
-        perm_orders = [level_perm(w, n).order() for n in (4, 5, 6)]
+        perm_orders = [Permutation(word_perm(w, n).tolist()).order() for n in (4, 5, 6)]
         assert perm_orders[-2] == perm_orders[-1] == value, w
     report("A2", f"{len(expected)} orders confirmed by squaring and level perms")
 
@@ -141,7 +144,7 @@ def test_a6_sink_threshold_law():
     assert isinstance(outcome, EngelSink) and outcome.n == 4
 
     k32 = search_high_order(32, seed=0, exact=True)
-    assert tword_order(k32).value == 32
+    assert order(flatten(k32)).value == 32
     outcome = left_engel_probe("a", emb_pair(k32, TWord()), 10)
     assert isinstance(outcome, EngelSink) and outcome.n == 6
     report("A6", "sink depths 4 (order 8) and 6 (order 32) exact")
@@ -175,7 +178,7 @@ def test_a8_bounded_left_replay():
         ok, detail = certificates.verify(data)
         assert ok, detail
         if bound == 4:
-            assert tword_order(cert.k).value >= 16
+            assert order(flatten(cert.k)).value >= 16
     report("A8", "replays at N=3 and N=4 verified; N=4 uses order >= 16")
 
 

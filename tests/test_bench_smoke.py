@@ -1,7 +1,8 @@
-"""Tiny run of the benchmark, so a rename it depends on fails here first.
+"""Tiny runs of the benchmark, so a rename it depends on fails here first.
 
-The traced run wraps every function named in perfbench/tracing.py's TRACED
-and runs the certify workload and both scale ladders at small sizes.
+The traced run wraps every function named in perfbench/tracing.py's TRACED.
+certify also runs both scale ladders at small sizes; queries runs the probe
+certificate byte-reissue gate and the witness_vertex gate.
 """
 
 import json
@@ -9,13 +10,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_certify_tiny_traced_run():
+@pytest.mark.parametrize("workload", ["certify", "queries"])
+def test_tiny_traced_run(workload):
     proc = subprocess.run(
         [
-            sys.executable, "perfbench/run.py", "--workload", "certify",
+            sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", "1", "--seconds", "0.3", "--trace", "1", "--tiny",
         ],
         cwd=ROOT,

@@ -17,7 +17,6 @@ from grigor.branch import (
     parse_tword,
     random_tword,
     search_high_order,
-    tword_order,
 )
 from grigor.decide import are_equal, is_trivial, order
 from grigor.errors import SearchExhausted
@@ -171,10 +170,10 @@ def test_search_high_order():
     assert search_high_order(8, seed=1) == T_ATOM
     assert search_high_order(1, seed=1) == T_ATOM
     k = search_high_order(32, seed=1)
-    result = tword_order(k)
+    result = order(flatten(k))
     assert result.is_exact and result.value >= 32
     exact = search_high_order(32, seed=1, exact=True)
-    assert tword_order(exact).value == 32
+    assert order(flatten(exact)).value == 32
     with pytest.raises(ValueError):
         search_high_order(3)
     with pytest.raises(SearchExhausted):

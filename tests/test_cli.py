@@ -11,6 +11,8 @@ from grigor import certificates
 from grigor.cli import main
 from grigor.engel import left_engel_probe, replay_right
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -63,6 +65,39 @@ def test_act_and_sections(capsys):
     code, data = run_json(capsys, "sections", "d", "1")
     assert data["sections"] == ["1", "b"]
     assert data["perm"] == [0, 1]
+
+
+# Pinned stdout of `grigor sections WORD LEVEL`, text and --json: the perm
+# comes from leafperm, the sections from tree.sections_at.
+SECTIONS = {
+    ("1", "0"): (
+        "perm [0]\nsections 1",
+        '{"level":0,"perm":[0],"schema":1,"sections":["1"]}',
+    ),
+    ("a", "1"): (
+        "perm [1, 0]\nsections 1 1",
+        '{"level":1,"perm":[1,0],"schema":1,"sections":["1","1"]}',
+    ),
+    ("d", "2"): (
+        "perm [0, 1, 2, 3]\nsections 1 1 a c",
+        '{"level":2,"perm":[0,1,2,3],"schema":1,"sections":["1","1","a","c"]}',
+    ),
+    ("abad", "3"): (
+        "perm [1, 0, 2, 3, 6, 7, 5, 4]\nsections 1 1 1 b a d 1 1",
+        '{"level":3,"perm":[1,0,2,3,6,7,5,4],"schema":1,"sections":["1","1","1","b","a","d","1","1"]}',
+    ),
+    ("ab", "4"): (
+        "perm [10, 11, 8, 9, 12, 13, 14, 15, 4, 5, 6, 7, 0, 1, 2, 3]\nsections 1 1 1 1 1 1 a c 1 1 1 1 1 1 1 1",
+        '{"level":4,"perm":[10,11,8,9,12,13,14,15,4,5,6,7,0,1,2,3],"schema":1,"sections":["1","1","1","1","1","1","a","c","1","1","1","1","1","1","1","1"]}',
+    ),
+}
+
+
+@pytest.mark.parametrize(("word", "level"), sorted(SECTIONS))
+def test_sections_stdout(capsys, word, level):
+    text, as_json = SECTIONS[word, level]
+    assert run(capsys, "sections", word, level) == (0, text, "")
+    assert run(capsys, "--json", "sections", word, level) == (0, as_json, "")
 
 
 def test_stab_first_active(capsys):
@@ -181,10 +216,35 @@ def test_verify_caps_tower(tmp_path):
     assert proc.stderr.startswith("resource cap: tower at depth")
 
 
+@pytest.mark.parametrize("kind", ["engel_sink", "non_engel_witness"])
+@pytest.mark.parametrize("tamper", ["replaced", "last_entry", "missing"])
+def test_verify_checks_probe_transcript(capsys, tmp_path, kind, tamper):
+    data = json.loads((GOLDEN / f"{kind}.json").read_text())
+    if tamper == "replaced":
+        data["transcript"] = [1, 2, 3]
+    elif tamper == "last_entry":
+        data["transcript"][-1] += 1
+    else:
+        del data["transcript"]
+    path = tmp_path / "cert.json"
+    path.write_text(certificates.dumps(data))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and out.startswith("FAIL: "), out
+
+
+def test_engel_probe_caps_tower():
+    # The word tower outgrows the length cap long before depth 30; the probe
+    # decides on section DAGs but must still stop there with exit 3.
+    y = replay_right("a", 3).y
+    proc = run_child("-m", "grigor.cli", "engel-probe", "--g", y, "--x", "a", "--bound", "30")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource cap: tower at depth")
+
+
 def test_verify_rejects_inflated_left_bound(tmp_path):
     # k in the golden file has order 64; claiming bound 30 must be refuted
     # from the order of k, without powering k to 2**29.
-    golden = Path(__file__).parent / "golden" / "bounded_left_refutation.json"
+    golden = GOLDEN / "bounded_left_refutation.json"
     data = json.loads(golden.read_text())
     data["bound"] = 30
     path = tmp_path / "cert.json"

@@ -8,7 +8,14 @@ import pytest
 from grigor import certificates, config
 from grigor.dag import Dag
 from grigor.decide import are_equal, is_trivial, witness_vertex
-from grigor.engel import replay_right, search_nonengel_pair, tower
+from grigor.engel import (
+    probe_towers,
+    random_involution,
+    random_word,
+    replay_right,
+    search_nonengel_pair,
+    tower,
+)
 from grigor.errors import CapExceeded
 from grigor.leafperm import tower_perm, word_perm
 from grigor.tree import act, first_active_level
@@ -80,6 +87,23 @@ def test_dag_tower_matches_word_tower():
         for m, (word, t) in enumerate(islice(entries, 5), 1):
             assert t == dag.from_word(word), (x, g, m)
             assert (tower_perm(x, g, m, 6) == word_perm(word, 6)).all(), (x, g, m)
+
+
+def test_probe_towers_agree_with_is_trivial():
+    # 240 probe-shaped towers, half against involutions (which sink): the
+    # probe's id-0 test against the word contraction algorithm, entry by entry.
+    rng = random.Random(11)
+    sinks = nontrivial = 0
+    for i in range(240):
+        g = random_involution(rng) if i % 2 == 0 else random_word(rng)
+        dag = Dag()
+        for word, t in islice(probe_towers(dag, random_word(rng), g), 8):
+            assert (t == 0) == is_trivial(word), (g, word)
+            if t == 0:
+                sinks += 1
+                break
+            nontrivial += 1
+    assert sinks >= 120 and nontrivial
 
 
 def test_node_cap_ends_search(monkeypatch):

@@ -1,9 +1,11 @@
 import random
+from itertools import islice
 
 import pytest
 
 from grigor import config
-from grigor.branch import TWord, T_ATOM, emb_pair, flatten, random_tword, tword_order
+from grigor.branch import TWord, T_ATOM, emb_pair, flatten, random_tword
+from grigor.dag import Dag
 from grigor.decide import are_equal, is_trivial, order, witness_vertex
 from grigor.engel import (
     EngelSink,
@@ -46,9 +48,10 @@ def test_tower_recurrence(rng):
             )
 
 
-def test_tower_length_cap():
+def test_tower_length_cap(monkeypatch):
+    monkeypatch.setattr(config, "WORD_LENGTH_CAP", 64)
     with pytest.raises(WordLengthCapExceeded):
-        iterated_commutator("badabada", "a", 12, length_cap=64)
+        iterated_commutator("badabada", "a", 12)
 
 
 def test_probe_self_commutator():
@@ -73,32 +76,58 @@ def test_probe_no_sink_has_witness():
 
 def _random_words():
     rng = random.Random(1234)
-    return [make_word(rng, rng.randint(1, 40)) for _ in range(500)]
+    for _ in range(500):
+        w = make_word(rng, rng.randint(1, 40))
+        yield w, w, "", 0
 
 
 def _right_towers():
     cert = replay_right("a", 8)
-    return [iterated_commutator(cert.x_active, cert.y, m + 1) for m in range(1, 9)]
+    for m in range(2, 10):
+        yield iterated_commutator(cert.x_active, cert.y, m), cert.x_active, cert.y, m
 
 
-@pytest.mark.parametrize("words", [_random_words, _right_towers], ids=["random", "right_towers"])
-def test_exact_witness_matches_fixed_depth_oracle(words):
+def _probe_towers():
+    rng = random.Random(4321)
+    for _ in range(60):
+        g = random_word(rng, rng.randint(2, 12))
+        x = random_word(rng, rng.randint(1, 12))
+        for m in range(1, 7):
+            yield iterated_commutator(x, g, m), x, g, m
+
+
+@pytest.mark.parametrize(
+    "towers",
+    [_random_words, _right_towers, _probe_towers],
+    ids=["random", "right_towers", "probe_towers"],
+)
+def test_exact_witness_matches_fixed_depth_oracle(towers):
+    # (word of [x,_m g], x, g, m); m = 0 is the plain word x.
     checked = 0
-    for w in words():
+    for w, x, g, m in towers():
         expected = witness_vertex(w, config.MAX_DEPTH)
         if expected is not None:
-            assert exact_witness(w) == expected, w
+            assert _dag_witness(x, g, m) == expected, w
             checked += 1
     assert checked
 
 
+def _dag_witness(x, g="", m=0):
+    """exact_witness of [x,_m g] built in a fresh Dag."""
+    dag = Dag()
+    t = dag.from_word(x)
+    if m:
+        t = next(islice(dag.tower(t, dag.from_word(g)), m - 1, None))
+    return exact_witness(dag, t, x, g, m)
+
+
 def test_exact_witness_raises(monkeypatch):
     with pytest.raises(PreconditionViolated):
-        exact_witness("adadadad")
+        _dag_witness("adadadad")
     # d first moves a depth-3 vertex
     monkeypatch.setattr(config, "MAX_DEPTH", 1)
     with pytest.raises(CapExceeded):
-        exact_witness("d")
+        _dag_witness("d")
 
 
 def test_lemma1_base_case():
@@ -180,7 +209,7 @@ def test_replay_bounded_left_small():
 
 def test_replay_bounded_left_needs_higher_order():
     cert = replay_bounded_left("a", 4, seed=0)
-    assert tword_order(cert.k).value >= 16
+    assert order(flatten(cert.k)).value >= 16
     tower = iterated_commutator(cert.y, "a", 4)
     assert not is_trivial(tower)
 

@@ -54,3 +54,17 @@ def test_golden_certificate(name):
     assert certificates.dumps(ISSUERS[name]()) + "\n" == golden
     ok, detail = certificates.verify(json.loads(golden))
     assert ok, detail
+
+
+@pytest.mark.parametrize(
+    "name", ["non_engel_witness", "bounded_left_refutation", "right_refutation_a"]
+)
+def test_golden_witness_must_be_moved(name):
+    # A witness is a least-depth moved vertex, so its parent vertex is fixed.
+    data = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    if "witnesses" in data:
+        data["witnesses"][-1] = data["witnesses"][-1][:-1]
+    else:
+        data["witness"] = data["witness"][:-1]
+    ok, detail = certificates.verify(data)
+    assert not ok and "not moved" in detail, detail

@@ -1,18 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
 from grigor import config
 from grigor.decide import are_equal
 from grigor.errors import CapExceeded
+from grigor.leafperm import word_perm
 from grigor.tree import (
     Decomposition,
     act,
     decompose,
     first_active_level,
     in_level_stabilizer,
-    level_perm,
-    section,
     sections_at,
 )
 from grigor.words import multiply, reduce_word
@@ -69,32 +69,23 @@ def test_act_matches_level_permutation(rng):
     for _ in range(20):
         g = reduce_word(make_word(rng, 14))
         for n in (1, 3, 6):
-            perm = level_perm(g, n)
+            perm = word_perm(g, n)
             for _ in range(5):
                 i = rng.randrange(1 << n)
                 v = format(i, f"0{n}b")
-                assert act(g, v) == format(perm.images[i], f"0{n}b")
+                assert act(g, v) == format(int(perm[i]), f"0{n}b")
 
 
 def test_sections_at_examples():
-    perm, secs = sections_at("", 3)
-    assert perm.is_identity() and secs == [""] * 8
+    assert sections_at("", 3) == [""] * 8
+    assert sections_at("d", 1) == ["", "b"]
+    assert sections_at("a", 1) == ["", ""]
+    assert sections_at("b", 1) == ["a", "c"]
+    assert sections_at("b", 2)[3] == "d"  # the section at vertex 11
 
-    perm, secs = sections_at("d", 1)
-    assert perm.is_identity() and secs == ["", "b"]
-
-    perm, secs = sections_at("a", 1)
-    assert perm.images == (1, 0) and secs == ["", ""]
-
-    assert len(sections_at("", config.MAX_DEPTH)[1]) == 1 << config.MAX_DEPTH
+    assert len(sections_at("", config.MAX_DEPTH)) == 1 << config.MAX_DEPTH
     with pytest.raises(CapExceeded):
         sections_at("", config.MAX_DEPTH + 1)
-
-
-def test_section_at_vertex():
-    assert section("b", "0") == "a"
-    assert section("b", "11") == "d"
-    assert section("d", "1") == "b"
 
 
 def test_level_stabilizers():
@@ -115,7 +106,8 @@ def test_stabilizer_matches_level_permutation(rng):
     for _ in range(50):
         g = reduce_word(make_word(rng, rng.randint(0, 24)))
         for n in range(7):
-            assert in_level_stabilizer(g, n) == level_perm(g, n).is_identity()
+            identity = np.array_equal(word_perm(g, n), np.arange(1 << n))
+            assert in_level_stabilizer(g, n) == identity
 
 
 def test_spherical_transitivity():
