@@ -81,11 +81,17 @@ def test_sections_at_examples():
     assert sections_at("d", 1) == ["", "b"]
     assert sections_at("a", 1) == ["", ""]
     assert sections_at("b", 1) == ["a", "c"]
-    assert sections_at("b", 2)[3] == "d"  # the section at vertex 11
 
     assert len(sections_at("", config.MAX_DEPTH)) == 1 << config.MAX_DEPTH
     with pytest.raises(CapExceeded):
         sections_at("", config.MAX_DEPTH + 1)
+
+
+def test_section_at_vertex():
+    # the section at vertex v is entry int(v, 2) of the level-len(v) sections
+    assert sections_at("b", 1)[int("0", 2)] == "a"
+    assert sections_at("b", 2)[int("11", 2)] == "d"
+    assert sections_at("d", 1)[int("1", 2)] == "b"
 
 
 def test_level_stabilizers():
