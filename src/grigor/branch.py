@@ -241,6 +241,7 @@ def random_tword(
     return TWord(tuple(factors))
 
 
+@lru_cache(maxsize=32, typed=True)
 def search_high_order(
     target_order: int,
     budget: int = config.SEARCH_BUDGET,
@@ -256,6 +257,10 @@ def search_high_order(
     orders are powers of two, order >= 2**e iff the order is not exact at
     cap e-1; `order` squares only up to the element's true order.  With
     exact=True the order must equal target_order.
+
+    The result depends on the arguments alone, so it is memoized per
+    process; SearchExhausted and CapExceeded are raised again on every
+    call, never cached.
     """
     if target_order < 1 or target_order & (target_order - 1):
         raise ValueError("target_order must be a power of two")

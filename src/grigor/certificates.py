@@ -133,6 +133,15 @@ def _check_chain(x: str, chain: list[list[Any]], x_active: str) -> str | None:
 
 _TRANSCRIPT_MISMATCH = "transcript must list the word length of each tower entry"
 
+# The integer field of each kind; a bool or a float there is malformed.
+_INT_FIELD = {
+    "engel_sink": "n",
+    "non_engel_witness": "bound",
+    "bounded_left_refutation": "bound",
+    "right_refutation": "bound",
+    "k_membership": "level",
+}
+
 
 def verify(data: dict[str, Any]) -> tuple[bool, str]:
     """Re-check a certificate dict; returns (ok, detail)."""
@@ -141,6 +150,9 @@ def verify(data: dict[str, Any]) -> tuple[bool, str]:
     if data.get("schema") != config.SCHEMA_VERSION:
         return False, f"unsupported schema {data.get('schema')!r}"
     kind = data.get("kind")
+    field = _INT_FIELD.get(kind) if isinstance(kind, str) else None
+    if field is not None and type(data.get(field)) is not int:
+        return False, f"malformed certificate: {field} must be an integer"
     try:
         if kind == "engel_sink":
             return _verify_sink(data)
@@ -268,6 +280,6 @@ def _verify_membership(data: dict[str, Any]) -> tuple[bool, str]:
     result = membership_in_K(parse_word(data["word"]))
     if result.verdict != data["verdict"]:
         return False, f"recomputed verdict {result.verdict} != {data['verdict']}"
-    if data.get("level") != result.level:
-        return False, f"recomputed level {result.level} != {data.get('level')}"
+    if data["level"] != result.level:
+        return False, f"recomputed level {result.level} != {data['level']}"
     return True, f"membership verdict {result.verdict} confirmed"

@@ -14,7 +14,10 @@ The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
 and a bounded refutation of "x is right Engel with sink <= N+1" built
 from a non-Engel pair in K, cross-checked against the tower identity of
-`lemma2_check` coordinate by coordinate.
+`lemma2_check` coordinate by coordinate.  Neither element depends on x,
+since psi(K) contains K x K: `search_high_order` and `search_nonengel_pair`
+are memoized per process, so a process that certifies many elements runs
+each search once; a failed search is not cached and runs again.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count, islice
 
 from . import config
@@ -313,6 +317,7 @@ def replay_bounded_left(
     return BoundedLeftRefutation(x, chain, active, k, bound, y, witness)
 
 
+@lru_cache(maxsize=32, typed=True)
 def search_nonengel_pair(
     bound: int,
     budget: int = config.SEARCH_BUDGET,
@@ -321,7 +326,9 @@ def search_nonengel_pair(
     """A pair (h, y1) of TWords with [flatten(h),_n flatten(y1)] != 1, n <= bound.
 
     Bounded evidence for the fact that K is not an Engel group;
-    deterministic given the seed.
+    deterministic given the seed, and memoized per process on the
+    arguments.  SearchExhausted and CapExceeded are raised again on every
+    call, never cached.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from grigor.branch import search_high_order
+from grigor.engel import search_nonengel_pair
+
 
 def make_word(rng: random.Random, length: int) -> str:
     return "".join(rng.choice("abcd") for _ in range(length))
@@ -19,3 +22,12 @@ def make_even_word(rng: random.Random, length: int) -> str:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(autouse=True)
+def cold_search_caches():
+    """Start every test with empty search memos, as in a fresh process, so a
+    test that lowers a cap runs its search instead of reading a result
+    memoized under the default cap."""
+    search_high_order.cache_clear()
+    search_nonengel_pair.cache_clear()

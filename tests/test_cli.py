@@ -201,6 +201,30 @@ def test_verify_rejects_non_object(capsys, tmp_path, text):
     assert err == ""
 
 
+INT_FIELDS = {
+    "engel_sink": "n",
+    "non_engel_witness": "bound",
+    "bounded_left_refutation": "bound",
+    "right_refutation_a": "bound",
+    "right_refutation_d": "bound",
+    "k_membership_inside": "level",
+    "k_membership_outside": "level",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_FIELDS))
+@pytest.mark.parametrize("value", [True, 1.0, "6"])
+def test_verify_rejects_non_integer_field(capsys, tmp_path, name, value):
+    # True == 1 and 1.0 == 1 in Python; the field must be a JSON integer.
+    data = json.loads((GOLDEN / f"{name}.json").read_text())
+    data[INT_FIELDS[name]] = value
+    path = tmp_path / "cert.json"
+    path.write_text(certificates.dumps(data))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == f"FAIL: malformed certificate: {INT_FIELDS[name]} must be an integer"
+
+
 def test_verify_caps_tower(tmp_path):
     # The tower behind a bound-3 witness outgrows the word-length cap long
     # before depth 30, so verify must stop with exit 3.  It runs in a child
