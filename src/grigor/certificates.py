@@ -3,9 +3,12 @@
 Every certificate is a self-contained transcript: the verifier re-checks
 it from the serialized inputs alone, using only the decision-module
 primitives (triviality, the moved-vertex action, decomposition) and, for
-every commutator tower, section-DAG arithmetic, so a certificate file can
-be audited independently of the run that produced it.  Probe transcripts
-are checked too: one reduced word length per tower depth.
+every commutator tower and the order of k, section-DAG arithmetic, so a
+certificate file can be audited independently of the run that produced
+it.  The refutation verifiers keep the "verify" table of `dag.shared`,
+which no replay fills.  Probe transcripts are checked too: one reduced
+word length per tower depth.  Every field's JSON type is checked before
+anything is computed.
 
 Serialization is deterministic: sorted keys, fixed separators, no
 floats, so identical inputs yield byte-identical files.
@@ -26,8 +29,8 @@ from .branch import (
     membership_in_K,
     parse_tword,
 )
-from .dag import Dag
-from .decide import are_equal, is_trivial, order
+from .dag import Dag, shared
+from .decide import are_equal, is_trivial
 from .engel import (
     BoundedLeftRefutation,
     EngelSink,
@@ -133,13 +136,56 @@ def _check_chain(x: str, chain: list[list[Any]], x_active: str) -> str | None:
 
 _TRANSCRIPT_MISMATCH = "transcript must list the word length of each tower entry"
 
-# The integer field of each kind; a bool or a float there is malformed.
-_INT_FIELD = {
-    "engel_sink": "n",
-    "non_engel_witness": "bound",
-    "bounded_left_refutation": "bound",
-    "right_refutation": "bound",
-    "k_membership": "level",
+
+def _string(value: Any) -> bool:
+    return type(value) is str
+
+
+def _integer(value: Any) -> bool:
+    return type(value) is int  # a bool or a float is malformed
+
+
+def _strings(value: Any) -> bool:
+    return type(value) is list and all(map(_string, value))
+
+
+def _integers(value: Any) -> bool:
+    return type(value) is list and all(map(_integer, value))
+
+
+def _chain(value: Any) -> bool:
+    return type(value) is list and all(
+        type(entry) is list and len(entry) == 2
+        and _integer(entry[0]) and entry[0] in (0, 1) and _string(entry[1])
+        for entry in value
+    )
+
+
+_MUST_BE = {
+    _string: "a string",
+    _integer: "an integer",
+    _strings: "a list of strings",
+    _integers: "a list of integers",
+    _chain: "a list of [0 or 1, word] pairs",
+}
+
+# The shape of every field of each kind, checked before any computation.
+_SHAPES = {
+    "engel_sink": {"g": _string, "x": _string, "n": _integer, "transcript": _integers},
+    "non_engel_witness": {
+        "g": _string, "x": _string, "bound": _integer,
+        "transcript": _integers, "witness": _string,
+    },
+    "bounded_left_refutation": {
+        "x": _string, "chain": _chain, "x_active": _string, "k": _string,
+        "bound": _integer, "y": _string, "witness": _string,
+    },
+    "right_refutation": {
+        "x": _string, "chain": _chain, "x_active": _string, "h": _string,
+        "y1": _string, "y2": _string, "y": _string, "bound": _integer,
+        "witnesses": _strings,
+    },
+    "k_membership": {"word": _string, "verdict": _string, "level": _integer},
 }
 
 
@@ -150,9 +196,10 @@ def verify(data: dict[str, Any]) -> tuple[bool, str]:
     if data.get("schema") != config.SCHEMA_VERSION:
         return False, f"unsupported schema {data.get('schema')!r}"
     kind = data.get("kind")
-    field = _INT_FIELD.get(kind) if isinstance(kind, str) else None
-    if field is not None and type(data.get(field)) is not int:
-        return False, f"malformed certificate: {field} must be an integer"
+    shape = _SHAPES.get(kind) if isinstance(kind, str) else None
+    for field, check in (shape or {}).items():
+        if not check(data.get(field)):
+            return False, f"malformed certificate: {field} must be {_MUST_BE[check]}"
     try:
         if kind == "engel_sink":
             return _verify_sink(data)
@@ -226,17 +273,24 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     if problem:
         return False, problem
     flat = flatten(k)
-    if order(flat, bound - 1).is_exact:
-        return False, f"k does not have order > 2^{bound - 1}"
-    if not are_equal(y, emb_pair(k, TWord())):
-        return False, "y does not embed (flatten(k), 1)"
-    d = decompose(y)
-    if d.active or not are_equal(d.left, flat) or not is_trivial(d.right):
-        return False, "decomposition of y is not (flatten(k), 1)"
-    dag = Dag()
-    t = next(islice(dag.tower(dag.from_word(y), dag.from_word(x_active)), bound - 1, None))
-    if dag.act(t, data["witness"]) == data["witness"]:
-        return False, "witness vertex is not moved by the tower"
+
+    def check(dag: Dag) -> str | None:
+        if dag.order_exponent(dag.from_word(flat)) <= bound - 1:
+            return f"k does not have order > 2^{bound - 1}"
+        if not are_equal(y, emb_pair(k, TWord())):
+            return "y does not embed (flatten(k), 1)"
+        d = decompose(y)
+        if d.active or not are_equal(d.left, flat) or not is_trivial(d.right):
+            return "decomposition of y is not (flatten(k), 1)"
+        towers = dag.tower(dag.from_word(y), dag.from_word(x_active))
+        t = next(islice(towers, bound - 1, None))
+        if dag.act(t, data["witness"]) == data["witness"]:
+            return "witness vertex is not moved by the tower"
+        return None
+
+    problem = shared("verify", check)
+    if problem:
+        return False, problem
     return True, f"left-{bound}-Engel refutation confirmed"
 
 
@@ -265,14 +319,20 @@ def _verify_right(data: dict[str, Any]) -> tuple[bool, str]:
         return False, "y does not embed (y1, y2)"
     if len(witnesses) != bound:
         return False, "one witness vertex per tower depth is required"
-    dag = Dag()
-    pairs = islice(right_towers(dag, x_active, y, h, y1), bound)
-    for m, ((t, first), witness) in enumerate(zip(pairs, witnesses), 1):
-        if dag.act(t, witness) == witness:
-            return False, f"witness at m={m} is not moved by the tower"
-        t_active, t_left, _ = dag.nodes[t]
-        if t_active or t_left != first:
-            return False, f"tower identity cross-check failed at m={m}"
+
+    def check(dag: Dag) -> str | None:
+        pairs = islice(right_towers(dag, x_active, y, h, y1), bound)
+        for m, ((t, first), witness) in enumerate(zip(pairs, witnesses), 1):
+            if dag.act(t, witness) == witness:
+                return f"witness at m={m} is not moved by the tower"
+            t_active, t_left, _ = dag.nodes[t]
+            if t_active or t_left != first:
+                return f"tower identity cross-check failed at m={m}"
+        return None
+
+    problem = shared("verify", check)
+    if problem:
+        return False, problem
     return True, f"right-Engel refutation through sink bound {bound + 1} confirmed"
 
 

@@ -9,14 +9,21 @@ is id equality and the identity is 0.  The group is contracting with this
 nucleus, so products and inverses recurse through sections and stop at
 leaves (Nekrashevych, *Self-similar groups*, 2005, ch. 2).
 
-Ids mean nothing outside the Dag that made them.  Each top-level
-computation makes its own Dag from words and returns words, so no table
-outlives the call that filled it.
+Ids mean nothing outside the Dag that made them, and no id leaves the
+call that made it: computations take words and return words.  The Engel
+replays and their verifiers, whose towers of x-independent elements
+repeat from call to call, each keep one long-lived table (`shared`, one
+per role, so the verifier never reads a table a replay filled); a table
+is dropped at call entry once it holds NODE_CAP // 2 nodes, and a call
+that hits a cap on a warm table runs once more on a fresh one, so it
+raises exactly when it would in a fresh process.  Probes, the pair
+search and everything else make a fresh Dag per call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import TypeVar
 
 from . import config
 from .errors import CapExceeded
@@ -27,9 +34,11 @@ IDENTITY, A, B, C, D = range(5)
 _LEAVES = ((0, 0, 0), (1, 0, 0), (0, A, C), (0, A, D), (0, 0, B))
 _LETTERS = {"a": A, "b": B, "c": C, "d": D}
 
+T = TypeVar("T")
+
 
 class Dag:
-    """Intern table and memos of one computation.
+    """Intern table and memos of one computation, or of one role's calls.
 
     nodes[g] is the decomposition (active, left, right) of element g.
     Interning a node past config.NODE_CAP raises CapExceeded.
@@ -42,6 +51,7 @@ class Dag:
         self._inv = {g: g for g in range(len(_LEAVES))}
         # Seeded: b -> c -> d -> b is a cycle of sections.
         self._level: dict[int, int | None] = {IDENTITY: None, A: 0, B: 1, C: 1, D: 2}
+        self._exponent = {IDENTITY: 0, A: 1, B: 1, C: 1, D: 1}
 
     def node(self, active: int, left: int, right: int) -> int:
         """The id of the element with this first-level decomposition."""
@@ -121,6 +131,23 @@ class Dag:
             self._level[g] = level
         return self._level[g]
 
+    def order_exponent(self, g: int) -> int:
+        """The e with g of order 2**e (every element has 2-power order).
+
+        Active g = (l, r) swapped squares to (l.r, r.l), whose halves are
+        conjugate, so e(g) = 1 + e(l.r); inactive g has the larger exponent
+        of its two sections.  The nucleus is seeded: b -> c -> d -> b is
+        a cycle of sections.
+        """
+        if g not in self._exponent:
+            active, left, right = self.nodes[g]
+            if active:
+                exponent = 1 + self.order_exponent(self.mul(left, right))
+            else:
+                exponent = max(self.order_exponent(left), self.order_exponent(right))
+            self._exponent[g] = exponent
+        return self._exponent[g]
+
     def act(self, g: int, v: str) -> str:
         """Image of vertex v under g; same depth, prefix-compatible."""
         out: list[str] = []
@@ -131,3 +158,25 @@ class Dag:
             out.append(str(int(bit) ^ active))
             g = right if bit == "1" else left
         return "".join(out)
+
+
+# The long-lived table of each role: "replay" or "verify".
+TABLES: dict[str, Dag] = {}
+
+
+def shared(role: str, compute: Callable[[Dag], T]) -> T:
+    """compute(dag) on the role's long-lived table; see the module docstring.
+
+    compute must return no id: the table may be dropped after it returns.
+    """
+    dag = TABLES.get(role)
+    if dag is None or len(dag.nodes) >= config.NODE_CAP // 2:
+        dag = TABLES[role] = Dag()
+    warm = len(dag.nodes) > len(_LEAVES)
+    try:
+        return compute(dag)
+    except CapExceeded:
+        TABLES.pop(role, None)
+        if warm:
+            return shared(role, compute)
+        raise

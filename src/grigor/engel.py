@@ -17,7 +17,10 @@ from a non-Engel pair in K, cross-checked against the tower identity of
 `lemma2_check` coordinate by coordinate.  Neither element depends on x,
 since psi(K) contains K x K: `search_high_order` and `search_nonengel_pair`
 are memoized per process, so a process that certifies many elements runs
-each search once; a failed search is not cached and runs again.
+each search once; a failed search is not cached and runs again.  For the
+same reason the replays decide their towers on the long-lived "replay"
+table of `dag.shared`, where the towers of (h, y1) and the nodes of k
+stay interned from one call to the next.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .branch import (
     random_tword,
     search_high_order,
 )
-from .dag import Dag
+from .dag import Dag, shared
 from .decide import are_equal, is_trivial, order
 from .errors import (
     CapExceeded,
@@ -311,10 +314,12 @@ def replay_bounded_left(
     chain, active = section_chain(x)
     k = search_high_order(1 << bound, budget=budget, seed=seed)
     y = emb_pair(k, TWord())
-    dag = Dag()
-    t = next(islice(dag.tower(dag.from_word(y), dag.from_word(active)), bound - 1, None))
-    witness = exact_witness(dag, t, y, active, bound)
-    return BoundedLeftRefutation(x, chain, active, k, bound, y, witness)
+
+    def witness(dag: Dag) -> str:
+        towers = dag.tower(dag.from_word(y), dag.from_word(active))
+        return exact_witness(dag, next(islice(towers, bound - 1, None)), y, active, bound)
+
+    return BoundedLeftRefutation(x, chain, active, k, bound, y, shared("replay", witness))
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -380,17 +385,20 @@ def replay_right(
     h, y1 = search_nonengel_pair(bound + 1, budget=budget, seed=seed)
     y2 = y1.commutator_with(h).conjugated(invert(g1))
     y = emb_pair(y1, y2)
-    dag = Dag()
-    witnesses: list[str] = []
-    for m, (t, first) in enumerate(islice(right_towers(dag, active, y, h, y1), bound), 2):
-        t_active, t_left, _ = dag.nodes[t]
-        if t_active:
-            raise AssertionError("tower left St(1); identity preconditions broken")
-        if t_left != first:
-            raise AssertionError("tower identity cross-check failed")
-        witnesses.append(exact_witness(dag, t, active, y, m))
+
+    def witnesses(dag: Dag) -> tuple[str, ...]:
+        found: list[str] = []
+        for m, (t, first) in enumerate(islice(right_towers(dag, active, y, h, y1), bound), 2):
+            t_active, t_left, _ = dag.nodes[t]
+            if t_active:
+                raise AssertionError("tower left St(1); identity preconditions broken")
+            if t_left != first:
+                raise AssertionError("tower identity cross-check failed")
+            found.append(exact_witness(dag, t, active, y, m))
+        return tuple(found)
+
     return RightRefutation(
-        x, chain, active, h, y1, y2, y, bound, tuple(witnesses)
+        x, chain, active, h, y1, y2, y, bound, shared("replay", witnesses)
     )
 
 

@@ -2,7 +2,8 @@
 
 The traced run wraps every function named in perfbench/tracing.py's TRACED.
 certify also runs both scale ladders at small sizes; queries runs the probe
-certificate byte-reissue gate and the witness_vertex gate.
+certificate byte-reissue gate and the witness_vertex gate; k-membership
+builds the level quotients and reads `branch.certified_plateau`.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["certify", "queries"])
+@pytest.mark.parametrize("workload", ["certify", "queries", "k-membership"])
 def test_tiny_traced_run(workload):
     proc = subprocess.run(
         [

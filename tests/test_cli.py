@@ -225,6 +225,77 @@ def test_verify_rejects_non_integer_field(capsys, tmp_path, name, value):
     assert out == f"FAIL: malformed certificate: {INT_FIELDS[name]} must be an integer"
 
 
+STR_FIELDS = {
+    "engel_sink": ["g", "x"],
+    "non_engel_witness": ["g", "x", "witness"],
+    "bounded_left_refutation": ["x", "x_active", "k", "y", "witness"],
+    "right_refutation_a": ["x", "x_active", "h", "y1", "y2", "y"],
+    "right_refutation_d": ["x", "x_active", "h", "y1", "y2", "y"],
+    "k_membership_inside": ["word", "verdict"],
+    "k_membership_outside": ["word", "verdict"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STR_FIELDS))
+def test_verify_rejects_non_string_field(capsys, tmp_path, name):
+    # A non-string TWord field once crashed the TWord parser with a traceback.
+    path = tmp_path / "cert.json"
+    for field in STR_FIELDS[name]:
+        for value in (5, None, ["a"]):
+            data = json.loads((GOLDEN / f"{name}.json").read_text())
+            data[field] = value
+            path.write_text(certificates.dumps(data))
+            code, out, err = run(capsys, "verify", str(path))
+            assert (code, err) == (1, ""), (field, value, err)
+            assert out == f"FAIL: malformed certificate: {field} must be a string"
+
+
+@pytest.mark.parametrize(
+    "entry", [[7, "b"], ["x", "b"], [True, "b"], [1.0, "b"], [1, 5], [1], [1, "b", 0], "b"]
+)
+def test_verify_rejects_malformed_chain_entry(capsys, tmp_path, entry):
+    # Every bit other than 0 used to read as 1, so these verified OK.
+    data = json.loads((GOLDEN / "right_refutation_d.json").read_text())
+    assert data["chain"][0] == [1, "b"]
+    data["chain"][0] = entry
+    path = tmp_path / "cert.json"
+    path.write_text(certificates.dumps(data))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == "FAIL: malformed certificate: chain must be a list of [0 or 1, word] pairs"
+
+
+def _floats(values):
+    return [float(v) for v in values]
+
+
+@pytest.mark.parametrize(
+    "name, field, tamper, expected",
+    [
+        ("bounded_left_refutation", "witness", list, "a string"),
+        ("right_refutation_a", "witnesses", lambda ws: None, "a list of strings"),
+        ("right_refutation_a", "witnesses", lambda ws: ws[0], "a list of strings"),
+        ("right_refutation_d", "witnesses", lambda ws: [list(w) for w in ws], "a list of strings"),
+        ("engel_sink", "transcript", _floats, "a list of integers"),
+        ("non_engel_witness", "transcript", _floats, "a list of integers"),
+        ("non_engel_witness", "transcript", lambda t: None, "a list of integers"),
+    ],
+    ids=[
+        "witness_chars", "witnesses_none", "witnesses_string", "witnesses_char_lists",
+        "sink_transcript_floats", "witness_transcript_floats", "transcript_none",
+    ],
+)
+def test_verify_rejects_malformed_witness(capsys, tmp_path, name, field, tamper, expected):
+    # A list of characters acts like its string but never equals it, so it
+    # counted as moved; 9.0 == 9, so float lengths matched the tower.
+    data = json.loads((GOLDEN / f"{name}.json").read_text())
+    data[field] = tamper(data[field])
+    path = tmp_path / "cert.json"
+    path.write_text(certificates.dumps(data))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert (code, out) == (1, f"FAIL: malformed certificate: {field} must be {expected}")
+
+
 def test_verify_caps_tower(tmp_path):
     # The tower behind a bound-3 witness outgrows the word-length cap long
     # before depth 30, so verify must stop with exit 3.  It runs in a child

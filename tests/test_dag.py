@@ -7,7 +7,8 @@ import pytest
 
 from grigor import certificates, config
 from grigor.dag import Dag
-from grigor.decide import are_equal, is_trivial, witness_vertex
+from grigor.branch import flatten, search_high_order
+from grigor.decide import are_equal, is_trivial, order, witness_vertex
 from grigor.engel import (
     probe_towers,
     random_involution,
@@ -112,9 +113,10 @@ def test_node_cap_ends_search(monkeypatch):
         search_nonengel_pair(20)
 
 
-def test_tables_do_not_outlive_calls(monkeypatch):
+def test_shared_tables_stay_under_half_the_cap(monkeypatch):
     # One replay or verification of these elements interns at most about
-    # 460 nodes, so 200 of them sharing one table would pass this cap.
+    # 460 nodes, so 200 of them would pass this cap on one table; each role
+    # table is dropped at call entry once it holds NODE_CAP // 2 nodes.
     monkeypatch.setattr(config, "NODE_CAP", 1000)
     rng = random.Random(5)
     for _ in range(200):
@@ -122,3 +124,20 @@ def test_tables_do_not_outlive_calls(monkeypatch):
         x = x if a_parity(x) else reduce_word(x + "a")
         ok, detail = certificates.verify(certificates.to_dict(replay_right(x, 3)))
         assert ok, detail
+
+
+def test_order_exponent_agrees_with_squaring():
+    rng = random.Random(31)
+    dag = Dag()
+    assert [dag.order_exponent(g) for g in range(5)] == [0, 1, 1, 1, 1]
+    words = ["", "a", "b", "c", "d"] + [make_word(rng, rng.randint(0, 40)) for _ in range(2000)]
+    words += [flatten(search_high_order(1 << e)) for e in range(1, 7)]
+    exponents = set()
+    for w in words:
+        expected = order(w).exponent
+        assert expected is not None, w
+        fresh = Dag()
+        assert fresh.order_exponent(fresh.from_word(w)) == expected, w
+        assert dag.order_exponent(dag.from_word(w)) == expected, w  # warm table
+        exponents.add(expected)
+    assert exponents >= {0, 1, 2, 3, 4, 5, 6}

@@ -1,0 +1,113 @@
+"""The long-lived section-DAG tables of the replays and the verifiers.
+
+`dag.shared` keeps one table per role, "replay" and "verify".  A warm
+table must change nothing a caller can see: certificate bytes, verdicts
+and the calls that raise CapExceeded are those of a fresh process.
+"""
+
+import json
+import random
+
+import pytest
+
+from grigor import certificates, config, dag
+from grigor.engel import random_involution, random_word, replay_bounded_left, replay_right
+from grigor.errors import CapExceeded
+from grigor.words import a_parity, reduce_word
+
+from test_golden import GOLDEN, ISSUERS
+
+
+def _nodes(role):
+    return len(dag.TABLES[role].nodes)
+
+
+def _verify(cert):
+    ok, detail = certificates.verify(json.loads(certificates.serialize(cert)))
+    assert ok, detail
+
+
+def test_roles_keep_apart():
+    _verify(replay_right("a", 8))
+    _verify(replay_bounded_left("a", 6))
+    verify_nodes = _nodes("verify")
+    right, left = replay_right("d", 8), replay_bounded_left("aca", 6)
+    assert _nodes("verify") == verify_nodes
+    replay_nodes = _nodes("replay")
+    _verify(right)
+    _verify(left)
+    assert _nodes("replay") == replay_nodes
+
+
+def test_half_full_table_is_dropped_at_entry(monkeypatch):
+    replay_bounded_left("a", 6)
+    left_nodes = _nodes("replay")
+    dag.TABLES.clear()
+    replay_right("ad", 8)
+    monkeypatch.setattr(config, "NODE_CAP", 2 * _nodes("replay"))
+    half_full = dag.TABLES["replay"]
+    replay_bounded_left("a", 6)
+    assert dag.TABLES["replay"] is not half_full
+    assert _nodes("replay") == left_nodes
+
+
+def test_warm_overflow_reruns_cold(monkeypatch):
+    cold = certificates.serialize(replay_right("ad", 8))
+    monkeypatch.setattr(config, "NODE_CAP", _nodes("replay"))  # fits only a fresh table
+    dag.TABLES.clear()
+    replay_bounded_left("a", 6)
+    warm = dag.TABLES["replay"]
+    assert len(warm.nodes) < config.NODE_CAP // 2  # so the table is not dropped at entry
+    assert certificates.serialize(replay_right("ad", 8)) == cold
+    assert dag.TABLES["replay"] is not warm  # the warm attempt overflowed
+    assert _nodes("replay") == config.NODE_CAP
+
+
+def test_cold_overflow_still_raises(monkeypatch):
+    replay_right("ad", 8)
+    monkeypatch.setattr(config, "NODE_CAP", _nodes("replay") - 1)
+    dag.TABLES.clear()
+    with pytest.raises(CapExceeded, match="nodes"):
+        replay_right("ad", 8)
+    assert "replay" not in dag.TABLES  # a failed table is not kept
+
+
+def test_golden_bytes_on_warm_tables():
+    names = sorted(ISSUERS) * 2
+    random.Random(3).shuffle(names)
+    for name in names:
+        golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert certificates.dumps(ISSUERS[name]()) + "\n" == golden, name
+        ok, detail = certificates.verify(json.loads(golden))
+        assert ok, (name, detail)
+
+
+def test_shuffled_certify_sequence_matches_cold():
+    # Odd words get a right refutation, involutions a bounded-left one too.
+    rng = random.Random(17)
+    elements = []
+    for i in range(30):
+        if i % 2:
+            elements.append((random_involution(rng, 8), True))
+        else:
+            w = random_word(rng, rng.randint(1, 9))
+            elements.append((w if a_parity(w) else reduce_word(w + "a"), False))
+
+    def issue(x, is_involution):
+        certs = [replay_right(x, 8)]
+        if is_involution:
+            certs.append(replay_bounded_left(x, 6))
+        return [certificates.serialize(c) for c in certs]
+
+    cold = {}
+    for element in elements:
+        dag.TABLES.clear()
+        cold[element] = issue(*element)
+    dag.TABLES.clear()
+    rng.shuffle(elements)
+    for element in elements:
+        texts = issue(*element)
+        assert texts == cold[element], element
+        for text in texts:
+            ok, detail = certificates.verify(json.loads(text))
+            assert ok, detail
