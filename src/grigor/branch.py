@@ -255,8 +255,7 @@ def search_high_order(
     products of conjugates of t.  The budget is split over three rounds
     with the conjugator length bound doubling between rounds.  Since all
     orders are powers of two, order >= 2**e iff the order is not exact at
-    cap e-1; `order` squares only up to the element's true order.  With
-    exact=True the order must equal target_order.
+    cap e-1.  With exact=True the order must equal target_order.
 
     The result depends on the arguments alone, so it is memoized per
     process; SearchExhausted and CapExceeded are raised again on every

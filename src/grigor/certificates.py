@@ -3,12 +3,12 @@
 Every certificate is a self-contained transcript: the verifier re-checks
 it from the serialized inputs alone, using only the decision-module
 primitives (triviality, the moved-vertex action, decomposition) and, for
-every commutator tower and the order of k, section-DAG arithmetic, so a
-certificate file can be audited independently of the run that produced
-it.  The refutation verifiers keep the "verify" table of `dag.shared`,
-which no replay fills.  Probe transcripts are checked too: one reduced
-word length per tower depth.  Every field's JSON type is checked before
-anything is computed.
+every commutator tower, the order of k and the embedding y, section-DAG
+arithmetic, so a certificate file can be audited independently of the
+run that produced it.  The refutation verifiers keep the "verify" table
+of `dag.shared`, which no replay fills.  Probe transcripts are checked
+too: one reduced word length per tower depth.  Every field's JSON type
+is checked before anything is computed.
 
 Serialization is deterministic: sorted keys, fixed separators, no
 floats, so identical inputs yield byte-identical files.
@@ -29,7 +29,7 @@ from .branch import (
     membership_in_K,
     parse_tword,
 )
-from .dag import Dag, shared
+from .dag import IDENTITY, Dag, shared
 from .decide import are_equal, is_trivial
 from .engel import (
     BoundedLeftRefutation,
@@ -275,14 +275,15 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     flat = flatten(k)
 
     def check(dag: Dag) -> str | None:
-        if dag.order_exponent(dag.from_word(flat)) <= bound - 1:
+        fk, fy = dag.from_word(flat), dag.from_word(y)
+        if dag.order_exponent(fk) <= bound - 1:
             return f"k does not have order > 2^{bound - 1}"
-        if not are_equal(y, emb_pair(k, TWord())):
+        if fy != dag.from_word(emb_pair(k, TWord())):
             return "y does not embed (flatten(k), 1)"
         d = decompose(y)
-        if d.active or not are_equal(d.left, flat) or not is_trivial(d.right):
+        if d.active or dag.from_word(d.left) != fk or dag.from_word(d.right) != IDENTITY:
             return "decomposition of y is not (flatten(k), 1)"
-        towers = dag.tower(dag.from_word(y), dag.from_word(x_active))
+        towers = dag.tower(fy, dag.from_word(x_active))
         t = next(islice(towers, bound - 1, None))
         if dag.act(t, data["witness"]) == data["witness"]:
             return "witness vertex is not moved by the tower"

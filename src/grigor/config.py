@@ -7,20 +7,17 @@ here, so the library and the command line cannot drift apart.
 # Probe depth for the moved-vertex oracle.
 MAX_DEPTH = 12
 
-# Order search cap: orders up to 2**ORDER_CAP are determined exactly.
+# Order report cap: `order` gives orders up to 2**ORDER_CAP exactly and
+# larger ones as exceeding it.
 ORDER_CAP = 12
-
-# Level cap for first_active_level on adversarial inputs.
-FIRST_ACTIVE_CAP = 64
 
 # Commutator towers abort (visibly) past this reduced length.
 WORD_LENGTH_CAP = 1 << 16
 
-# Section-DAG computations (module `dag`) stop past this many interned nodes.
+# Section-DAG computations (module `dag`) stop past this many interned
+# nodes; a long-lived table (the word API's included) is dropped once its
+# nodes plus memoized words reach half of it.
 NODE_CAP = 1 << 20
-
-# LRU size for the triviality cache.
-MEMO_SIZE = 1 << 20
 
 # Random-walk length used when sampling words.
 WALK_LENGTH = 24

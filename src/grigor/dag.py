@@ -9,15 +9,24 @@ is id equality and the identity is 0.  The group is contracting with this
 nucleus, so products and inverses recurse through sections and stop at
 leaves (Nekrashevych, *Self-similar groups*, 2005, ch. 2).
 
+Words become elements by the contracting recursion itself: `from_word`
+memoizes reduced word -> id, and a word's id is the node of its parity
+and the ids of its two first-level sections, each at most (L+1)//2
+letters long for a reduced word of length L (asserted).
+
 Ids mean nothing outside the Dag that made them, and no id leaves the
-call that made it: computations take words and return words.  The Engel
-replays and their verifiers, whose towers of x-independent elements
-repeat from call to call, each keep one long-lived table (`shared`, one
-per role, so the verifier never reads a table a replay filled); a table
-is dropped at call entry once it holds NODE_CAP // 2 nodes, and a call
-that hits a cap on a warm table runs once more on a fresh one, so it
-raises exactly when it would in a fresh process.  Probes, the pair
-search and everything else make a fresh Dag per call.
+call that made it: computations take words and return words, bools and
+ints.  A Dag has three roles.  `shared` keeps one long-lived table per
+role, and a call on it leaves its nodes and words interned for the next:
+"decide", shared by every caller of the word API (`decide.is_trivial`,
+`are_equal`, `order`, `tree.act`, `first_active_level`), as the string
+memo it replaces was; "replay", the Engel replays, whose towers of
+x-independent elements repeat from call to call; and "verify", their
+verifiers, which never read a table a replay filled.  A table is dropped
+at call entry once its nodes plus memoized words reach NODE_CAP // 2,
+and a call that hits a cap on a warm table runs once more on a fresh
+one, so it raises exactly when it would in a fresh process.  Probes and
+the pair search make a fresh Dag per call.
 """
 
 from __future__ import annotations
@@ -26,13 +35,13 @@ from collections.abc import Callable, Iterator
 from typing import TypeVar
 
 from . import config
-from .errors import CapExceeded
+from .errors import CapExceeded, SectionContractionError
+from .words import decompose, reduce_word
 
 IDENTITY, A, B, C, D = range(5)
 # Decompositions of the nucleus, with 0 for the identity: psi(1) = (1, 1),
 # psi(a) = (1, 1) swapped, psi(b) = (a, c), psi(c) = (a, d), psi(d) = (1, b).
 _LEAVES = ((0, 0, 0), (1, 0, 0), (0, A, C), (0, A, D), (0, 0, B))
-_LETTERS = {"a": A, "b": B, "c": C, "d": D}
 
 T = TypeVar("T")
 
@@ -41,7 +50,8 @@ class Dag:
     """Intern table and memos of one computation, or of one role's calls.
 
     nodes[g] is the decomposition (active, left, right) of element g.
-    Interning a node past config.NODE_CAP raises CapExceeded.
+    Interning a node past config.NODE_CAP raises CapExceeded.  `size`
+    counts the nodes and the memoized words, which `shared` bounds.
     """
 
     def __init__(self) -> None:
@@ -52,6 +62,11 @@ class Dag:
         # Seeded: b -> c -> d -> b is a cycle of sections.
         self._level: dict[int, int | None] = {IDENTITY: None, A: 0, B: 1, C: 1, D: 2}
         self._exponent = {IDENTITY: 0, A: 1, B: 1, C: 1, D: 1}
+        self._words = {"": IDENTITY, "a": A, "b": B, "c": C, "d": D}
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes) + len(self._words)
 
     def node(self, active: int, left: int, right: int) -> int:
         """The id of the element with this first-level decomposition."""
@@ -99,9 +114,20 @@ class Dag:
 
     def from_word(self, w: str) -> int:
         """The element a (reduced or raw) word over abcd represents."""
-        g = IDENTITY
-        for ch in w:
-            g = self.mul(g, _LETTERS[ch])
+        return self._from_reduced(reduce_word(w))
+
+    def _from_reduced(self, w: str) -> int:
+        g = self._words.get(w)
+        if g is None:
+            # Words of length <= 1 are seeded, and longer ones contract.
+            d = decompose(w)
+            bound = (len(w) + 1) // 2
+            if len(d.left) > bound or len(d.right) > bound:
+                raise SectionContractionError(
+                    f"section of length-{len(w)} word exceeds bound {bound}: {d}"
+                )
+            left, right = self._from_reduced(d.left), self._from_reduced(d.right)
+            g = self._words[w] = self.node(d.active, left, right)
         return g
 
     def conjugate(self, x: int, w: int) -> int:
@@ -160,7 +186,7 @@ class Dag:
         return "".join(out)
 
 
-# The long-lived table of each role: "replay" or "verify".
+# The long-lived table of each role: "decide", "replay" or "verify".
 TABLES: dict[str, Dag] = {}
 
 
@@ -170,7 +196,7 @@ def shared(role: str, compute: Callable[[Dag], T]) -> T:
     compute must return no id: the table may be dropped after it returns.
     """
     dag = TABLES.get(role)
-    if dag is None or len(dag.nodes) >= config.NODE_CAP // 2:
+    if dag is None or dag.size >= config.NODE_CAP // 2:
         dag = TABLES[role] = Dag()
     warm = len(dag.nodes) > len(_LEAVES)
     try:

@@ -1,51 +1,36 @@
 """Decision procedures: triviality, equality, element order, moved-vertex oracle.
 
-is_trivial is the classical contracting algorithm: a word is trivial iff
-its `a`-parity is even and both first-level sections are trivial.  For a
-reduced word of length L each section has length at most (L+1)//2, and
-reduced even-parity words of length 2 do not exist, so the recursion is
-well-founded; the bound is asserted at runtime rather than assumed.
+is_trivial, are_equal and order decide on section-DAG elements (module
+`dag`), all on its "decide" table: one long-lived table for every caller
+in the process, as the triviality `lru_cache` it replaces was.  A word
+becomes an element by the classical contracting recursion -- a reduced
+word of length L has sections of at most (L+1)//2 letters, asserted at
+runtime -- so a word is trivial iff its id is 0, two words are equal iff
+their ids are, and the order is `Dag.order_exponent`.  No id leaves a
+call: these take words and return bools and orders.
 
 witness_vertex is the independent semi-oracle: it composes generator leaf
-permutations (module `leafperm`) and never touches the contraction
-recursion, so agreement between the two is meaningful evidence.
+permutations (module `leafperm`) and never touches the section DAG, so
+agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import config
-from .errors import SectionContractionError
+from .dag import IDENTITY, shared
 from .leafperm import moved_vertex, word_perm
-from .tree import decompose
-from .words import invert, reduce_word
-
-
-@lru_cache(maxsize=config.MEMO_SIZE)
-def _is_trivial_reduced(g: str) -> bool:
-    if g.count("a") & 1:
-        return False
-    if len(g) <= 1:
-        return g == ""
-    d = decompose(g)
-    bound = (len(g) + 1) // 2
-    if len(d.left) > bound or len(d.right) > bound:
-        raise SectionContractionError(
-            f"section of length-{len(g)} word exceeds bound {bound}: {d}"
-        )
-    return _is_trivial_reduced(d.left) and _is_trivial_reduced(d.right)
 
 
 def is_trivial(g: str) -> bool:
     """Decide whether g represents the identity.  Accepts raw words."""
-    return _is_trivial_reduced(reduce_word(g))
+    return shared("decide", lambda dag: dag.from_word(g) == IDENTITY)
 
 
 def are_equal(g: str, h: str) -> bool:
     """Element equality of two representatives."""
-    return _is_trivial_reduced(reduce_word(g + invert(h)))
+    return shared("decide", lambda dag: dag.from_word(g) == dag.from_word(h))
 
 
 def witness_vertex(g: str, max_depth: int = config.MAX_DEPTH) -> str | None:
@@ -83,15 +68,8 @@ class OrderResult:
 
 
 def order(g: str, cap: int = config.ORDER_CAP) -> OrderResult:
-    """Order of g by repeated squaring; exact up to 2**cap.
-
-    All orders in the group are powers of two, so squaring loses nothing.
-    """
+    """Order of g, exact up to 2**cap; every order in the group is a power of 2."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    cur = reduce_word(g)
-    for k in range(cap + 1):
-        if _is_trivial_reduced(cur):
-            return OrderResult(k, cap)
-        cur = reduce_word(cur + cur)
-    return OrderResult(None, cap)
+    exponent = shared("decide", lambda dag: dag.order_exponent(dag.from_word(g)))
+    return OrderResult(exponent if exponent <= cap else None, cap)

@@ -8,10 +8,14 @@ relations of unbounded length (e.g. (ad)^4 = 1), so element equality is
 delegated to the `decide` module.
 
 Words are plain strings; the identity is the empty string, spelled "1" in
-text output and accepted as "1" or "" on input.
+text output and accepted as "1" or "" on input.  `decompose` reads the
+first-level wreath recursion off a word; `dag` builds elements from it and
+`tree` re-exports it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 LETTERS = "abcd"
 
@@ -23,6 +27,10 @@ _MERGE = {
 }
 
 IDENTITY = ""
+
+# First-level sections of the non-rooted generators: b = (a, c), c = (a, d),
+# d = (1, b).  The rooted generator a only toggles the activity bit.
+_SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 
 def reduce_word(raw: str) -> str:
@@ -102,6 +110,37 @@ def power(x: str, n: int) -> str:
         if n:
             sq = reduce_word(sq + sq)
     return acc
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Root activity bit plus the two first-level sections (reduced words)."""
+
+    active: int
+    left: str
+    right: str
+
+
+def decompose(g: str) -> Decomposition:
+    """First-level decomposition of a word.
+
+    Left-to-right scan tracking the accumulated `a`-parity p: a letter in
+    {b, c, d} contributes its section pair to (left, right) as-is when
+    p = 0 and swapped when p = 1 (the swap realizes psi(g^a) = (g2, g1)).
+    """
+    p = 0
+    left: list[str] = []
+    right: list[str] = []
+    for ch in g:
+        if ch == "a":
+            p ^= 1
+        else:
+            lo, hi = _SECTIONS[ch]
+            if p:
+                lo, hi = hi, lo
+            left.append(lo)
+            right.append(hi)
+    return Decomposition(p, reduce_word("".join(left)), reduce_word("".join(right)))
 
 
 def parse_word(text: str) -> str:

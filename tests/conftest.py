@@ -5,6 +5,7 @@ import pytest
 from grigor import dag
 from grigor.branch import search_high_order
 from grigor.engel import search_nonengel_pair
+from grigor.words import reduce_word
 
 
 def make_word(rng: random.Random, length: int) -> str:
@@ -12,12 +13,18 @@ def make_word(rng: random.Random, length: int) -> str:
 
 
 def make_even_word(rng: random.Random, length: int) -> str:
-    from grigor.words import reduce_word
-
     while True:
         w = reduce_word(make_word(rng, length))
         if not w.count("a") & 1:
             return w
+
+
+def make_reduced_word(rng: random.Random, length: int) -> str:
+    """A reduced word of exactly `length` letters."""
+    w = ""
+    while len(w) < length:
+        w = reduce_word(w + make_word(rng, length))
+    return w[:length]
 
 
 @pytest.fixture

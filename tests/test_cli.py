@@ -1,15 +1,20 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from sympy.combinatorics import Permutation
 
 import grigor
 from grigor import certificates
 from grigor.cli import main
 from grigor.engel import left_engel_probe, replay_right
+from grigor.leafperm import word_perm
+
+from conftest import make_reduced_word
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +63,18 @@ def test_order(capsys):
     assert run(capsys, "order", "ab")[1] == "16"
     code, data = run_json(capsys, "order", "ab")
     assert code == 0 and data["order"] == 16 and data["exact"] is True
+
+
+def test_order_of_long_word():
+    # Squaring this 65,536-letter word up to its order 512 takes more than
+    # 30 s; the section DAG needs well under a second.  The order of the
+    # level-12 permutation, from leafperm, divides the element's.
+    w = make_reduced_word(random.Random(65536), 1 << 16)
+    proc = run_child("-m", "grigor.cli", "order", w, "--order-cap", "30", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    value = int(proc.stdout)
+    assert value & (value - 1) == 0, value
+    assert value % Permutation(word_perm(w, 12).tolist()).order() == 0, value
 
 
 def test_act_and_sections(capsys):

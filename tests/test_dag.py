@@ -1,4 +1,4 @@
-"""Section-DAG elements against the word-based decision procedures."""
+"""Section-DAG elements against word-level reference algorithms and leafperm."""
 
 import random
 from itertools import islice, product
@@ -8,7 +8,7 @@ import pytest
 from grigor import certificates, config
 from grigor.dag import Dag
 from grigor.branch import flatten, search_high_order
-from grigor.decide import are_equal, is_trivial, order, witness_vertex
+from grigor.decide import witness_vertex
 from grigor.engel import (
     probe_towers,
     random_involution,
@@ -19,9 +19,10 @@ from grigor.engel import (
 )
 from grigor.errors import CapExceeded
 from grigor.leafperm import tower_perm, word_perm
-from grigor.tree import act, first_active_level
+from grigor.tree import act
 from grigor.words import a_parity, reduce_word
 
+import word_reference as ref
 from conftest import make_word
 
 # Trivial words, spliced into a word to make an equal one.
@@ -42,13 +43,15 @@ def _least_moved_vertex(dag, g):
 
 
 def test_dag_agrees_with_words():
+    # Triviality and equality against the word contraction recursion;
+    # the action and the first active level against leaf permutations.
     rng = random.Random(2024)
     dag = Dag()
     trivial = 0
     for _ in range(2000):
         w = make_word(rng, rng.randint(0, 40))
         g = dag.from_word(w)
-        assert (g == 0) == is_trivial(w), w
+        assert (g == 0) == ref.is_trivial(w), w
         trivial += g == 0
         assert dag.mul(g, dag.inv(g)) == 0, w
         if rng.random() < 0.5:
@@ -56,11 +59,14 @@ def test_dag_agrees_with_words():
             u = w[:cut] + rng.choice(RELATORS) + w[cut:]
         else:
             u = make_word(rng, rng.randint(0, 40))
-        assert (dag.from_word(u) == g) == are_equal(u, w), (u, w)
-        assert dag.first_active_level(g) == first_active_level(w), w
+        assert (dag.from_word(u) == g) == ref.are_equal(u, w), (u, w)
+        witness = witness_vertex(w, config.MAX_DEPTH)
+        level = None if witness is None else len(witness) - 1
+        assert dag.first_active_level(g) == level, w
         v = "".join(rng.choice("01") for _ in range(rng.randint(1, 10)))
-        assert dag.act(g, v) == act(w, v), (w, v)
-        assert _least_moved_vertex(dag, g) == witness_vertex(w, config.MAX_DEPTH), w
+        image = format(int(word_perm(w, len(v))[int(v, 2)]), f"0{len(v)}b")
+        assert dag.act(g, v) == act(w, v) == image, (w, v)
+        assert _least_moved_vertex(dag, g) == witness, w
     assert 0 < trivial < 2000
 
 
@@ -92,14 +98,14 @@ def test_dag_tower_matches_word_tower():
 
 def test_probe_towers_agree_with_is_trivial():
     # 240 probe-shaped towers, half against involutions (which sink): the
-    # probe's id-0 test against the word contraction algorithm, entry by entry.
+    # probe's id-0 test against the word contraction recursion, entry by entry.
     rng = random.Random(11)
     sinks = nontrivial = 0
     for i in range(240):
         g = random_involution(rng) if i % 2 == 0 else random_word(rng)
         dag = Dag()
         for word, t in islice(probe_towers(dag, random_word(rng), g), 8):
-            assert (t == 0) == is_trivial(word), (g, word)
+            assert (t == 0) == ref.is_trivial(word), (g, word)
             if t == 0:
                 sinks += 1
                 break
@@ -134,7 +140,7 @@ def test_order_exponent_agrees_with_squaring():
     words += [flatten(search_high_order(1 << e)) for e in range(1, 7)]
     exponents = set()
     for w in words:
-        expected = order(w).exponent
+        expected = ref.order_exponent(w)
         assert expected is not None, w
         fresh = Dag()
         assert fresh.order_exponent(fresh.from_word(w)) == expected, w

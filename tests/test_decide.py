@@ -7,6 +7,7 @@ from grigor.decide import OrderResult, are_equal, is_trivial, order, witness_ver
 from grigor.leafperm import word_perm
 from grigor.words import conjugate, power, reduce_word
 
+import word_reference as ref
 from conftest import make_word
 
 
@@ -97,9 +98,10 @@ def test_order_divides_and_halves(rng):
         result = order(w)
         if not result.is_exact:
             continue
-        assert is_trivial(power(w, result.value))
+        # Checked by the word contraction recursion, not the section DAG.
+        assert ref.is_trivial(power(w, result.value))
         if result.value > 1:
-            assert not is_trivial(power(w, result.value // 2))
+            assert not ref.is_trivial(power(w, result.value // 2))
 
 
 def test_order_conjugation_invariant(rng):

@@ -1,8 +1,9 @@
-"""The long-lived section-DAG tables of the replays and the verifiers.
+"""The long-lived section-DAG tables of the word API, the replays and the verifiers.
 
-`dag.shared` keeps one table per role, "replay" and "verify".  A warm
-table must change nothing a caller can see: certificate bytes, verdicts
-and the calls that raise CapExceeded are those of a fresh process.
+`dag.shared` keeps one table per role, "decide", "replay" and "verify".
+A warm table must change nothing a caller can see: certificate bytes,
+verdicts and the calls that raise CapExceeded are those of a fresh
+process.
 """
 
 import json
@@ -11,10 +12,12 @@ import random
 import pytest
 
 from grigor import certificates, config, dag
+from grigor.decide import is_trivial
 from grigor.engel import random_involution, random_word, replay_bounded_left, replay_right
 from grigor.errors import CapExceeded
 from grigor.words import a_parity, reduce_word
 
+from conftest import make_reduced_word
 from test_golden import GOLDEN, ISSUERS
 
 
@@ -25,6 +28,30 @@ def _nodes(role):
 def _verify(cert):
     ok, detail = certificates.verify(json.loads(certificates.serialize(cert)))
     assert ok, detail
+
+
+def test_decide_table_counts_memoized_words(monkeypatch):
+    # Conjugates of relators are distinct trivial words: every section of
+    # one is trivial, so a call adds memoized words but no nodes, and only
+    # counting the words keeps the table near half the cap.
+    monkeypatch.setattr(config, "NODE_CAP", 2000)
+    rng = random.Random(29)
+    relators = ("adadadad", "acacacacacacacac", "abab" * 8)
+    last = None
+    drops = 0
+    for _ in range(3000):
+        p = make_reduced_word(rng, 24)
+        w = reduce_word(p[::-1] + rng.choice(relators) + p)
+        cold = dag.Dag()
+        cold.from_word(w)
+        one_call = cold.size - dag.Dag().size
+        assert is_trivial(w)
+        table = dag.TABLES["decide"]
+        assert len(table.nodes) == len(dag.Dag().nodes)
+        assert table.size < config.NODE_CAP // 2 + one_call, w
+        drops += last is not None and table is not last
+        last = table
+    assert drops > 1
 
 
 def test_roles_keep_apart():
@@ -57,7 +84,7 @@ def test_warm_overflow_reruns_cold(monkeypatch):
     dag.TABLES.clear()
     replay_bounded_left("a", 6)
     warm = dag.TABLES["replay"]
-    assert len(warm.nodes) < config.NODE_CAP // 2  # so the table is not dropped at entry
+    assert warm.size < config.NODE_CAP // 2  # so the table is not dropped at entry
     assert certificates.serialize(replay_right("ad", 8)) == cold
     assert dag.TABLES["replay"] is not warm  # the warm attempt overflowed
     assert _nodes("replay") == config.NODE_CAP

@@ -1,0 +1,36 @@
+"""Word-level reference algorithms, for tests only.
+
+The contraction recursion on reduced words and the order by repeated
+squaring decide the same questions as the section DAG by a second
+algorithm, so tests that compare the two compare something.  Neither is
+memoized: they are slow on long words and meant for short ones.
+"""
+
+from grigor.words import decompose, invert, reduce_word
+
+
+def is_trivial(w: str) -> bool:
+    """A word is trivial iff its `a`-parity is even and both sections are."""
+    g = reduce_word(w)
+    if g.count("a") & 1:
+        return False
+    if len(g) <= 1:
+        return g == ""
+    d = decompose(g)
+    bound = (len(g) + 1) // 2
+    assert len(d.left) <= bound and len(d.right) <= bound, (g, d)
+    return is_trivial(d.left) and is_trivial(d.right)
+
+
+def are_equal(g: str, h: str) -> bool:
+    return is_trivial(g + invert(h))
+
+
+def order_exponent(w: str, cap: int = 12) -> int | None:
+    """The e with w of order 2**e, by squaring; None when e > cap."""
+    cur = reduce_word(w)
+    for e in range(cap + 1):
+        if is_trivial(cur):
+            return e
+        cur = reduce_word(cur + cur)
+    return None
