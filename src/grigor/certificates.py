@@ -1,14 +1,15 @@
 """Versioned JSON certificates and their replay verifier.
 
 Every certificate is a self-contained transcript: the verifier re-checks
-it from the serialized inputs alone, using only the decision-module
-primitives (triviality, the moved-vertex action, decomposition) and, for
-every commutator tower, the order of k and the embedding y, section-DAG
-arithmetic, so a certificate file can be audited independently of the
-run that produced it.  The refutation verifiers keep the "verify" table
-of `dag.shared`, which no replay fills.  Probe transcripts are checked
-too: one reduced word length per tower depth.  Every field's JSON type
-is checked before anything is computed.
+it from the serialized inputs alone, so a certificate file can be audited
+independently of the run that produced it.  Every check -- triviality,
+the section chain, the order of k, the embedding y, every commutator tower
+and its moved vertices -- is section-DAG arithmetic on ids.  The
+refutation verifiers decide only on the "verify" table of `dag.shared`,
+which nothing that issues an answer fills; probe verifiers make a fresh
+Dag.  Probe transcripts are checked too: one reduced word length per
+tower depth.  Every field's JSON type is checked before anything is
+computed.
 
 Serialization is deterministic: sorted keys, fixed separators, no
 floats, so identical inputs yield byte-identical files.
@@ -29,8 +30,7 @@ from .branch import (
     membership_in_K,
     parse_tword,
 )
-from .dag import IDENTITY, Dag, shared
-from .decide import are_equal, is_trivial
+from .dag import A, IDENTITY, Dag, shared
 from .engel import (
     BoundedLeftRefutation,
     EngelSink,
@@ -39,14 +39,7 @@ from .engel import (
     probe_towers,
     right_towers,
 )
-from .tree import decompose
-from .words import (
-    format_word,
-    invert,
-    multiply,
-    parse_word,
-    reduce_word,
-)
+from .words import format_word, parse_word, reduce_word
 
 Certificate = EngelSink | NoSinkUpTo | BoundedLeftRefutation | RightRefutation
 
@@ -116,20 +109,20 @@ def serialize(cert: Certificate) -> str:
     return dumps(to_dict(cert))
 
 
-def _check_chain(x: str, chain: list[list[Any]], x_active: str) -> str | None:
-    """Replay the section descent; None when consistent."""
+def _check_chain(dag: Dag, x: int, chain: list[list[Any]], x_active: int) -> str | None:
+    """Replay the section descent on ids; None when consistent."""
+    sections = [(bit, parse_word(w)) for bit, w in chain]
     cur = x
-    for bit, section_word in chain:
-        d = decompose(cur)
-        if d.active:
+    for bit, section_word in sections:
+        active, left, right = dag.nodes[cur]
+        if active:
             return "chain descends through a word outside St(1)"
-        expected = d.left if bit == 0 else d.right
-        if not are_equal(expected, section_word):
+        cur = dag.from_word(section_word)
+        if cur != (right if bit else left):
             return f"chain section at bit {bit} does not match"
-        cur = section_word
-    if not are_equal(cur, x_active):
+    if cur != x_active:
         return "chain does not end at x_active"
-    if not cur.count("a") & 1:
+    if not dag.nodes[cur][0]:
         return "x_active is not active at the root"
     return None
 
@@ -216,22 +209,30 @@ def verify(data: dict[str, Any]) -> tuple[bool, str]:
     return False, f"unknown certificate kind {kind!r}"
 
 
+def _probe(x: str, g: str, depth: int) -> tuple[Dag, list[int], int, int]:
+    """Walk [x,_m g] for m <= depth on a fresh Dag, stopping at the first
+    trivial entry: (dag, word lengths, last m, last id)."""
+    dag = Dag()
+    lengths: list[int] = []
+    for m, (w, t) in enumerate(islice(probe_towers(dag, x, g), depth), 1):
+        lengths.append(len(w))
+        if t == IDENTITY:
+            break
+    return dag, lengths, m, t
+
+
 def _verify_sink(data: dict[str, Any]) -> tuple[bool, str]:
     g = parse_word(data["g"])
     x = parse_word(data["x"])
     n = data["n"]
-    transcript = data["transcript"]
     if n < 1:
         return False, "sink depth must be >= 1"
-    dag = Dag()
-    lengths: list[int] = []
-    for m, (w, t) in enumerate(islice(probe_towers(dag, x, g), n), 1):
-        lengths.append(len(w))
-        if m < n and t == 0:  # id 0 is the identity
-            return False, f"tower already trivial at depth {m}"
-    if transcript != lengths:
+    _, lengths, m, t = _probe(x, g, n)
+    if m < n:
+        return False, f"tower already trivial at depth {m}"
+    if data["transcript"] != lengths:
         return False, _TRANSCRIPT_MISMATCH
-    if t != 0:
+    if t != IDENTITY:
         return False, f"tower not trivial at claimed depth {n}"
     return True, f"sink at depth {n} confirmed"
 
@@ -240,16 +241,12 @@ def _verify_no_sink(data: dict[str, Any]) -> tuple[bool, str]:
     g = parse_word(data["g"])
     x = parse_word(data["x"])
     bound = data["bound"]
-    transcript = data["transcript"]
     if bound < 1:
         return False, "bound must be >= 1"
-    dag = Dag()
-    lengths: list[int] = []
-    for m, (w, t) in enumerate(islice(probe_towers(dag, x, g), bound), 1):
-        lengths.append(len(w))
-        if t == 0:
-            return False, f"tower trivial at depth {m} <= bound"
-    if transcript != lengths:
+    dag, lengths, m, t = _probe(x, g, bound)
+    if t == IDENTITY:
+        return False, f"tower trivial at depth {m} <= bound"
+    if data["transcript"] != lengths:
         return False, _TRANSCRIPT_MISMATCH
     if dag.act(t, data["witness"]) == data["witness"]:
         return False, "witness vertex is not moved by the final tower"
@@ -264,27 +261,24 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     bound = data["bound"]
     if bound < 1:
         return False, "bound must be >= 1"
-    if is_trivial(x):
-        return False, "x is trivial"
-    if not is_trivial(x + x):
-        return False, "x is not an involution"
-    chain = [[bit, parse_word(w)] for bit, w in data["chain"]]
-    problem = _check_chain(x, chain, x_active)
-    if problem:
-        return False, problem
-    flat = flatten(k)
 
     def check(dag: Dag) -> str | None:
-        fk, fy = dag.from_word(flat), dag.from_word(y)
+        fx, fx_active = dag.from_word(x), dag.from_word(x_active)
+        if fx == IDENTITY:
+            return "x is trivial"
+        if dag.mul(fx, fx) != IDENTITY:
+            return "x is not an involution"
+        problem = _check_chain(dag, fx, data["chain"], fx_active)
+        if problem:
+            return problem
+        fk, fy = dag.from_word(flatten(k)), dag.from_word(y)
         if dag.order_exponent(fk) <= bound - 1:
             return f"k does not have order > 2^{bound - 1}"
         if fy != dag.from_word(emb_pair(k, TWord())):
             return "y does not embed (flatten(k), 1)"
-        d = decompose(y)
-        if d.active or dag.from_word(d.left) != fk or dag.from_word(d.right) != IDENTITY:
+        if dag.nodes[fy] != (0, fk, IDENTITY):
             return "decomposition of y is not (flatten(k), 1)"
-        towers = dag.tower(fy, dag.from_word(x_active))
-        t = next(islice(towers, bound - 1, None))
+        t = dag.iterated_commutator(fy, fx_active, bound)
         if dag.act(t, data["witness"]) == data["witness"]:
             return "witness vertex is not moved by the tower"
         return None
@@ -306,22 +300,22 @@ def _verify_right(data: dict[str, Any]) -> tuple[bool, str]:
     witnesses = data["witnesses"]
     if bound < 1:
         return False, "bound must be >= 1"
-    if is_trivial(x):
-        return False, "x is trivial"
-    chain = [[bit, parse_word(w)] for bit, w in data["chain"]]
-    problem = _check_chain(x, chain, x_active)
-    if problem:
-        return False, problem
-    g1 = decompose(multiply("a", x_active)).left
-    expected_y2 = y1.commutator_with(h).conjugated(invert(g1))
-    if not are_equal(flatten(y2), flatten(expected_y2)):
-        return False, "y2 is not [y1, h]^(g1^-1)"
-    if not are_equal(y, emb_pair(y1, y2)):
-        return False, "y does not embed (y1, y2)"
-    if len(witnesses) != bound:
-        return False, "one witness vertex per tower depth is required"
 
     def check(dag: Dag) -> str | None:
+        fx, fx_active = dag.from_word(x), dag.from_word(x_active)
+        if fx == IDENTITY:
+            return "x is trivial"
+        problem = _check_chain(dag, fx, data["chain"], fx_active)
+        if problem:
+            return problem
+        g1 = dag.nodes[dag.mul(A, fx_active)][1]
+        commutator = dag.commutator(dag.from_word(flatten(y1)), dag.from_word(flatten(h)))
+        if dag.from_word(flatten(y2)) != dag.conjugate(commutator, dag.inv(g1)):
+            return "y2 is not [y1, h]^(g1^-1)"
+        if dag.from_word(y) != dag.from_word(emb_pair(y1, y2)):
+            return "y does not embed (y1, y2)"
+        if len(witnesses) != bound:
+            return "one witness vertex per tower depth is required"
         pairs = islice(right_towers(dag, x_active, y, h, y1), bound)
         for m, ((t, first), witness) in enumerate(zip(pairs, witnesses), 1):
             if dag.act(t, witness) == witness:

@@ -16,17 +16,18 @@ letters long for a reduced word of length L (asserted).
 
 Ids mean nothing outside the Dag that made them, and no id leaves the
 call that made it: computations take words and return words, bools and
-ints.  A Dag has three roles.  `shared` keeps one long-lived table per
-role, and a call on it leaves its nodes and words interned for the next:
-"decide", shared by every caller of the word API (`decide.is_trivial`,
-`are_equal`, `order`, `tree.act`, `first_active_level`), as the string
-memo it replaces was; "replay", the Engel replays, whose towers of
-x-independent elements repeat from call to call; and "verify", their
-verifiers, which never read a table a replay filled.  A table is dropped
-at call entry once its nodes plus memoized words reach NODE_CAP // 2,
-and a call that hits a cap on a warm table runs once more on a fresh
-one, so it raises exactly when it would in a fresh process.  Probes and
-the pair search make a fresh Dag per call.
+ints.  `shared` keeps one long-lived table per role, and a call on it
+leaves its nodes and words interned for the next.  There are two roles:
+"decide", for everything that issues an answer -- the word API
+(`decide.is_trivial`, `are_equal`, `order`, `tree.act`,
+`first_active_level`) and the Engel replays, whose towers of
+x-independent elements repeat from call to call -- and "verify", for the
+refutation verifiers, which decide every check on it and so never read a
+table an issuer filled.  A table is dropped at call entry once its nodes
+plus memoized words reach NODE_CAP // 2, and a call that hits a cap on a
+warm table runs once more on a fresh one, so it raises exactly when it
+would in a fresh process.  Probes, the pair search and the lemma checks
+make a fresh Dag per call.
 """
 
 from __future__ import annotations
@@ -144,6 +145,19 @@ class Dag:
             x = self.commutator(x, g)
             yield x
 
+    def iterated_commutator(self, x: int, g: int, m: int) -> int:
+        """[x,_m g], stopping at the first trivial entry, since [1, g] = 1.
+
+        A tower that never sinks never repeats an element (the group is a
+        residually finite 2-group), so each step interns a node and the
+        node cap ends it.
+        """
+        for _ in range(m):
+            if x == IDENTITY:
+                break
+            x = self.commutator(x, g)
+        return x
+
     def first_active_level(self, g: int) -> int | None:
         """The n with g in St(n) \\ St(n+1); None iff g is the identity."""
         if g not in self._level:
@@ -186,7 +200,7 @@ class Dag:
         return "".join(out)
 
 
-# The long-lived table of each role: "decide", "replay" or "verify".
+# The long-lived table of each role: "decide" or "verify".
 TABLES: dict[str, Dag] = {}
 
 

@@ -1,14 +1,15 @@
 """Iterated commutators, Engel probes, the two tower lemmas, and proof replays.
 
 The left-normed tower is [x,_1 g] = x^-1 g^-1 x g and
-[x,_n g] = [[x,_{n-1} g], g].  Probes, replays and their verifiers ask
-two questions of a tower entry -- is it the identity, and which vertex
-does it move -- and answer both on `Dag.tower`, whose section-DAG
-elements do not double in size with each step; `exact_witness` is the
-one witness routine.  Probes also walk the reduced-word `tower`
-alongside: their transcripts record word lengths, and its length cap
-ends them visibly.  Lemma checks compare word towers coordinate by
-coordinate.  Words stay the input and output.
+[x,_n g] = [[x,_{n-1} g], g].  Probes, replays, lemma checks and their
+verifiers ask two questions of a tower entry -- is it the identity, and
+which vertex does it move -- and answer both on section-DAG ids
+(`Dag.tower`, `Dag.iterated_commutator`), whose elements do not double
+in size with each step; `exact_witness` is the one witness routine.  The
+reduced-word `tower` serves probe transcripts only: they record word
+lengths, and its length cap ends a probe visibly.  The lemma checks
+decide both sides of their identities on one fresh Dag.  Words stay the
+input and output.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
@@ -18,7 +19,7 @@ from a non-Engel pair in K, cross-checked against the tower identity of
 since psi(K) contains K x K: `search_high_order` and `search_nonengel_pair`
 are memoized per process, so a process that certifies many elements runs
 each search once; a failed search is not cached and runs again.  For the
-same reason the replays decide their towers on the long-lived "replay"
+same reason the replays decide their towers on the long-lived "decide"
 table of `dag.shared`, where the towers of (h, y1) and the nodes of k
 stay interned from one call to the next.
 """
@@ -39,8 +40,8 @@ from .branch import (
     random_tword,
     search_high_order,
 )
-from .dag import Dag, shared
-from .decide import are_equal, is_trivial, order
+from .dag import A, Dag, shared
+from .decide import is_trivial, order
 from .errors import (
     CapExceeded,
     PreconditionViolated,
@@ -49,16 +50,7 @@ from .errors import (
 )
 from .leafperm import moved_vertex, tower_perm
 from .tree import decompose, first_active_level
-from .words import (
-    IDENTITY,
-    a_parity,
-    commutator,
-    conjugate,
-    invert,
-    multiply,
-    power,
-    reduce_word,
-)
+from .words import IDENTITY, a_parity, commutator, invert, multiply, reduce_word
 
 
 def tower(x: str, g: str) -> Iterator[str]:
@@ -169,28 +161,33 @@ def lemma1_check(k: TWord, g: str, m: int) -> bool:
     """Verify the tower formula for y with psi(y) = (k, 1) against x = a.g.
 
     Requires g in St(1) and (a.g)^2 = 1 (which forces g2 = g1^-1).  Both
-    sides are computed independently: the left by running the tower and
-    decomposing, the right from the closed form
-    (k^((-1)^m 2^(m-1)), (k^g2)^((-1)^(m-1) 2^(m-1))).
+    sides are decided independently on one fresh Dag: the left by running
+    the tower and reading its sections, the right from the closed form
+    (k^((-1)^m 2^(m-1)), (k^g2)^((-1)^(m-1) 2^(m-1))) by m - 1 squarings.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     g = reduce_word(g)
     if a_parity(g):
         raise PreconditionViolated("g must lie in St(1)")
-    x = multiply("a", g)
-    if not is_trivial(x + x):
+    dag = Dag()
+    fg = dag.from_word(g)
+    x = dag.mul(A, fg)
+    if dag.mul(x, x) != 0:  # id 0 is the identity
         raise PreconditionViolated("a.g must be an involution")
-    y = emb_pair(k, TWord())
-    lhs = decompose(iterated_commutator(y, x, m))
-    if lhs.active:
+    y = dag.from_word(emb_pair(k, TWord()))
+    active, left, right = dag.nodes[dag.iterated_commutator(y, x, m)]
+    if active:
         return False
-    flat = flatten(k)
-    g2 = decompose(g).right
-    exp = 1 << (m - 1)
-    first = power(flat, exp if m % 2 == 0 else -exp)
-    second = power(conjugate(flat, g2), exp if m % 2 == 1 else -exp)
-    return are_equal(lhs.left, first) and are_equal(lhs.right, second)
+    power = dag.from_word(flatten(k))
+    for _ in range(m - 1):  # k^(2^(m-1)); squaring stops at the identity
+        if power == 0:
+            break
+        power = dag.mul(power, power)
+    conjugated = dag.conjugate(power, dag.nodes[fg][2])  # (k^g2)^(2^(m-1))
+    if m % 2:
+        return left == dag.inv(power) and right == conjugated
+    return left == power and right == dag.inv(conjugated)
 
 
 def lemma2_check(x: str, y: str, m: int) -> bool:
@@ -199,8 +196,8 @@ def lemma2_check(x: str, y: str, m: int) -> bool:
     Requires x = a.g with g in St(1), i.e. odd `a`-parity.  Writing
     psi(g) = (g1, g2) and psi(y) = (y1, y2), both coordinates of
     psi([x,_{m+1} y]) are compared against
-    ([(y2^-1)^g1,_m y1]^y1, [(y1^-1)^g2,_m y2]^y2), each side computed
-    independently.
+    ([(y2^-1)^g1,_m y1]^y1, [(y1^-1)^g2,_m y2]^y2), each side decided
+    independently on one fresh Dag.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -210,21 +207,19 @@ def lemma2_check(x: str, y: str, m: int) -> bool:
         raise PreconditionViolated("x must have odd a-parity")
     if a_parity(y):
         raise PreconditionViolated("y must lie in St(1)")
-    g = multiply("a", x)
-    dg = decompose(g)
-    dy = decompose(y)
-    lhs = decompose(iterated_commutator(x, y, m + 1))
-    if lhs.active:
+    dag = Dag()
+    fx, fy = dag.from_word(x), dag.from_word(y)
+    _, g1, g2 = dag.nodes[dag.mul(A, fx)]
+    _, y1, y2 = dag.nodes[fy]
+    active, left, right = dag.nodes[dag.iterated_commutator(fx, fy, m + 1)]
+    if active:
         return False
-    first = conjugate(
-        iterated_commutator(conjugate(invert(dy.right), dg.left), dy.left, m),
-        dy.left,
-    )
-    second = conjugate(
-        iterated_commutator(conjugate(invert(dy.left), dg.right), dy.right, m),
-        dy.right,
-    )
-    return are_equal(lhs.left, first) and are_equal(lhs.right, second)
+
+    def side(base: int, other: int, g_section: int) -> int:
+        start = dag.conjugate(dag.inv(other), g_section)
+        return dag.conjugate(dag.iterated_commutator(start, base, m), base)
+
+    return left == side(y1, y2, g1) and right == side(y2, y1, g2)
 
 
 @dataclass(frozen=True)
@@ -316,10 +311,10 @@ def replay_bounded_left(
     y = emb_pair(k, TWord())
 
     def witness(dag: Dag) -> str:
-        towers = dag.tower(dag.from_word(y), dag.from_word(active))
-        return exact_witness(dag, next(islice(towers, bound - 1, None)), y, active, bound)
+        t = dag.iterated_commutator(dag.from_word(y), dag.from_word(active), bound)
+        return exact_witness(dag, t, y, active, bound)
 
-    return BoundedLeftRefutation(x, chain, active, k, bound, y, shared("replay", witness))
+    return BoundedLeftRefutation(x, chain, active, k, bound, y, shared("decide", witness))
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -398,7 +393,7 @@ def replay_right(
         return tuple(found)
 
     return RightRefutation(
-        x, chain, active, h, y1, y2, y, bound, shared("replay", witnesses)
+        x, chain, active, h, y1, y2, y, bound, shared("decide", witnesses)
     )
 
 

@@ -97,21 +97,6 @@ def commutator(x: str, g: str) -> str:
     return reduce_word(x[::-1] + g[::-1] + x + g)
 
 
-def power(x: str, n: int) -> str:
-    """x**n by binary powering, reduced. Negative exponents invert first."""
-    if n < 0:
-        x, n = invert(x), -n
-    acc = IDENTITY
-    sq = x
-    while n:
-        if n & 1:
-            acc = reduce_word(acc + sq)
-        n >>= 1
-        if n:
-            sq = reduce_word(sq + sq)
-    return acc
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Root activity bit plus the two first-level sections (reduced words)."""

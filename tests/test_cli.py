@@ -159,6 +159,22 @@ def test_lemma_subcommands(capsys):
     assert code == 0 and data["holds"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Towers that sink: the walk stops at the first trivial entry.
+        ("lemma2", "--x", "a", "--y", "d", "--m", "100000000"),
+        ("lemma1", "--k", "1^+1", "--g", "1", "--m", "100000000"),
+        # Past the word-length cap: the word tower would reach 65,536
+        # letters at depth 14.
+        ("lemma2", "--x", "a", "--y", "badabada", "--m", "40"),
+    ],
+)
+def test_lemma_checks_are_bounded(argv):
+    proc = run_child("-m", "grigor.cli", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, "true\n"), proc.stderr
+
+
 def test_replay_and_verify_round_trip(capsys, tmp_path):
     path = tmp_path / "cert.json"
     code, _, _ = run(capsys, "replay-left", "a", "-N", "3", "--output", str(path))

@@ -1,6 +1,7 @@
-"""The long-lived section-DAG tables of the word API, the replays and the verifiers.
+"""The long-lived section-DAG tables of the issuers and the verifiers.
 
-`dag.shared` keeps one table per role, "decide", "replay" and "verify".
+`dag.shared` keeps one table per role: "decide" for the word API and the
+replays, "verify" for the refutation verifiers.
 A warm table must change nothing a caller can see: certificate bytes,
 verdicts and the calls that raise CapExceeded are those of a fresh
 process.
@@ -58,45 +59,55 @@ def test_roles_keep_apart():
     _verify(replay_right("a", 8))
     _verify(replay_bounded_left("a", 6))
     verify_nodes = _nodes("verify")
-    right, left = replay_right("d", 8), replay_bounded_left("aca", 6)
+    certs = replay_right("d", 8), replay_bounded_left("aca", 6), replay_right("abacaba", 8)
     assert _nodes("verify") == verify_nodes
-    replay_nodes = _nodes("replay")
-    _verify(right)
-    _verify(left)
-    assert _nodes("replay") == replay_nodes
+    decide_nodes, decide_size = _nodes("decide"), dag.TABLES["decide"].size
+    for cert in certs:
+        _verify(cert)
+    assert _nodes("decide") == decide_nodes
+    assert dag.TABLES["decide"].size == decide_size
+    # A replay leaves every node and word the verifier reads interned, so
+    # only a process that issued nothing shows that the verifier reads no
+    # "decide" table at all.
+    dag.TABLES.clear()
+    for cert in certs:
+        _verify(cert)
+    assert "decide" not in dag.TABLES
 
 
 def test_half_full_table_is_dropped_at_entry(monkeypatch):
+    replay_bounded_left("a", 6)  # memoizes the search, whose order calls fill the table
+    dag.TABLES.clear()
     replay_bounded_left("a", 6)
-    left_nodes = _nodes("replay")
+    left_nodes = _nodes("decide")
     dag.TABLES.clear()
     replay_right("ad", 8)
-    monkeypatch.setattr(config, "NODE_CAP", 2 * _nodes("replay"))
-    half_full = dag.TABLES["replay"]
+    monkeypatch.setattr(config, "NODE_CAP", 2 * _nodes("decide"))
+    half_full = dag.TABLES["decide"]
     replay_bounded_left("a", 6)
-    assert dag.TABLES["replay"] is not half_full
-    assert _nodes("replay") == left_nodes
+    assert dag.TABLES["decide"] is not half_full
+    assert _nodes("decide") == left_nodes
 
 
 def test_warm_overflow_reruns_cold(monkeypatch):
     cold = certificates.serialize(replay_right("ad", 8))
-    monkeypatch.setattr(config, "NODE_CAP", _nodes("replay"))  # fits only a fresh table
+    monkeypatch.setattr(config, "NODE_CAP", _nodes("decide"))  # fits only a fresh table
     dag.TABLES.clear()
     replay_bounded_left("a", 6)
-    warm = dag.TABLES["replay"]
+    warm = dag.TABLES["decide"]
     assert warm.size < config.NODE_CAP // 2  # so the table is not dropped at entry
     assert certificates.serialize(replay_right("ad", 8)) == cold
-    assert dag.TABLES["replay"] is not warm  # the warm attempt overflowed
-    assert _nodes("replay") == config.NODE_CAP
+    assert dag.TABLES["decide"] is not warm  # the warm attempt overflowed
+    assert _nodes("decide") == config.NODE_CAP
 
 
 def test_cold_overflow_still_raises(monkeypatch):
     replay_right("ad", 8)
-    monkeypatch.setattr(config, "NODE_CAP", _nodes("replay") - 1)
+    monkeypatch.setattr(config, "NODE_CAP", _nodes("decide") - 1)
     dag.TABLES.clear()
     with pytest.raises(CapExceeded, match="nodes"):
         replay_right("ad", 8)
-    assert "replay" not in dag.TABLES  # a failed table is not kept
+    assert "decide" not in dag.TABLES  # a failed table is not kept
 
 
 def test_golden_bytes_on_warm_tables():

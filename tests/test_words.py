@@ -7,7 +7,6 @@ from grigor.words import (
     is_reduced,
     multiply,
     parse_word,
-    power,
     reduce_word,
 )
 
@@ -81,15 +80,6 @@ def test_commutator_examples():
     assert commutator("ab", "") == ""
     assert commutator("ab", "ab") == ""
     assert commutator("a", "b") == reduce_word("abab")
-
-
-def test_power():
-    assert power("ab", 0) == ""
-    assert power("ab", 2) == "abab"
-    assert power("ab", -1) == "ba"
-    # (ad)^4 is trivial as an element but not as a word; reduction alone
-    # cannot see relations of unbounded length
-    assert power("ad", 4) == "adadadad"
 
 
 def test_literal_round_trip():
