@@ -246,7 +246,6 @@ def search_high_order(
     target_order: int,
     budget: int = config.SEARCH_BUDGET,
     seed: int = 0,
-    conj_len: int = config.CONJUGATOR_LENGTH,
     exact: bool = False,
 ) -> TWord:
     """A TWord whose flattening has order >= target_order (a power of 2).
@@ -282,7 +281,7 @@ def search_high_order(
     rng = random.Random(seed)
     rounds = 3
     per_round = max(1, budget // rounds)
-    length = conj_len
+    length = config.CONJUGATOR_LENGTH
     spent = 0
     for _ in range(rounds):
         for _ in range(per_round):

@@ -2,14 +2,21 @@
 
 Every certificate is a self-contained transcript: the verifier re-checks
 it from the serialized inputs alone, so a certificate file can be audited
-independently of the run that produced it.  Every check -- triviality,
-the section chain, the order of k, the embedding y, every commutator tower
-and its moved vertices -- is section-DAG arithmetic on ids.  The
-refutation verifiers decide only on the "verify" table of `dag.shared`,
-which nothing that issues an answer fills; probe verifiers make a fresh
-Dag.  Probe transcripts are checked too: one reduced word length per
-tower depth.  Every field's JSON type is checked before anything is
-computed.
+independently of the run that produced it.  Each kind is declared once,
+in `_KINDS`: the class that issues it, the JSON shape and writer of each
+field, and its verifier.  `to_dict`, the shape check that runs before
+anything is computed, and `verify`'s dispatch all read that table.
+
+Every check -- triviality, the section chain, the order of k, the
+embedding y, every commutator tower and its moved vertices -- is
+section-DAG arithmetic on ids, and each property is checked once: y is
+checked by its sections, psi(y) = (y1, y2) read off `dag.nodes`, which
+decides it since psi is injective on St(1) and each element has one id.
+The refutation verifiers decide only on the "verify" table of
+`dag.shared`, which nothing that issues an answer fills; probe verifiers
+walk a fresh Dag with `engel.probe`, the walk the probes issue from.
+Probe transcripts are checked too: one reduced word length per tower
+depth.
 
 Serialization is deterministic: sorted keys, fixed separators, no
 floats, so identical inputs yield byte-identical files.
@@ -22,21 +29,14 @@ from itertools import islice
 from typing import Any
 
 from . import __version__, config
-from .branch import (
-    TWord,
-    emb_pair,
-    flatten,
-    format_tword,
-    membership_in_K,
-    parse_tword,
-)
+from .branch import flatten, format_tword, membership_in_K, parse_tword
 from .dag import A, IDENTITY, Dag, shared
 from .engel import (
     BoundedLeftRefutation,
     EngelSink,
     NoSinkUpTo,
     RightRefutation,
-    probe_towers,
+    probe,
     right_towers,
 )
 from .words import format_word, parse_word, reduce_word
@@ -50,43 +50,11 @@ def _header(kind: str) -> dict[str, Any]:
 
 def to_dict(cert: Certificate) -> dict[str, Any]:
     """Serializable dict form of any certificate."""
-    if isinstance(cert, EngelSink):
-        return _header("engel_sink") | {
-            "g": format_word(cert.g),
-            "x": format_word(cert.x),
-            "n": cert.n,
-            "transcript": list(cert.transcript),
-        }
-    if isinstance(cert, NoSinkUpTo):
-        return _header("non_engel_witness") | {
-            "g": format_word(cert.g),
-            "x": format_word(cert.x),
-            "bound": cert.bound,
-            "transcript": list(cert.transcript),
-            "witness": cert.witness,
-        }
-    if isinstance(cert, BoundedLeftRefutation):
-        return _header("bounded_left_refutation") | {
-            "x": format_word(cert.x),
-            "chain": [[bit, format_word(sec)] for bit, sec in cert.chain],
-            "x_active": format_word(cert.x_active),
-            "k": format_tword(cert.k),
-            "bound": cert.bound,
-            "y": format_word(cert.y),
-            "witness": cert.witness,
-        }
-    if isinstance(cert, RightRefutation):
-        return _header("right_refutation") | {
-            "x": format_word(cert.x),
-            "chain": [[bit, format_word(sec)] for bit, sec in cert.chain],
-            "x_active": format_word(cert.x_active),
-            "h": format_tword(cert.h),
-            "y1": format_tword(cert.y1),
-            "y2": format_tword(cert.y2),
-            "y": format_word(cert.y),
-            "bound": cert.bound,
-            "witnesses": list(cert.witnesses),
-        }
+    for kind, (issuer, fields, _) in _KINDS.items():
+        if type(cert) is issuer:
+            return _header(kind) | {
+                name: write(getattr(cert, name)) for name, (_, write) in fields.items()
+            }
     raise TypeError(f"not a certificate: {cert!r}")
 
 
@@ -110,7 +78,10 @@ def serialize(cert: Certificate) -> str:
 
 
 def _check_chain(dag: Dag, x: int, chain: list[list[Any]], x_active: int) -> str | None:
-    """Replay the section descent on ids; None when consistent."""
+    """Check that x is nontrivial and replay its section descent on ids;
+    None when consistent."""
+    if x == IDENTITY:
+        return "x is trivial"
     sections = [(bit, parse_word(w)) for bit, w in chain]
     cur = x
     for bit, section_word in sections:
@@ -162,24 +133,14 @@ _MUST_BE = {
     _chain: "a list of [0 or 1, word] pairs",
 }
 
-# The shape of every field of each kind, checked before any computation.
-_SHAPES = {
-    "engel_sink": {"g": _string, "x": _string, "n": _integer, "transcript": _integers},
-    "non_engel_witness": {
-        "g": _string, "x": _string, "bound": _integer,
-        "transcript": _integers, "witness": _string,
-    },
-    "bounded_left_refutation": {
-        "x": _string, "chain": _chain, "x_active": _string, "k": _string,
-        "bound": _integer, "y": _string, "witness": _string,
-    },
-    "right_refutation": {
-        "x": _string, "chain": _chain, "x_active": _string, "h": _string,
-        "y1": _string, "y2": _string, "y": _string, "bound": _integer,
-        "witnesses": _strings,
-    },
-    "k_membership": {"word": _string, "verdict": _string, "level": _integer},
-}
+# The (shape check, writer) pair of each kind of field.
+_WORD = (_string, format_word)
+_TWORD = (_string, format_tword)
+_TEXT = (_string, str)  # a vertex or a verdict
+_INTEGER = (_integer, int)
+_LENGTHS = (_integers, list)
+_VERTICES = (_strings, list)
+_CHAIN = (_chain, lambda chain: [[bit, format_word(section)] for bit, section in chain])
 
 
 def verify(data: dict[str, Any]) -> tuple[bool, str]:
@@ -189,36 +150,16 @@ def verify(data: dict[str, Any]) -> tuple[bool, str]:
     if data.get("schema") != config.SCHEMA_VERSION:
         return False, f"unsupported schema {data.get('schema')!r}"
     kind = data.get("kind")
-    shape = _SHAPES.get(kind) if isinstance(kind, str) else None
-    for field, check in (shape or {}).items():
-        if not check(data.get(field)):
-            return False, f"malformed certificate: {field} must be {_MUST_BE[check]}"
+    if not isinstance(kind, str) or kind not in _KINDS:
+        return False, f"unknown certificate kind {kind!r}"
+    _, fields, check = _KINDS[kind]
+    for name, (shape, _) in fields.items():
+        if not shape(data.get(name)):
+            return False, f"malformed certificate: {name} must be {_MUST_BE[shape]}"
     try:
-        if kind == "engel_sink":
-            return _verify_sink(data)
-        if kind == "non_engel_witness":
-            return _verify_no_sink(data)
-        if kind == "bounded_left_refutation":
-            return _verify_bounded_left(data)
-        if kind == "right_refutation":
-            return _verify_right(data)
-        if kind == "k_membership":
-            return _verify_membership(data)
+        return check(data)
     except (KeyError, ValueError, TypeError) as exc:
         return False, f"malformed certificate: {exc}"
-    return False, f"unknown certificate kind {kind!r}"
-
-
-def _probe(x: str, g: str, depth: int) -> tuple[Dag, list[int], int, int]:
-    """Walk [x,_m g] for m <= depth on a fresh Dag, stopping at the first
-    trivial entry: (dag, word lengths, last m, last id)."""
-    dag = Dag()
-    lengths: list[int] = []
-    for m, (w, t) in enumerate(islice(probe_towers(dag, x, g), depth), 1):
-        lengths.append(len(w))
-        if t == IDENTITY:
-            break
-    return dag, lengths, m, t
 
 
 def _verify_sink(data: dict[str, Any]) -> tuple[bool, str]:
@@ -227,7 +168,7 @@ def _verify_sink(data: dict[str, Any]) -> tuple[bool, str]:
     n = data["n"]
     if n < 1:
         return False, "sink depth must be >= 1"
-    _, lengths, m, t = _probe(x, g, n)
+    _, lengths, m, t = probe(x, g, n)
     if m < n:
         return False, f"tower already trivial at depth {m}"
     if data["transcript"] != lengths:
@@ -243,7 +184,7 @@ def _verify_no_sink(data: dict[str, Any]) -> tuple[bool, str]:
     bound = data["bound"]
     if bound < 1:
         return False, "bound must be >= 1"
-    dag, lengths, m, t = _probe(x, g, bound)
+    dag, lengths, m, t = probe(x, g, bound)
     if t == IDENTITY:
         return False, f"tower trivial at depth {m} <= bound"
     if data["transcript"] != lengths:
@@ -264,8 +205,6 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
 
     def check(dag: Dag) -> str | None:
         fx, fx_active = dag.from_word(x), dag.from_word(x_active)
-        if fx == IDENTITY:
-            return "x is trivial"
         if dag.mul(fx, fx) != IDENTITY:
             return "x is not an involution"
         problem = _check_chain(dag, fx, data["chain"], fx_active)
@@ -274,10 +213,8 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
         fk, fy = dag.from_word(flatten(k)), dag.from_word(y)
         if dag.order_exponent(fk) <= bound - 1:
             return f"k does not have order > 2^{bound - 1}"
-        if fy != dag.from_word(emb_pair(k, TWord())):
-            return "y does not embed (flatten(k), 1)"
         if dag.nodes[fy] != (0, fk, IDENTITY):
-            return "decomposition of y is not (flatten(k), 1)"
+            return "y does not embed (flatten(k), 1)"
         t = dag.iterated_commutator(fy, fx_active, bound)
         if dag.act(t, data["witness"]) == data["witness"]:
             return "witness vertex is not moved by the tower"
@@ -303,16 +240,15 @@ def _verify_right(data: dict[str, Any]) -> tuple[bool, str]:
 
     def check(dag: Dag) -> str | None:
         fx, fx_active = dag.from_word(x), dag.from_word(x_active)
-        if fx == IDENTITY:
-            return "x is trivial"
         problem = _check_chain(dag, fx, data["chain"], fx_active)
         if problem:
             return problem
         g1 = dag.nodes[dag.mul(A, fx_active)][1]
-        commutator = dag.commutator(dag.from_word(flatten(y1)), dag.from_word(flatten(h)))
-        if dag.from_word(flatten(y2)) != dag.conjugate(commutator, dag.inv(g1)):
+        fy1, fy2 = dag.from_word(flatten(y1)), dag.from_word(flatten(y2))
+        commutator = dag.commutator(fy1, dag.from_word(flatten(h)))
+        if fy2 != dag.conjugate(commutator, dag.inv(g1)):
             return "y2 is not [y1, h]^(g1^-1)"
-        if dag.from_word(y) != dag.from_word(emb_pair(y1, y2)):
+        if dag.nodes[dag.from_word(y)] != (0, fy1, fy2):
             return "y does not embed (y1, y2)"
         if len(witnesses) != bound:
             return "one witness vertex per tower depth is required"
@@ -338,3 +274,41 @@ def _verify_membership(data: dict[str, Any]) -> tuple[bool, str]:
     if data["level"] != result.level:
         return False, f"recomputed level {result.level} != {data['level']}"
     return True, f"membership verdict {result.verdict} confirmed"
+
+
+# Each kind: the class that issues it (k_membership is issued as a dict),
+# the (shape check, writer) of each field in the order the shapes are
+# checked, and its verifier.
+_KINDS = {
+    "engel_sink": (
+        EngelSink,
+        {"g": _WORD, "x": _WORD, "n": _INTEGER, "transcript": _LENGTHS},
+        _verify_sink,
+    ),
+    "non_engel_witness": (
+        NoSinkUpTo,
+        {"g": _WORD, "x": _WORD, "bound": _INTEGER, "transcript": _LENGTHS, "witness": _TEXT},
+        _verify_no_sink,
+    ),
+    "bounded_left_refutation": (
+        BoundedLeftRefutation,
+        {
+            "x": _WORD, "chain": _CHAIN, "x_active": _WORD, "k": _TWORD,
+            "bound": _INTEGER, "y": _WORD, "witness": _TEXT,
+        },
+        _verify_bounded_left,
+    ),
+    "right_refutation": (
+        RightRefutation,
+        {
+            "x": _WORD, "chain": _CHAIN, "x_active": _WORD, "h": _TWORD, "y1": _TWORD,
+            "y2": _TWORD, "y": _WORD, "bound": _INTEGER, "witnesses": _VERTICES,
+        },
+        _verify_right,
+    ),
+    "k_membership": (
+        None,
+        {"word": _WORD, "verdict": _TEXT, "level": _INTEGER},
+        _verify_membership,
+    ),
+}

@@ -7,9 +7,10 @@ which vertex does it move -- and answer both on section-DAG ids
 (`Dag.tower`, `Dag.iterated_commutator`), whose elements do not double
 in size with each step; `exact_witness` is the one witness routine.  The
 reduced-word `tower` serves probe transcripts only: they record word
-lengths, and its length cap ends a probe visibly.  The lemma checks
-decide both sides of their identities on one fresh Dag.  Words stay the
-input and output.
+lengths, and its length cap ends a probe visibly.  `probe` is the one
+probe walk, which `left_engel_probe` issues from and the probe verifiers
+check with.  The lemma checks decide both sides of their identities on
+one fresh Dag.  Words stay the input and output.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
@@ -91,13 +92,21 @@ def exact_witness(dag: Dag, t: int, x: str, g: str, m: int) -> str:
     return witness
 
 
-def probe_towers(dag: Dag, x: str, g: str) -> Iterator[tuple[str, int]]:
-    """[x,_m g] for m = 1, 2, ... as (reduced word, id in dag) pairs.
+def probe(x: str, g: str, depth: int) -> tuple[Dag, list[int], int, int]:
+    """Walk [x,_m g] for m <= depth on a fresh Dag, stopping at the first
+    trivial entry: (dag, reduced word lengths, last m, id of the last entry).
 
     The word comes first in the zip, so its length cap raises before the
     DAG takes the step.
     """
-    return zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
+    dag = Dag()
+    lengths: list[int] = []
+    towers = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
+    for m, (w, t) in enumerate(islice(towers, depth), 1):
+        lengths.append(len(w))
+        if t == 0:  # id 0 is the identity
+            break
+    return dag, lengths, m, t
 
 
 def right_towers(
@@ -146,14 +155,11 @@ def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    transcript: list[int] = []
     g = reduce_word(g)
     rx = reduce_word(x)
-    dag = Dag()
-    for n, (w, t) in enumerate(islice(probe_towers(dag, rx, g), bound), 1):
-        transcript.append(len(w))
-        if t == 0:  # id 0 is the identity
-            return EngelSink(g, x, n, tuple(transcript))
+    dag, transcript, n, t = probe(rx, g, bound)
+    if t == 0:  # id 0 is the identity
+        return EngelSink(g, x, n, tuple(transcript))
     return NoSinkUpTo(g, x, bound, tuple(transcript), exact_witness(dag, t, rx, g, bound))
 
 
@@ -300,8 +306,6 @@ def replay_bounded_left(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     x = reduce_word(x)
-    if is_trivial(x):
-        raise PreconditionViolated("x must be nontrivial")
     if not is_trivial(x + x):
         raise PreconditionViolated(
             "x must be an involution; non-involutions are handled empirically"
@@ -372,8 +376,6 @@ def replay_right(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     x = reduce_word(x)
-    if is_trivial(x):
-        raise PreconditionViolated("x must be nontrivial")
     chain, active = section_chain(x)
     g = multiply("a", active)
     g1 = decompose(g).left
@@ -402,11 +404,9 @@ def random_word(rng: random.Random, length: int = config.WALK_LENGTH) -> str:
     return reduce_word("".join(rng.choice("abcd") for _ in range(length)))
 
 
-def random_involution(
-    rng: random.Random, length: int = config.WALK_LENGTH, attempts: int = 10_000
-) -> str:
+def random_involution(rng: random.Random, length: int = config.WALK_LENGTH) -> str:
     """A random element of order exactly 2, by rejection."""
-    for _ in range(attempts):
+    for _ in range(10_000):
         w = random_word(rng, length)
         if order(w).exponent == 1:
             return w
@@ -433,7 +433,6 @@ def involution_survey(
     bound: int,
     seed: int = 0,
     opponents: int = 1,
-    length: int = config.WALK_LENGTH,
 ) -> SurveyReport:
     """Probe random (involution g, random x) pairs for Engel sinks.
 
@@ -446,9 +445,9 @@ def involution_survey(
     depths: dict[int, int] = {}
     flagged: list[tuple[str, str]] = []
     for _ in range(samples):
-        g = random_involution(rng, length)
+        g = random_involution(rng)
         for _ in range(opponents):
-            x = random_word(rng, length)
+            x = random_word(rng)
             try:
                 outcome = left_engel_probe(g, x, bound)
             except WordLengthCapExceeded:

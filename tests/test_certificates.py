@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from grigor import certificates
 from grigor.decide import witness_vertex
@@ -8,6 +11,8 @@ from grigor.engel import (
     replay_bounded_left,
     replay_right,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_sink_round_trip():
@@ -81,6 +86,15 @@ def test_bound_below_one_rejected():
     for data in (no_sink, right):
         ok, detail = certificates.verify(data)
         assert not ok and "bound" in detail
+
+
+@pytest.mark.parametrize(
+    "name", ["bounded_left_refutation", "right_refutation_a", "right_refutation_d"]
+)
+def test_trivial_x_rejected(name):
+    data = json.loads((GOLDEN / f"{name}.json").read_text())
+    data["x"] = "adadadad"  # (ad)^4 = 1
+    assert certificates.verify(data) == (False, "x is trivial")
 
 
 def test_membership_certificate():

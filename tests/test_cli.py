@@ -197,6 +197,19 @@ def test_replay_right_cli(capsys, tmp_path):
     assert code == 0 and out.startswith("OK")
 
 
+@pytest.mark.parametrize("command", ["replay-left", "replay-right"])
+@pytest.mark.parametrize("x", ["1", "adadadad"])  # (ad)^4 = 1
+def test_replay_rejects_trivial_x(capsys, command, x):
+    assert run(capsys, command, x, "-N", "3") == (2, "", "error: x must be nontrivial")
+
+
+def test_replay_left_rejects_non_involution(capsys):
+    # ad has order 4.
+    assert run(capsys, "replay-left", "ad", "-N", "3") == (
+        2, "", "error: x must be an involution; non-involutions are handled empirically"
+    )
+
+
 def test_search_pair(capsys):
     code, data = run_json(capsys, "search-pair", "-N", "2")
     assert code == 0

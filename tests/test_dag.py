@@ -10,7 +10,7 @@ from grigor.dag import Dag
 from grigor.branch import flatten, search_high_order
 from grigor.decide import witness_vertex
 from grigor.engel import (
-    probe_towers,
+    probe,
     random_involution,
     random_word,
     replay_right,
@@ -103,13 +103,15 @@ def test_probe_towers_agree_with_is_trivial():
     sinks = nontrivial = 0
     for i in range(240):
         g = random_involution(rng) if i % 2 == 0 else random_word(rng)
-        dag = Dag()
-        for word, t in islice(probe_towers(dag, random_word(rng), g), 8):
-            assert (t == 0) == ref.is_trivial(word), (g, word)
-            if t == 0:
-                sinks += 1
-                break
-            nontrivial += 1
+        x = random_word(rng)
+        _, lengths, m, t = probe(x, g, 8)
+        words = list(islice(tower(x, g), m))
+        assert lengths == [len(word) for word in words], (g, x)
+        assert not any(map(ref.is_trivial, words[:-1])), (g, x)
+        assert (t == 0) == ref.is_trivial(words[-1]), (g, x)
+        assert t == 0 or m == 8, (g, x)
+        sinks += t == 0
+        nontrivial += m - (t == 0)
     assert sinks >= 120 and nontrivial
 
 
