@@ -39,11 +39,6 @@ U = reduce_word("badabada")  # u = (bada)^2, psi(u) = (t, 1)
 V = reduce_word("abadabad")  # v = (abad)^2, psi(v) = (1, t)
 
 
-def k_generators() -> tuple[str, str, str]:
-    """The witnesses (t, u, v) for the branching structure."""
-    return T, U, V
-
-
 @dataclass(frozen=True)
 class TWord:
     """Formal product of signed conjugates of t: prod (t^w_i)^(s_i).
@@ -67,9 +62,6 @@ class TWord:
     def commutator_with(self, other: "TWord") -> "TWord":
         """[self, other] = self^-1 . self^other."""
         return self.inverse() * self.conjugated(flatten(other))
-
-    def __str__(self) -> str:
-        return format_tword(self)
 
 
 T_ATOM = TWord(((IDENTITY, 1),))  # t itself
@@ -171,13 +163,14 @@ def build_level_quotient(n: int) -> LevelQuotient:
 
 
 @lru_cache(maxsize=None)
-def certified_plateau(max_level: int = config.QUOTIENT_MAX_LEVEL) -> int | None:
-    """Least level n such that k_image_index is constant on n..n+2 (n+2 <= max).
+def certified_plateau() -> int | None:
+    """Least level n such that k_image_index is constant on n..n+2, with
+    n+2 <= QUOTIENT_MAX_LEVEL.
 
     Returns None when no plateau certifies within the level budget.
     """
     indices: list[int] = []
-    for n in range(1, max_level + 1):
+    for n in range(1, config.QUOTIENT_MAX_LEVEL + 1):
         indices.append(build_level_quotient(n).k_image_index)
         run = config.PLATEAU_RUN
         if len(indices) >= run and len(set(indices[-run:])) == 1:
@@ -193,7 +186,7 @@ K_LEVEL = 3
 @lru_cache(maxsize=None)
 def k_image_table() -> frozenset[tuple[int, ...]]:
     """The level-K_LEVEL permutations of K: the closure of those of t, u, v."""
-    gens = [word_perm(w, K_LEVEL) for w in k_generators()]
+    gens = [word_perm(w, K_LEVEL) for w in (T, U, V)]
     image = {tuple(range(1 << K_LEVEL))}
     while True:
         grown = image | {tuple(gen[list(p)].tolist()) for p in image for gen in gens}
@@ -204,14 +197,11 @@ def k_image_table() -> frozenset[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class KMembershipResult:
-    """Inside/Outside with the level that decided it."""
+    """Inside/Outside for the reduced word, with the level that decided it."""
 
+    word: str
     verdict: str  # "inside" | "outside"
     level: int
-
-    @property
-    def is_inside(self) -> bool:
-        return self.verdict == "inside"
 
 
 def membership_in_K(g: str) -> KMembershipResult:
@@ -222,9 +212,9 @@ def membership_in_K(g: str) -> KMembershipResult:
     """
     g = reduce_word(g)
     if a_parity(g):
-        return KMembershipResult("outside", 1)
+        return KMembershipResult(g, "outside", 1)
     inside = tuple(word_perm(g, K_LEVEL).tolist()) in k_image_table()
-    return KMembershipResult("inside" if inside else "outside", K_LEVEL)
+    return KMembershipResult(g, "inside" if inside else "outside", K_LEVEL)
 
 
 def random_tword(
@@ -243,41 +233,30 @@ def random_tword(
 
 @lru_cache(maxsize=32, typed=True)
 def search_high_order(
-    target_order: int,
+    exponent: int,
     budget: int = config.SEARCH_BUDGET,
     seed: int = 0,
-    exact: bool = False,
 ) -> TWord:
-    """A TWord whose flattening has order >= target_order (a power of 2).
+    """A TWord whose flattening has order >= 2**exponent.
 
     Deterministic given the seed: t itself is tried first, then random
     products of conjugates of t.  The budget is split over three rounds
     with the conjugator length bound doubling between rounds.  Since all
     orders are powers of two, order >= 2**e iff the order is not exact at
-    cap e-1.  With exact=True the order must equal target_order.
+    cap e-1; the order 2**e itself is never built.
 
     The result depends on the arguments alone, so it is memoized per
     process; SearchExhausted and CapExceeded are raised again on every
     call, never cached.
     """
-    if target_order < 1 or target_order & (target_order - 1):
-        raise ValueError("target_order must be a power of two")
-    exponent = target_order.bit_length() - 1
+    if exponent < 0:
+        raise ValueError("exponent must be >= 0")
 
-    def qualifies(k: TWord) -> TWord | None:
-        if order(flatten(k), max(exponent - 1, 0)).is_exact:
-            return None
-        if exponent == 0 or not exact:
-            return k
-        # Square down to the exact order: in a cyclic 2-group, squaring
-        # halves the order.
-        while not order(flatten(k), exponent).is_exact:
-            k = k * k
-        return k
+    def qualifies(k: TWord) -> bool:
+        return not order(flatten(k), max(exponent - 1, 0)).is_exact
 
-    found = qualifies(T_ATOM)
-    if found is not None:
-        return found
+    if qualifies(T_ATOM):
+        return T_ATOM
     rng = random.Random(seed)
     rounds = 3
     per_round = max(1, budget // rounds)
@@ -288,10 +267,10 @@ def search_high_order(
             if spent >= budget:
                 break
             spent += 1
-            found = qualifies(random_tword(rng, conj_len=length))
-            if found is not None:
-                return found
+            k = random_tword(rng, conj_len=length)
+            if qualifies(k):
+                return k
         length *= 2
     raise SearchExhausted(
-        f"no element of order >= {target_order} found within budget {budget}"
+        f"no element of order >= 2^{exponent} found within budget {budget}"
     )

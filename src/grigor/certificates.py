@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Any
 
 from . import __version__, config
-from .branch import flatten, format_tword, membership_in_K, parse_tword
+from .branch import KMembershipResult, flatten, format_tword, membership_in_K, parse_tword
 from .dag import A, IDENTITY, Dag, shared
 from .engel import (
     BoundedLeftRefutation,
@@ -39,42 +39,32 @@ from .engel import (
     probe,
     right_towers,
 )
-from .words import format_word, parse_word, reduce_word
+from .words import format_word, parse_word
 
-Certificate = EngelSink | NoSinkUpTo | BoundedLeftRefutation | RightRefutation
-
-
-def _header(kind: str) -> dict[str, Any]:
-    return {"schema": config.SCHEMA_VERSION, "engine": __version__, "kind": kind}
+Certificate = (
+    EngelSink | NoSinkUpTo | BoundedLeftRefutation | RightRefutation | KMembershipResult
+)
 
 
 def to_dict(cert: Certificate) -> dict[str, Any]:
     """Serializable dict form of any certificate."""
     for kind, (issuer, fields, _) in _KINDS.items():
         if type(cert) is issuer:
-            return _header(kind) | {
-                name: write(getattr(cert, name)) for name, (_, write) in fields.items()
-            }
+            data = {"schema": config.SCHEMA_VERSION, "engine": __version__, "kind": kind}
+            for name, (_, write) in fields.items():
+                data[name] = write(getattr(cert, name))
+            return data
     raise TypeError(f"not a certificate: {cert!r}")
 
 
 def membership_certificate(word: str) -> dict[str, Any]:
     """Certificate form of a K-membership verdict."""
-    result = membership_in_K(word)
-    return _header("k_membership") | {
-        "word": format_word(reduce_word(word)),
-        "verdict": result.verdict,
-        "level": result.level,
-    }
+    return to_dict(membership_in_K(word))
 
 
 def dumps(data: dict[str, Any]) -> str:
     """Deterministic JSON text (byte-identical for identical inputs)."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def serialize(cert: Certificate) -> str:
-    return dumps(to_dict(cert))
 
 
 def _check_chain(dag: Dag, x: int, chain: list[list[Any]], x_active: int) -> str | None:
@@ -276,9 +266,8 @@ def _verify_membership(data: dict[str, Any]) -> tuple[bool, str]:
     return True, f"membership verdict {result.verdict} confirmed"
 
 
-# Each kind: the class that issues it (k_membership is issued as a dict),
-# the (shape check, writer) of each field in the order the shapes are
-# checked, and its verifier.
+# Each kind: the class that issues it, the (shape check, writer) of each
+# field in the order the shapes are checked, and its verifier.
 _KINDS = {
     "engel_sink": (
         EngelSink,
@@ -307,7 +296,7 @@ _KINDS = {
         _verify_right,
     ),
     "k_membership": (
-        None,
+        KMembershipResult,
         {"word": _WORD, "verdict": _TEXT, "level": _INTEGER},
         _verify_membership,
     ),

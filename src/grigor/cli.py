@@ -13,11 +13,12 @@ certificate), 2 usage errors, 3 resource caps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import branch, certificates, config, decide, engel, leafperm, tree, words
-from .errors import CapExceeded, PreconditionViolated, SearchExhausted
+from .errors import CapExceeded, SearchExhausted
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -217,6 +218,7 @@ def _write_certificate(path: str, data: dict) -> None:
         fh.write("\n")
 
 
+@functools.cache  # built on the first call, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grigor",
@@ -319,15 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize success of --help
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, PreconditionViolated, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # PreconditionViolated, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, SearchExhausted) as exc:

@@ -2,12 +2,11 @@
 
 is_trivial, are_equal and order decide on section-DAG elements (module
 `dag`), all on its "decide" table: one long-lived table for every caller
-in the process, as the triviality `lru_cache` it replaces was.  A word
-becomes an element by the classical contracting recursion -- a reduced
-word of length L has sections of at most (L+1)//2 letters, asserted at
-runtime -- so a word is trivial iff its id is 0, two words are equal iff
-their ids are, and the order is `Dag.order_exponent`.  No id leaves a
-call: these take words and return bools and orders.
+in the process.  A word becomes an element by the classical contracting
+recursion -- a reduced word of length L has sections of at most (L+1)//2
+letters, asserted at runtime -- so a word is trivial iff its id is 0, two
+words are equal iff their ids are, and the order is `Dag.order_exponent`.
+No id leaves a call: these take words and return bools and orders.
 
 witness_vertex is the independent semi-oracle: it composes generator leaf
 permutations (module `leafperm`) and never touches the section DAG, so

@@ -166,9 +166,10 @@ def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
 def lemma1_check(k: TWord, g: str, m: int) -> bool:
     """Verify the tower formula for y with psi(y) = (k, 1) against x = a.g.
 
-    Requires g in St(1) and (a.g)^2 = 1 (which forces g2 = g1^-1).  Both
-    sides are decided independently on one fresh Dag: the left by running
-    the tower and reading its sections, the right from the closed form
+    Requires g in St(1) and (a.g)^2 = 1 (which forces g2 = g1^-1).  y is
+    built from its sections (k, 1), and both sides are decided on one fresh
+    Dag: the left by running the tower and reading its sections, the right
+    from the closed form
     (k^((-1)^m 2^(m-1)), (k^g2)^((-1)^(m-1) 2^(m-1))) by m - 1 squarings.
     """
     if m < 1:
@@ -181,11 +182,11 @@ def lemma1_check(k: TWord, g: str, m: int) -> bool:
     x = dag.mul(A, fg)
     if dag.mul(x, x) != 0:  # id 0 is the identity
         raise PreconditionViolated("a.g must be an involution")
-    y = dag.from_word(emb_pair(k, TWord()))
+    power = dag.from_word(flatten(k))
+    y = dag.node(0, power, 0)  # psi(y) = (k, 1); id 0 is the identity
     active, left, right = dag.nodes[dag.iterated_commutator(y, x, m)]
     if active:
         return False
-    power = dag.from_word(flatten(k))
     for _ in range(m - 1):  # k^(2^(m-1)); squaring stops at the identity
         if power == 0:
             break
@@ -311,7 +312,7 @@ def replay_bounded_left(
             "x must be an involution; non-involutions are handled empirically"
         )
     chain, active = section_chain(x)
-    k = search_high_order(1 << bound, budget=budget, seed=seed)
+    k = search_high_order(bound, budget=budget, seed=seed)
     y = emb_pair(k, TWord())
 
     def witness(dag: Dag) -> str:
@@ -463,32 +464,4 @@ def involution_survey(
     return SurveyReport(
         samples, opponents, bound, seed, sinks, no_sink, overflow,
         depths, tuple(flagged),
-    )
-
-
-def find_nonsink_opponent(
-    g: str,
-    bound: int,
-    budget: int = 200,
-    seed: int = 0,
-) -> tuple[str, NoSinkUpTo]:
-    """Search for an x whose tower against g survives to the given bound.
-
-    Candidates are embeddings of random K-elements and random words; used
-    to exhibit witnesses against non-involutions being left Engel.
-    """
-    rng = random.Random(seed)
-    for i in range(budget):
-        if i % 2 == 0:
-            x = emb_pair(random_tword(rng, max_factors=2), TWord())
-        else:
-            x = random_word(rng)
-        try:
-            outcome = left_engel_probe(g, x, bound)
-        except WordLengthCapExceeded:
-            continue
-        if isinstance(outcome, NoSinkUpTo):
-            return x, outcome
-    raise SearchExhausted(
-        f"no opponent surviving {bound} tower steps found within {budget}"
     )

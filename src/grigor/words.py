@@ -62,16 +62,6 @@ def reduce_word(raw: str) -> str:
     return "".join(out)
 
 
-def is_reduced(w: str) -> bool:
-    """True iff w satisfies the reduced-shape invariants."""
-    for i, ch in enumerate(w):
-        if ch not in LETTERS:
-            return False
-        if i and (w[i - 1] == ch or (w[i - 1] != "a" and ch != "a")):
-            return False
-    return True
-
-
 def a_parity(w: str) -> int:
     """Parity of the number of `a` letters; 1 means the root is active."""
     return w.count("a") & 1

@@ -5,12 +5,7 @@ import pytest
 
 from grigor import certificates
 from grigor.decide import witness_vertex
-from grigor.engel import (
-    find_nonsink_opponent,
-    left_engel_probe,
-    replay_bounded_left,
-    replay_right,
-)
+from grigor.engel import left_engel_probe, replay_bounded_left, replay_right
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,8 +28,7 @@ def test_sink_rejects_wrong_depth():
 
 
 def test_no_sink_round_trip():
-    _, outcome = find_nonsink_opponent("ad", 5, seed=3)
-    data = certificates.to_dict(outcome)
+    data = certificates.to_dict(left_engel_probe("ad", "badabada", 5))
     assert data["kind"] == "non_engel_witness"
     ok, detail = certificates.verify(data)
     assert ok, detail
@@ -46,7 +40,7 @@ def test_no_sink_round_trip():
 
 def test_bounded_left_round_trip():
     cert = replay_bounded_left("a", 3, seed=0)
-    data = json.loads(certificates.serialize(cert))
+    data = json.loads(certificates.dumps(certificates.to_dict(cert)))
     ok, detail = certificates.verify(data)
     assert ok, detail
 
@@ -115,6 +109,6 @@ def test_unknown_kind_and_schema():
 
 
 def test_deterministic_serialization():
-    a = certificates.serialize(replay_bounded_left("a", 3, seed=7))
-    b = certificates.serialize(replay_bounded_left("a", 3, seed=7))
+    a = certificates.dumps(certificates.to_dict(replay_bounded_left("a", 3, seed=7)))
+    b = certificates.dumps(certificates.to_dict(replay_bounded_left("a", 3, seed=7)))
     assert a == b

@@ -65,6 +65,13 @@ def test_order(capsys):
     assert code == 0 and data["order"] == 16 and data["exact"] is True
 
 
+def test_parser_reuse_keeps_no_flags(capsys):
+    # The parser is built once per process; one call's --json and
+    # --order-cap must not carry over to the next.
+    assert run(capsys, "--json", "order", "ab", "--order-cap", "2")[0] == 0
+    assert run(capsys, "order", "ab") == (0, "16", "")
+
+
 def test_order_of_long_word():
     # Squaring this 65,536-letter word up to its order 512 takes more than
     # 30 s; the section DAG needs well under a second.  The order of the
@@ -395,10 +402,14 @@ def test_verify_rejects_inflated_left_bound(tmp_path):
     assert proc.stdout.startswith("FAIL: k does not have order > 2^29")
 
 
-def test_replay_left_high_bound_exhausts():
-    proc = run_child("-m", "grigor.cli", "replay-left", "a", "-N", "20", "--budget", "3")
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("resource cap: no element of order >= 1048576")
+@pytest.mark.parametrize("bound", [20, 20000])
+def test_replay_left_high_bound_exhausts(bound):
+    # The search names the order by its exponent, so no 2**bound integer is
+    # built or printed.
+    argv = ("-m", "grigor.cli", "replay-left", "a", "-N", str(bound), "--budget", "3")
+    proc = run_child(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"resource cap: no element of order >= 2^{bound} ")
 
 
 def test_stab_deep_level():

@@ -1,0 +1,109 @@
+"""Fuzz the command line with drawn argv for every subcommand but two.
+
+`quotient` builds sympy level quotients (seconds each) and `verify` has
+its own fuzz test, so both are left out.  Words mix `abcd` with other
+characters, TWord literals are well formed or not, and the integer flags
+take small values, negatives included; the search commands always get a
+small `--budget`, so a failing search stops fast.  Whatever the argv,
+`main` must return an exit code from 0 to 3 and raise nothing.
+"""
+
+import contextlib
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grigor.branch import TWord, format_tword
+from grigor.cli import main
+
+
+def mostly(valid, junk):
+    """Values from `valid` nine times in ten, from `junk` otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: junk if i == 0 else valid)
+
+
+# A few involutions and short elements next to random words, so that
+# replay-left gets past its involution check.
+WORDS = mostly(
+    st.text("abcd", max_size=10) | st.sampled_from(["a", "d", "aca", "ad", "1"]),
+    st.text("abcd1xA -", max_size=4),
+)
+VERTICES = mostly(st.text("01", max_size=6), st.text("012x", max_size=3))
+TWORDS = mostly(
+    st.lists(
+        st.tuples(st.text("abcd", max_size=4), st.sampled_from((1, -1))), max_size=3
+    ).map(lambda factors: format_tword(TWord(tuple(factors)))),
+    st.text("1^+-;abx", max_size=6),
+)
+
+
+def integers(low, high):
+    return mostly(st.integers(low, high).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+def one(values):
+    return values.map(lambda value: [value])
+
+
+def required(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def flag(name, values):
+    """An optional `name value` pair."""
+    return st.just([]) | required(name, values)
+
+
+def args(*parts):
+    return st.tuples(*parts).map(lambda drawn: [a for part in drawn for a in part])
+
+
+SEARCH = (required("--budget", integers(-2, 20)), flag("--seed", integers(-2, 3)))
+SUBCOMMANDS = {
+    "reduce": args(one(WORDS)),
+    "eq": args(one(WORDS), one(WORDS)),
+    "order": args(one(WORDS), flag("--order-cap", integers(-2, 14))),
+    "act": args(one(WORDS), one(VERTICES)),
+    "sections": args(one(WORDS), one(integers(-2, 8))),
+    "stab": args(one(WORDS), one(integers(-2, 12))),
+    "first-active": args(one(WORDS)),
+    "k-test": args(one(WORDS)),
+    "k-embed": args(one(TWORDS), one(TWORDS)),
+    "lift": args(one(WORDS), st.sampled_from([[], ["--second"]])),
+    "engel-probe": args(
+        required("--g", WORDS), required("--x", WORDS), flag("--bound", integers(-2, 6))
+    ),
+    "lemma1": args(
+        required("--k", TWORDS), required("--g", WORDS), required("--m", integers(-2, 8))
+    ),
+    "lemma2": args(
+        required("--x", WORDS), required("--y", WORDS), required("--m", integers(-2, 8))
+    ),
+    "replay-left": args(one(WORDS), required("-N", integers(-2, 6)), *SEARCH),
+    "replay-right": args(one(WORDS), required("-N", integers(-2, 6)), *SEARCH),
+    "search-pair": args(required("-N", integers(-2, 8)), *SEARCH),
+    "survey": args(
+        required("--samples", integers(-2, 2)),
+        flag("--bound", integers(-2, 8)),
+        flag("--opponents", integers(-2, 2)),
+        flag("--seed", integers(-2, 3)),
+    ),
+}
+
+
+@st.composite
+def argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    prefix = draw(st.sampled_from([[], ["--json"]]))
+    stray = draw(mostly(st.just([]), st.sampled_from([["--bogus"], ["-N"], ["a"]])))
+    return prefix + [command] + draw(SUBCOMMANDS[command]) + stray
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(argv=argv())
+def test_main_exits_0_to_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (code, out.getvalue(), err.getvalue())

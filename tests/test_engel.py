@@ -11,7 +11,6 @@ from grigor.engel import (
     EngelSink,
     NoSinkUpTo,
     exact_witness,
-    find_nonsink_opponent,
     involution_survey,
     iterated_commutator,
     left_engel_probe,
@@ -68,7 +67,8 @@ def test_probe_involution_sinks(rng):
 
 
 def test_probe_no_sink_has_witness():
-    x, outcome = find_nonsink_opponent("ad", 6, seed=3)
+    x = "daca"
+    outcome = left_engel_probe("ad", x, 6)
     assert isinstance(outcome, NoSinkUpTo)
     tower = iterated_commutator(x, "ad", 6)
     assert act(tower, outcome.witness) != outcome.witness

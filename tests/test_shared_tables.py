@@ -27,7 +27,8 @@ def _nodes(role):
 
 
 def _verify(cert):
-    ok, detail = certificates.verify(json.loads(certificates.serialize(cert)))
+    text = certificates.dumps(certificates.to_dict(cert))
+    ok, detail = certificates.verify(json.loads(text))
     assert ok, detail
 
 
@@ -90,13 +91,13 @@ def test_half_full_table_is_dropped_at_entry(monkeypatch):
 
 
 def test_warm_overflow_reruns_cold(monkeypatch):
-    cold = certificates.serialize(replay_right("ad", 8))
+    cold = certificates.dumps(certificates.to_dict(replay_right("ad", 8)))
     monkeypatch.setattr(config, "NODE_CAP", _nodes("decide"))  # fits only a fresh table
     dag.TABLES.clear()
     replay_bounded_left("a", 6)
     warm = dag.TABLES["decide"]
     assert warm.size < config.NODE_CAP // 2  # so the table is not dropped at entry
-    assert certificates.serialize(replay_right("ad", 8)) == cold
+    assert certificates.dumps(certificates.to_dict(replay_right("ad", 8))) == cold
     assert dag.TABLES["decide"] is not warm  # the warm attempt overflowed
     assert _nodes("decide") == config.NODE_CAP
 
@@ -135,7 +136,7 @@ def test_shuffled_certify_sequence_matches_cold():
         certs = [replay_right(x, 8)]
         if is_involution:
             certs.append(replay_bounded_left(x, 6))
-        return [certificates.serialize(c) for c in certs]
+        return [certificates.dumps(certificates.to_dict(c)) for c in certs]
 
     cold = {}
     for element in elements:

@@ -4,11 +4,12 @@ from grigor.words import (
     commutator,
     format_word,
     invert,
-    is_reduced,
     multiply,
     parse_word,
     reduce_word,
 )
+
+from word_reference import is_reduced
 
 raw_words = st.text(alphabet="abcd", max_size=64)
 

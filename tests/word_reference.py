@@ -4,9 +4,20 @@ The contraction recursion on reduced words and the order by repeated
 squaring decide the same questions as the section DAG by a second
 algorithm, so tests that compare the two compare something.  Neither is
 memoized: they are slow on long words and meant for short ones.
+`is_reduced` states the shape invariants that `reduce_word` must meet.
 """
 
-from grigor.words import decompose, invert, reduce_word
+from grigor.words import LETTERS, decompose, invert, reduce_word
+
+
+def is_reduced(w: str) -> bool:
+    """True iff w satisfies the reduced-shape invariants."""
+    for i, ch in enumerate(w):
+        if ch not in LETTERS:
+            return False
+        if i and (w[i - 1] == ch or (w[i - 1] != "a" and ch != "a")):
+            return False
+    return True
 
 
 def is_trivial(w: str) -> bool:
