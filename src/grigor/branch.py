@@ -251,6 +251,8 @@ def search_high_order(
     """
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
 
     def qualifies(k: TWord) -> bool:
         return not order(flatten(k), max(exponent - 1, 0)).is_exact

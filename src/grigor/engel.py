@@ -5,12 +5,14 @@ The left-normed tower is [x,_1 g] = x^-1 g^-1 x g and
 verifiers ask two questions of a tower entry -- is it the identity, and
 which vertex does it move -- and answer both on section-DAG ids
 (`Dag.tower`, `Dag.iterated_commutator`), whose elements do not double
-in size with each step; `exact_witness` is the one witness routine.  The
-reduced-word `tower` serves probe transcripts only: they record word
-lengths, and its length cap ends a probe visibly.  `probe` is the one
-probe walk, which `left_engel_probe` issues from and the probe verifiers
-check with.  The lemma checks decide both sides of their identities on
-one fresh Dag.  Words stay the input and output.
+in size with each step.  `exact_witness` is the one witness routine: it
+takes any entries of one tower and cross-checks them all in one leafperm
+pass, at the level the deepest of them needs.  The reduced-word `tower`
+serves probe transcripts only: they record word lengths, and its length
+cap ends a probe visibly.  `probe` is the one probe walk, which
+`left_engel_probe` issues from and the probe verifiers check with.  The
+lemma checks decide both sides of their identities on one fresh Dag.
+Words stay the input and output.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
@@ -49,7 +51,7 @@ from .errors import (
     SearchExhausted,
     WordLengthCapExceeded,
 )
-from .leafperm import moved_vertex, tower_perm
+from .leafperm import moved_vertex, tower_perms
 from .tree import decompose, first_active_level
 from .words import IDENTITY, a_parity, commutator, invert, multiply, reduce_word
 
@@ -72,24 +74,34 @@ def iterated_commutator(x: str, g: str, n: int) -> str:
     return next(islice(tower(x, g), n - 1, None))
 
 
-def exact_witness(dag: Dag, t: int, x: str, g: str, m: int) -> str:
-    """The minimal-depth, lexicographically least vertex moved by t = [x,_m g].
+def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int, str]:
+    """The minimal-depth, lexicographically least vertex moved by each entry.
 
-    t is held in dag, and m = 0 means t is the plain word x.  The depth
-    comes from t's sections; leafperm rebuilds the level permutation of
-    [x,_m g] from the words x and g alone, and the two must agree.  The
-    oracle builds 2**depth-entry arrays, so depths past 2 * MAX_DEPTH raise
+    entries maps m to the id in dag of t = [x,_m g]; m = 0 means t is the
+    plain word x.  Each depth comes from t's sections.  leafperm walks the
+    tower of the words x and g once, at the level n one below the deepest
+    entry, and every entry's permutation must move a vertex of exactly its
+    depth.  A vertex moved at depth k moves all its descendants, so the
+    least moved vertex read at level n is the one read at level k.  The
+    oracle builds 2**n-entry arrays, so n past 2 * MAX_DEPTH raises
     CapExceeded.
     """
-    level = dag.first_active_level(t)
-    if level is None:
+    levels = {m: dag.first_active_level(t) for m, t in entries.items()}
+    if None in levels.values():
         raise PreconditionViolated("a trivial element moves no vertex")
-    if level + 1 > 2 * config.MAX_DEPTH:
+    n = max(levels.values()) + 1
+    if n > 2 * config.MAX_DEPTH:
         raise CapExceeded(f"first moved vertex lies below depth {2 * config.MAX_DEPTH}")
-    witness = moved_vertex(tower_perm(x, g, m, level + 1), level + 1)
-    if witness is None or len(witness) != level + 1:
-        raise AssertionError(f"leaf permutations disagree with first active level {level}")
-    return witness
+    witnesses: dict[int, str] = {}
+    for m, perm in enumerate(islice(tower_perms(x, g, n), max(levels) + 1)):
+        if m in levels:
+            witness = moved_vertex(perm, n)
+            if witness is None or len(witness) != levels[m] + 1:
+                raise AssertionError(
+                    f"leaf permutations disagree with first active level {levels[m]}"
+                )
+            witnesses[m] = witness
+    return witnesses
 
 
 def probe(x: str, g: str, depth: int) -> tuple[Dag, list[int], int, int]:
@@ -160,7 +172,8 @@ def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
     dag, transcript, n, t = probe(rx, g, bound)
     if t == 0:  # id 0 is the identity
         return EngelSink(g, x, n, tuple(transcript))
-    return NoSinkUpTo(g, x, bound, tuple(transcript), exact_witness(dag, t, rx, g, bound))
+    witness = exact_witness(dag, {bound: t}, rx, g)[bound]
+    return NoSinkUpTo(g, x, bound, tuple(transcript), witness)
 
 
 def lemma1_check(k: TWord, g: str, m: int) -> bool:
@@ -317,7 +330,7 @@ def replay_bounded_left(
 
     def witness(dag: Dag) -> str:
         t = dag.iterated_commutator(dag.from_word(y), dag.from_word(active), bound)
-        return exact_witness(dag, t, y, active, bound)
+        return exact_witness(dag, {bound: t}, y, active)[bound]
 
     return BoundedLeftRefutation(x, chain, active, k, bound, y, shared("decide", witness))
 
@@ -337,6 +350,8 @@ def search_nonengel_pair(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     rng = random.Random(seed)
 
     def qualifies(h: TWord, y1: TWord) -> bool:
@@ -385,15 +400,15 @@ def replay_right(
     y = emb_pair(y1, y2)
 
     def witnesses(dag: Dag) -> tuple[str, ...]:
-        found: list[str] = []
+        entries: dict[int, int] = {}
         for m, (t, first) in enumerate(islice(right_towers(dag, active, y, h, y1), bound), 2):
             t_active, t_left, _ = dag.nodes[t]
             if t_active:
                 raise AssertionError("tower left St(1); identity preconditions broken")
             if t_left != first:
                 raise AssertionError("tower identity cross-check failed")
-            found.append(exact_witness(dag, t, active, y, m))
-        return tuple(found)
+            entries[m] = t
+        return tuple(exact_witness(dag, entries, active, y).values())
 
     return RightRefutation(
         x, chain, active, h, y1, y2, y, bound, shared("decide", witnesses)
@@ -441,6 +456,10 @@ def involution_survey(
     (or overflow the length cap) are reported and flagged, never treated
     as counterexamples.
     """
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
+    if opponents < 0:
+        raise ValueError("opponents must be >= 0")
     rng = random.Random(seed)
     sinks = no_sink = overflow = 0
     depths: dict[int, int] = {}

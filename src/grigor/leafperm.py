@@ -5,17 +5,23 @@ level-n vertices are assembled from the defining recursion of a, b, c, d
 and composed along a word, with no use of word reduction, of the `tree`
 module or of section DAGs.  The `decide` and `engel` modules use it as a
 cross-validating oracle, and the `branch` module uses it to generate
-finite level quotients.
+finite level quotients.  `tower_perms` walks a whole commutator tower at
+one level: one `word_perm` per word, then one commutator per entry.
 
 Permutations are numpy index arrays; p[i] is the image of vertex i
-(vertices encoded as big-endian binary integers).
+(vertices encoded as big-endian binary integers).  numpy is imported
+inside the functions, so importing this module (and the CLI) does not
+load it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -25,6 +31,8 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
     a swaps the two halves; b, c, d act blockwise by their defining
     sections b = (a, c), c = (a, d), d = (1, b).
     """
+    import numpy as np
+
     if n < 0:
         raise ValueError("level must be >= 0")
     if n == 0:
@@ -50,6 +58,8 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
 
 def word_perm(w: str, n: int) -> np.ndarray:
     """Permutation induced on level n by a raw word (leftmost letter first)."""
+    import numpy as np
+
     gens = generator_perms(n)
     p = np.arange(1 << n, dtype=np.int64)
     for ch in w:
@@ -57,21 +67,23 @@ def word_perm(w: str, n: int) -> np.ndarray:
     return p
 
 
-def tower_perm(x: str, g: str, m: int, n: int) -> np.ndarray:
-    """Level-n permutation of the tower [x,_m g], from those of x and g alone.
+def tower_perms(x: str, g: str, n: int) -> Iterator[np.ndarray]:
+    """Level-n permutations of x, [x,_1 g], [x,_2 g], ..., from x and g alone.
 
     The level action is a homomorphism, so each step forms the commutator
     [p, q] = p^-1 q^-1 p q of permutations in the level-n quotient; no word
-    of the tower is built.
+    of the tower is built, and each word's permutation is built once.
     """
     p, q = word_perm(x, n), word_perm(g, n)
     q_inv = _inverse(q)
-    for _ in range(m):
+    while True:
+        yield p
         p = q[p[q_inv[_inverse(p)]]]
-    return p
 
 
 def _inverse(p: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p), dtype=p.dtype)
     return inv
@@ -83,6 +95,8 @@ def moved_vertex(perm: np.ndarray, n: int) -> str | None:
     A depth-k vertex is moved iff its block of level-n descendants maps to
     a different block, which the block's first leaf already reveals.
     """
+    import numpy as np
+
     for k in range(1, n + 1):
         shift = n - k
         tops = perm[:: 1 << shift] >> shift

@@ -43,6 +43,24 @@ def run_child(*argv, timeout=30):
     )
 
 
+def test_import_and_refutation_verify_leave_numpy_unloaded():
+    # Only leafperm uses numpy, and it imports numpy on first use: the CLI
+    # import and the verifiers of these kinds never reach it.
+    files = [str(GOLDEN / f"{name}.json") for name in
+             ("right_refutation_a", "bounded_left_refutation", "engel_sink")]
+    script = (
+        "import sys\n"
+        "import grigor.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        f"for path in {files!r}:\n"
+        "    assert grigor.cli.main(['verify', path]) == 0, path\n"
+        "    assert 'numpy' not in sys.modules, path\n"
+    )
+    proc = run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("OK") == len(files)
+
+
 def test_reduce(capsys):
     assert run(capsys, "reduce", "bc") == (0, "d", "")
     assert run(capsys, "reduce", "abba")[1] == "1"
@@ -229,6 +247,20 @@ def test_survey(capsys):
     )
     assert code == 0
     assert data["sinks"] == 10
+
+
+@pytest.mark.parametrize(
+    ("argv", "name"),
+    [
+        (("survey", "--samples", "-2"), "samples"),
+        (("survey", "--samples", "1", "--opponents", "-3"), "opponents"),
+        (("replay-left", "a", "-N", "8", "--budget", "-1"), "budget"),
+        (("replay-right", "a", "-N", "3", "--budget", "-1"), "budget"),
+        (("search-pair", "-N", "3", "--budget", "-4"), "budget"),
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv, name):
+    assert run(capsys, *argv) == (2, "", f"error: {name} must be >= 0")
 
 
 def test_resource_cap_exit(capsys):

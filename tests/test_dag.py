@@ -1,10 +1,13 @@
 """Section-DAG elements against word-level reference algorithms and leafperm."""
 
+import ast
 import random
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
+import grigor
 from grigor import certificates, config
 from grigor.dag import Dag
 from grigor.branch import flatten, search_high_order
@@ -18,7 +21,7 @@ from grigor.engel import (
     tower,
 )
 from grigor.errors import CapExceeded
-from grigor.leafperm import tower_perm, word_perm
+from grigor.leafperm import tower_perms, word_perm
 from grigor.tree import act
 from grigor.words import a_parity, reduce_word
 
@@ -82,18 +85,34 @@ def test_leaf_products_use_the_klein_table():
 
 
 def test_dag_tower_matches_word_tower():
-    # DAG entries against the word tower, and leafperm's quotient tower
-    # against the permutation of the word entry, for depths <= 5.
+    # DAG entries against the word tower, and leafperm's one-pass quotient
+    # tower against the permutation of each word entry (x itself first),
+    # for depths <= 5.
     rng = random.Random(7)
     pairs = [(make_word(rng, rng.randint(1, 12)), make_word(rng, rng.randint(1, 12)))
              for _ in range(40)]
     cert = replay_right("a", 3)
     for x, g in pairs + [(cert.x_active, cert.y)]:
         dag = Dag()
-        entries = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
-        for m, (word, t) in enumerate(islice(entries, 5), 1):
+        perms = tower_perms(x, g, 6)
+        assert (next(perms) == word_perm(x, 6)).all(), (x, g)
+        entries = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)), perms)
+        for m, (word, t, perm) in enumerate(islice(entries, 5), 1):
             assert t == dag.from_word(word), (x, g, m)
-            assert (tower_perm(x, g, m, 6) == word_perm(word, 6)).all(), (x, g, m)
+            assert (perm == word_perm(word, 6)).all(), (x, g, m)
+
+
+def test_leafperm_imports_no_grigor_module():
+    # The oracle stays independent of words, tree and the section DAG.
+    source = Path(grigor.__file__).with_name("leafperm.py").read_text()
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "numpy" in imported
+    assert not [name for name in imported if name.startswith((".", "grigor"))], imported
 
 
 def test_probe_towers_agree_with_is_trivial():

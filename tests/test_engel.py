@@ -118,7 +118,7 @@ def _dag_witness(x, g="", m=0):
     t = dag.from_word(x)
     if m:
         t = next(islice(dag.tower(t, dag.from_word(g)), m - 1, None))
-    return exact_witness(dag, t, x, g, m)
+    return exact_witness(dag, {m: t}, x, g)[m]
 
 
 def test_exact_witness_raises(monkeypatch):
@@ -128,6 +128,44 @@ def test_exact_witness_raises(monkeypatch):
     monkeypatch.setattr(config, "MAX_DEPTH", 1)
     with pytest.raises(CapExceeded):
         _dag_witness("d")
+
+
+def _right_entries(x, bound):
+    """(cert, dag, {m: id of [x_active,_m y]} for 2 <= m <= bound + 1)."""
+    cert = replay_right(x, bound)
+    dag = Dag()
+    towers = dag.tower(dag.from_word(cert.x_active), dag.from_word(cert.y))
+    return cert, dag, dict(enumerate(islice(towers, 1, bound + 1), 2))
+
+
+@pytest.mark.parametrize("x", ["a", "adaca"])
+def test_exact_witness_one_pass_equals_one_call_per_entry(x):
+    # At N = 8 the entries move vertices of depths 6 to 10: one pass at the
+    # deepest level must give each entry the witness of its own call.
+    cert, dag, entries = _right_entries(x, 8)
+    active, y = cert.x_active, cert.y
+    together = exact_witness(dag, entries, active, y)
+    alone = {m: exact_witness(dag, {m: t}, active, y)[m] for m, t in entries.items()}
+    assert together == alone
+    assert tuple(together.values()) == cert.witnesses
+    assert len({len(w) for w in together.values()}) > 2
+
+
+def test_exact_witness_checks_every_entry(monkeypatch):
+    cert, dag, entries = _right_entries("a", 8)
+    active, y = cert.x_active, cert.y
+    # One trivial entry among nontrivial ones.
+    sinking = Dag()
+    tower = sinking.tower(sinking.from_word("b"), sinking.from_word("a"))
+    first, _, _, trivial = islice(tower, 4)  # [b,_4 a] = 1
+    with pytest.raises(PreconditionViolated):
+        exact_witness(sinking, {1: first, 4: trivial}, "b", "a")
+    # One entry past the cap among shallow ones: depths run 6 to 9 here.
+    monkeypatch.setattr(config, "MAX_DEPTH", 4)
+    shallow = {m: t for m, t in entries.items() if m <= 3}
+    assert len(exact_witness(dag, shallow, active, y)) == 2
+    with pytest.raises(CapExceeded):
+        exact_witness(dag, entries, active, y)
 
 
 def test_lemma1_base_case():
