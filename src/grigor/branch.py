@@ -7,7 +7,7 @@ Two complementary mechanisms:
 * decisional: membership is read off the level-3 permutation, since
   St(3) <= K.  The sympy level quotients, imported only when built, serve
   the `quotient` command and cross-check that the index of K's image
-  plateaus from level 3 on.
+  plateaus from level 3 on; sympy is the optional `quotients` extra.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import config
-from .errors import SearchExhausted
+from .errors import CapExceeded, SearchExhausted
 from .decide import order
 from .leafperm import word_perm
 from .words import (
@@ -145,11 +145,16 @@ def build_level_quotient(n: int) -> LevelQuotient:
     """Deterministic stabilizer-chain data for G_n and the image of K.
 
     G_n is generated by the level-n permutations of a, b, c, d; the image
-    of K is the normal closure of the image of t.
+    of K is the normal closure of the image of t.  sympy comes with the
+    optional `quotients` extra; without it this raises CapExceeded.
     """
     if not 1 <= n <= config.QUOTIENT_MAX_LEVEL:
         raise ValueError(f"level must be in 1..{config.QUOTIENT_MAX_LEVEL}")
-    from sympy.combinatorics import Permutation, PermutationGroup
+    try:
+        from sympy.combinatorics import Permutation, PermutationGroup
+    except ImportError as exc:
+        message = "level quotients need sympy: pip install 'grigor[quotients]'"
+        raise CapExceeded(message) from exc
 
     degree = 1 << n
     gens = [

@@ -3,9 +3,10 @@
 Every certificate is a self-contained transcript: the verifier re-checks
 it from the serialized inputs alone, so a certificate file can be audited
 independently of the run that produced it.  Each kind is declared once,
-in `_KINDS`: the class that issues it, the JSON shape and writer of each
-field, and its verifier.  `to_dict`, the shape check that runs before
-anything is computed, and `verify`'s dispatch all read that table.
+in `_KINDS`: the class that issues it, the shape, reader and writer of
+each field, and its verifier of the issuing record.  `to_dict`,
+`from_dict` and `verify` all read that table; `verify` checks every
+field's shape, then parses every field, before anything is computed.
 
 Every check -- triviality, the section chain, the order of k, the
 embedding y, every commutator tower and its moved vertices -- is
@@ -25,6 +26,7 @@ floats, so identical inputs yield byte-identical files.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from itertools import islice
 from typing import Any
 
@@ -51,8 +53,8 @@ def to_dict(cert: Certificate) -> dict[str, Any]:
     for kind, (issuer, fields, _) in _KINDS.items():
         if type(cert) is issuer:
             data = {"schema": config.SCHEMA_VERSION, "engine": __version__, "kind": kind}
-            for name, (_, write) in fields.items():
-                data[name] = write(getattr(cert, name))
+            for name, field in fields.items():
+                data[name] = field.write(getattr(cert, name))
             return data
     raise TypeError(f"not a certificate: {cert!r}")
 
@@ -67,14 +69,20 @@ def dumps(data: dict[str, Any]) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _check_chain(dag: Dag, x: int, chain: list[list[Any]], x_active: int) -> str | None:
+def from_dict(data: dict[str, Any]) -> Certificate:
+    """The record a dict of a known kind and well-shaped fields was written
+    from, the inverse of `to_dict`; ValueError if a word does not parse."""
+    issuer, fields, _ = _KINDS[data["kind"]]
+    return issuer(**{name: field.read(data[name]) for name, field in fields.items()})
+
+
+def _check_chain(dag: Dag, x: int, chain: tuple, x_active: int) -> str | None:
     """Check that x is nontrivial and replay its section descent on ids;
     None when consistent."""
     if x == IDENTITY:
         return "x is trivial"
-    sections = [(bit, parse_word(w)) for bit, w in chain]
     cur = x
-    for bit, section_word in sections:
+    for bit, section_word in chain:
         active, left, right = dag.nodes[cur]
         if active:
             return "chain descends through a word outside St(1)"
@@ -115,22 +123,21 @@ def _chain(value: Any) -> bool:
     )
 
 
-_MUST_BE = {
-    _string: "a string",
-    _integer: "an integer",
-    _strings: "a list of strings",
-    _integers: "a list of integers",
-    _chain: "a list of [0 or 1, word] pairs",
-}
+# A kind of field: its JSON shape check and what a value failing it must be,
+# its reader from JSON into the issuing record, and its writer back.
+_Field = namedtuple("_Field", "shape must_be read write")
 
-# The (shape check, writer) pair of each kind of field.
-_WORD = (_string, format_word)
-_TWORD = (_string, format_tword)
-_TEXT = (_string, str)  # a vertex or a verdict
-_INTEGER = (_integer, int)
-_LENGTHS = (_integers, list)
-_VERTICES = (_strings, list)
-_CHAIN = (_chain, lambda chain: [[bit, format_word(section)] for bit, section in chain])
+_WORD = _Field(_string, "a string", parse_word, format_word)
+_TWORD = _Field(_string, "a string", parse_tword, format_tword)
+_TEXT = _Field(_string, "a string", str, str)  # a vertex or a verdict
+_INTEGER = _Field(_integer, "an integer", int, int)
+_LENGTHS = _Field(_integers, "a list of integers", tuple, list)
+_VERTICES = _Field(_strings, "a list of strings", tuple, list)
+_CHAIN = _Field(
+    _chain, "a list of [0 or 1, word] pairs",
+    lambda chain: tuple((bit, parse_word(section)) for bit, section in chain),
+    lambda chain: [[bit, format_word(section)] for bit, section in chain],
+)
 
 
 def verify(data: dict[str, Any]) -> tuple[bool, str]:
@@ -143,70 +150,62 @@ def verify(data: dict[str, Any]) -> tuple[bool, str]:
     if not isinstance(kind, str) or kind not in _KINDS:
         return False, f"unknown certificate kind {kind!r}"
     _, fields, check = _KINDS[kind]
-    for name, (shape, _) in fields.items():
-        if not shape(data.get(name)):
-            return False, f"malformed certificate: {name} must be {_MUST_BE[shape]}"
+    for name, field in fields.items():
+        if not field.shape(data.get(name)):
+            return False, f"malformed certificate: {name} must be {field.must_be}"
     try:
-        return check(data)
+        return check(from_dict(data))
     except (KeyError, ValueError, TypeError) as exc:
         return False, f"malformed certificate: {exc}"
 
 
-def _verify_sink(data: dict[str, Any]) -> tuple[bool, str]:
-    g = parse_word(data["g"])
-    x = parse_word(data["x"])
-    n = data["n"]
+def _verify_sink(cert: EngelSink) -> tuple[bool, str]:
+    n = cert.n
     if n < 1:
         return False, "sink depth must be >= 1"
-    _, lengths, m, t = probe(x, g, n)
+    _, lengths, m, t = probe(cert.x, cert.g, n)
     if m < n:
         return False, f"tower already trivial at depth {m}"
-    if data["transcript"] != lengths:
+    if cert.transcript != tuple(lengths):
         return False, _TRANSCRIPT_MISMATCH
     if t != IDENTITY:
         return False, f"tower not trivial at claimed depth {n}"
     return True, f"sink at depth {n} confirmed"
 
 
-def _verify_no_sink(data: dict[str, Any]) -> tuple[bool, str]:
-    g = parse_word(data["g"])
-    x = parse_word(data["x"])
-    bound = data["bound"]
+def _verify_no_sink(cert: NoSinkUpTo) -> tuple[bool, str]:
+    bound = cert.bound
     if bound < 1:
         return False, "bound must be >= 1"
-    dag, lengths, m, t = probe(x, g, bound)
+    dag, lengths, m, t = probe(cert.x, cert.g, bound)
     if t == IDENTITY:
         return False, f"tower trivial at depth {m} <= bound"
-    if data["transcript"] != lengths:
+    if cert.transcript != tuple(lengths):
         return False, _TRANSCRIPT_MISMATCH
-    if dag.act(t, data["witness"]) == data["witness"]:
+    if dag.act(t, cert.witness) == cert.witness:
         return False, "witness vertex is not moved by the final tower"
     return True, f"no sink through depth {bound} confirmed"
 
 
-def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
-    x = parse_word(data["x"])
-    x_active = parse_word(data["x_active"])
-    k = parse_tword(data["k"])
-    y = parse_word(data["y"])
-    bound = data["bound"]
+def _verify_bounded_left(cert: BoundedLeftRefutation) -> tuple[bool, str]:
+    bound = cert.bound
     if bound < 1:
         return False, "bound must be >= 1"
 
     def check(dag: Dag) -> str | None:
-        fx, fx_active = dag.from_word(x), dag.from_word(x_active)
+        fx, fx_active = dag.from_word(cert.x), dag.from_word(cert.x_active)
         if dag.mul(fx, fx) != IDENTITY:
             return "x is not an involution"
-        problem = _check_chain(dag, fx, data["chain"], fx_active)
+        problem = _check_chain(dag, fx, cert.chain, fx_active)
         if problem:
             return problem
-        fk, fy = dag.from_word(flatten(k)), dag.from_word(y)
+        fk, fy = dag.from_word(flatten(cert.k)), dag.from_word(cert.y)
         if dag.order_exponent(fk) <= bound - 1:
             return f"k does not have order > 2^{bound - 1}"
         if dag.nodes[fy] != (0, fk, IDENTITY):
             return "y does not embed (flatten(k), 1)"
         t = dag.iterated_commutator(fy, fx_active, bound)
-        if dag.act(t, data["witness"]) == data["witness"]:
+        if dag.act(t, cert.witness) == cert.witness:
             return "witness vertex is not moved by the tower"
         return None
 
@@ -216,34 +215,27 @@ def _verify_bounded_left(data: dict[str, Any]) -> tuple[bool, str]:
     return True, f"left-{bound}-Engel refutation confirmed"
 
 
-def _verify_right(data: dict[str, Any]) -> tuple[bool, str]:
-    x = parse_word(data["x"])
-    x_active = parse_word(data["x_active"])
-    h = parse_tword(data["h"])
-    y1 = parse_tword(data["y1"])
-    y2 = parse_tword(data["y2"])
-    y = parse_word(data["y"])
-    bound = data["bound"]
-    witnesses = data["witnesses"]
+def _verify_right(cert: RightRefutation) -> tuple[bool, str]:
+    bound = cert.bound
     if bound < 1:
         return False, "bound must be >= 1"
 
     def check(dag: Dag) -> str | None:
-        fx, fx_active = dag.from_word(x), dag.from_word(x_active)
-        problem = _check_chain(dag, fx, data["chain"], fx_active)
+        fx, fx_active = dag.from_word(cert.x), dag.from_word(cert.x_active)
+        problem = _check_chain(dag, fx, cert.chain, fx_active)
         if problem:
             return problem
         g1 = dag.nodes[dag.mul(A, fx_active)][1]
-        fy1, fy2 = dag.from_word(flatten(y1)), dag.from_word(flatten(y2))
-        commutator = dag.commutator(fy1, dag.from_word(flatten(h)))
+        fy1, fy2 = dag.from_word(flatten(cert.y1)), dag.from_word(flatten(cert.y2))
+        commutator = dag.commutator(fy1, dag.from_word(flatten(cert.h)))
         if fy2 != dag.conjugate(commutator, dag.inv(g1)):
             return "y2 is not [y1, h]^(g1^-1)"
-        if dag.nodes[dag.from_word(y)] != (0, fy1, fy2):
+        if dag.nodes[dag.from_word(cert.y)] != (0, fy1, fy2):
             return "y does not embed (y1, y2)"
-        if len(witnesses) != bound:
+        if len(cert.witnesses) != bound:
             return "one witness vertex per tower depth is required"
-        pairs = islice(right_towers(dag, x_active, y, h, y1), bound)
-        for m, ((t, first), witness) in enumerate(zip(pairs, witnesses), 1):
+        pairs = islice(right_towers(dag, cert.x_active, cert.y, cert.h, cert.y1), bound)
+        for m, ((t, first), witness) in enumerate(zip(pairs, cert.witnesses), 1):
             if dag.act(t, witness) == witness:
                 return f"witness at m={m} is not moved by the tower"
             t_active, t_left, _ = dag.nodes[t]
@@ -257,17 +249,17 @@ def _verify_right(data: dict[str, Any]) -> tuple[bool, str]:
     return True, f"right-Engel refutation through sink bound {bound + 1} confirmed"
 
 
-def _verify_membership(data: dict[str, Any]) -> tuple[bool, str]:
-    result = membership_in_K(parse_word(data["word"]))
-    if result.verdict != data["verdict"]:
-        return False, f"recomputed verdict {result.verdict} != {data['verdict']}"
-    if data["level"] != result.level:
-        return False, f"recomputed level {result.level} != {data['level']}"
+def _verify_membership(cert: KMembershipResult) -> tuple[bool, str]:
+    result = membership_in_K(cert.word)
+    if result.verdict != cert.verdict:
+        return False, f"recomputed verdict {result.verdict} != {cert.verdict}"
+    if cert.level != result.level:
+        return False, f"recomputed level {result.level} != {cert.level}"
     return True, f"membership verdict {result.verdict} confirmed"
 
 
-# Each kind: the class that issues it, the (shape check, writer) of each
-# field in the order the shapes are checked, and its verifier.
+# Each kind: the class that issues it, each field's kind in the order the
+# fields are checked and read, and its verifier of the issuing record.
 _KINDS = {
     "engel_sink": (
         EngelSink,

@@ -28,6 +28,16 @@ def _emit(args, data: dict, text: str) -> None:
         print(text)
 
 
+def _issue(args, cert: certificates.Certificate, text: str, code: int = 0) -> int:
+    """Write cert to the --output file, if any, then emit it; returns code."""
+    data = certificates.to_dict(cert)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(certificates.dumps(data) + "\n")
+    _emit(args, data, text)
+    return code
+
+
 def _cmd_reduce(args) -> int:
     w = words.parse_word(args.word)
     _emit(args, {"word": words.format_word(w)}, words.format_word(w))
@@ -77,11 +87,8 @@ def _cmd_first_active(args) -> int:
 
 
 def _cmd_k_test(args) -> int:
-    data = certificates.membership_certificate(words.parse_word(args.word))
-    if args.output:
-        _write_certificate(args.output, data)
-    _emit(args, data, data["verdict"])
-    return 0
+    result = branch.membership_in_K(words.parse_word(args.word))
+    return _issue(args, result, result.verdict)
 
 
 def _cmd_k_embed(args) -> int:
@@ -117,14 +124,10 @@ def _cmd_engel_probe(args) -> int:
     outcome = engel.left_engel_probe(
         words.parse_word(args.g), words.parse_word(args.x), args.bound
     )
-    data = certificates.to_dict(outcome)
-    if args.output:
-        _write_certificate(args.output, data)
     if isinstance(outcome, engel.EngelSink):
-        _emit(args, data, f"sink at depth {outcome.n}")
-        return 0
-    _emit(args, data, f"no sink through depth {outcome.bound}; witness {outcome.witness}")
-    return 1
+        return _issue(args, outcome, f"sink at depth {outcome.n}")
+    text = f"no sink through depth {outcome.bound}; witness {outcome.witness}"
+    return _issue(args, outcome, text, 1)
 
 
 def _cmd_lemma1(args) -> int:
@@ -143,31 +146,16 @@ def _cmd_replay_left(args) -> int:
     cert = engel.replay_bounded_left(
         words.parse_word(args.x), args.bound, budget=args.budget, seed=args.seed
     )
-    data = certificates.to_dict(cert)
-    if args.output:
-        _write_certificate(args.output, data)
-    _emit(
-        args,
-        data,
-        f"refuted left-{cert.bound}-Engel for {words.format_word(cert.x)}; "
-        f"witness {cert.witness}",
-    )
-    return 0
+    text = f"refuted left-{cert.bound}-Engel for {words.format_word(cert.x)}"
+    return _issue(args, cert, f"{text}; witness {cert.witness}")
 
 
 def _cmd_replay_right(args) -> int:
     cert = engel.replay_right(
         words.parse_word(args.x), args.bound, budget=args.budget, seed=args.seed
     )
-    data = certificates.to_dict(cert)
-    if args.output:
-        _write_certificate(args.output, data)
-    _emit(
-        args,
-        data,
-        f"refuted right-Engel (sink <= {cert.bound + 1}) for {words.format_word(cert.x)}",
-    )
-    return 0
+    x = words.format_word(cert.x)
+    return _issue(args, cert, f"refuted right-Engel (sink <= {cert.bound + 1}) for {x}")
 
 
 def _cmd_search_pair(args) -> int:
@@ -210,12 +198,6 @@ def _cmd_verify(args) -> int:
     ok, detail = certificates.verify(data)
     _emit(args, {"ok": ok, "detail": detail}, f"{'OK' if ok else 'FAIL'}: {detail}")
     return 0 if ok else 1
-
-
-def _write_certificate(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(certificates.dumps(data))
-        fh.write("\n")
 
 
 @functools.cache  # built on the first call, once per process
@@ -289,19 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="word in St(1)")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("replay-left", _cmd_replay_left, "refute bounded-left Engel for an involution")
-    p.add_argument("x")
-    p.add_argument("--bound", "-N", type=int, required=True)
-    p.add_argument("--budget", type=int, default=config.SEARCH_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="write the certificate file")
-
-    p = add("replay-right", _cmd_replay_right, "refute right Engel with bounded sink")
-    p.add_argument("x")
-    p.add_argument("--bound", "-N", type=int, required=True)
-    p.add_argument("--budget", type=int, default=config.SEARCH_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="write the certificate file")
+    for name, func, help_text in (
+        ("replay-left", _cmd_replay_left, "refute bounded-left Engel for an involution"),
+        ("replay-right", _cmd_replay_right, "refute right Engel with bounded sink"),
+    ):
+        p = add(name, func, help_text)
+        p.add_argument("x")
+        p.add_argument("--bound", "-N", type=int, required=True)
+        p.add_argument("--budget", type=int, default=config.SEARCH_BUDGET)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--output", help="write the certificate file")
 
     p = add("search-pair", _cmd_search_pair, "find a non-Engel pair in K")
     p.add_argument("--bound", "-N", type=int, required=True)

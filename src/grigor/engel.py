@@ -168,11 +168,11 @@ def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     g = reduce_word(g)
-    rx = reduce_word(x)
-    dag, transcript, n, t = probe(rx, g, bound)
+    x = reduce_word(x)
+    dag, transcript, n, t = probe(x, g, bound)
     if t == 0:  # id 0 is the identity
         return EngelSink(g, x, n, tuple(transcript))
-    witness = exact_witness(dag, {bound: t}, rx, g)[bound]
+    witness = exact_witness(dag, {bound: t}, x, g)[bound]
     return NoSinkUpTo(g, x, bound, tuple(transcript), witness)
 
 

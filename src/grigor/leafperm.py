@@ -17,20 +17,26 @@ load it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
+# Levels up to config.MAX_DEPTH (a test pins the two equal) keep their
+# arrays, 0.25 MB in all; a deeper one, up to 2**24 entries per array, is
+# rebuilt on each call from the deepest kept level.
+_KEPT_LEVELS = 12
+_kept: dict[int, dict[str, np.ndarray]] = {}
 
-@lru_cache(maxsize=None)
+
 def generator_perms(n: int) -> dict[str, np.ndarray]:
     """Level-n permutations of a, b, c, d.
 
     a swaps the two halves; b, c, d act blockwise by their defining
     sections b = (a, c), c = (a, d), d = (1, b).
     """
+    if n in _kept:
+        return _kept[n]
     import numpy as np
 
     if n < 0:
@@ -53,6 +59,8 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
     }
     for p in perms.values():
         p.setflags(write=False)
+    if n <= _KEPT_LEVELS:
+        _kept[n] = perms
     return perms
 
 

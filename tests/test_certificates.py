@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from grigor import certificates
+from grigor.branch import membership_in_K
 from grigor.decide import witness_vertex
 from grigor.engel import left_engel_probe, replay_bounded_left, replay_right
 
@@ -112,3 +113,20 @@ def test_deterministic_serialization():
     a = certificates.dumps(certificates.to_dict(replay_bounded_left("a", 3, seed=7)))
     b = certificates.dumps(certificates.to_dict(replay_bounded_left("a", 3, seed=7)))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "issue",
+    [
+        lambda: left_engel_probe("dbb", "ababcc", 20),  # sinks
+        lambda: left_engel_probe("adbb", "dacabb", 6),  # no sink
+        lambda: replay_bounded_left("abbaa", 3),
+        lambda: replay_right("ccaadda", 3),
+        lambda: replay_right("bbd", 2),  # a two-step section chain
+        lambda: membership_in_K("aabab"),
+    ],
+)
+def test_records_from_unreduced_inputs_read_back(issue):
+    # Issuers store reduced words, so reading the dict gives the record back.
+    cert = issue()
+    assert certificates.from_dict(certificates.to_dict(cert)) == cert

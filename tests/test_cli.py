@@ -475,6 +475,20 @@ def test_sections_depth_cap():
     assert proc.stderr.startswith("resource cap: sections at level 21")
 
 
+def test_quotient_without_sympy_exits_3():
+    # sympy is the optional `quotients` extra.
+    proc = run_child(
+        "-c",
+        "import sys; sys.modules['sympy'] = None\n"
+        "import grigor.cli\n"
+        "sys.exit(grigor.cli.main(['quotient', '3']))",
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "resource cap: level quotients need sympy: pip install 'grigor[quotients]'\n"
+    )
+
+
 def test_cli_import_leaves_out_sympy():
     # Membership reads the level-3 table; only the quotients need sympy.
     proc = run_child(

@@ -1,16 +1,21 @@
-"""Fuzz the command line with drawn argv for every subcommand but two.
+"""Fuzz the command line with drawn argv for every subcommand but `verify`.
 
-`quotient` builds sympy level quotients (seconds each) and `verify` has
-its own fuzz test, so both are left out.  Words mix `abcd` with other
-characters, TWord literals are well formed or not, and the integer flags
-take small values, negatives included; the search commands always get a
-small `--budget`, so a failing search stops fast.  Whatever the argv,
-`main` must return an exit code from 0 to 3 and raise nothing.
+`verify` has its own fuzz test.  Words mix `abcd` with other characters,
+TWord literals are well formed or not, and the integer flags take small
+values, negatives included; `quotient` gets only levels up to 3 among
+its valid ones, since the deeper sympy quotients take seconds each, and
+the search commands always get a small `--budget`, so a failing search
+stops fast.  The four commands that issue certificates may get an
+`--output` file, or a directory, which cannot be written.  Whatever the
+argv, `main` must return an exit code from 0 to 3 and raise nothing; an
+`--output` directory ends in exit 2 (or a cap's 3) with nothing printed,
+and an `--output` file holds what `--json` prints.
 """
 
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +65,9 @@ def args(*parts):
 
 
 SEARCH = (required("--budget", integers(-2, 20)), flag("--seed", integers(-2, 3)))
+# Placeholders for the test's output file and directory.
+FILE, DIRECTORY = "<file>", "<directory>"
+OUTPUT = flag("--output", st.sampled_from([FILE, DIRECTORY]))
 SUBCOMMANDS = {
     "reduce": args(one(WORDS)),
     "eq": args(one(WORDS), one(WORDS)),
@@ -68,11 +76,15 @@ SUBCOMMANDS = {
     "sections": args(one(WORDS), one(integers(-2, 8))),
     "stab": args(one(WORDS), one(integers(-2, 12))),
     "first-active": args(one(WORDS)),
-    "k-test": args(one(WORDS)),
+    "k-test": args(one(WORDS), OUTPUT),
     "k-embed": args(one(TWORDS), one(TWORDS)),
     "lift": args(one(WORDS), st.sampled_from([[], ["--second"]])),
+    "quotient": args(one(st.sampled_from(["-1", "0", "1", "2", "3", "9", "x"]))),
     "engel-probe": args(
-        required("--g", WORDS), required("--x", WORDS), flag("--bound", integers(-2, 6))
+        required("--g", WORDS),
+        required("--x", WORDS),
+        flag("--bound", integers(-2, 6)),
+        OUTPUT,
     ),
     "lemma1": args(
         required("--k", TWORDS), required("--g", WORDS), required("--m", integers(-2, 8))
@@ -80,8 +92,8 @@ SUBCOMMANDS = {
     "lemma2": args(
         required("--x", WORDS), required("--y", WORDS), required("--m", integers(-2, 8))
     ),
-    "replay-left": args(one(WORDS), required("-N", integers(-2, 6)), *SEARCH),
-    "replay-right": args(one(WORDS), required("-N", integers(-2, 6)), *SEARCH),
+    "replay-left": args(one(WORDS), required("-N", integers(-2, 6)), *SEARCH, OUTPUT),
+    "replay-right": args(one(WORDS), required("-N", integers(-2, 6)), *SEARCH, OUTPUT),
     "search-pair": args(required("-N", integers(-2, 8)), *SEARCH),
     "survey": args(
         required("--samples", integers(-2, 2)),
@@ -100,10 +112,21 @@ def argv(draw):
     return prefix + [command] + draw(SUBCOMMANDS[command]) + stray
 
 
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli_fuzz")
+    return {FILE: directory / "cert.json", DIRECTORY: directory}
+
+
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(argv=argv())
-def test_main_exits_0_to_3(argv):
+def test_main_exits_0_to_3(outputs, argv):
+    outputs[FILE].unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main([str(outputs.get(arg, arg)) for arg in argv])
     assert code in (0, 1, 2, 3), (code, out.getvalue(), err.getvalue())
+    if DIRECTORY in argv:
+        assert code in (2, 3) and not out.getvalue(), (code, out.getvalue())
+    if FILE in argv and code in (0, 1) and argv[0] == "--json":
+        assert outputs[FILE].read_text() == out.getvalue()

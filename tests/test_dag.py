@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import grigor
-from grigor import certificates, config
+from grigor import certificates, config, leafperm
 from grigor.dag import Dag
 from grigor.branch import flatten, search_high_order
 from grigor.decide import witness_vertex
@@ -113,6 +113,15 @@ def test_leafperm_imports_no_grigor_module():
             imported.append("." * node.level + (node.module or ""))
     assert "numpy" in imported
     assert not [name for name in imported if name.startswith((".", "grigor"))], imported
+
+
+def test_leafperm_keeps_no_level_past_max_depth():
+    # Kept, the generator arrays of level 20 alone took 64 MB.
+    assert leafperm._KEPT_LEVELS == config.MAX_DEPTH
+    deep = word_perm("d", 16)
+    assert max(leafperm._kept) == config.MAX_DEPTH
+    # A level-16 vertex's level-12 ancestor is its top 12 bits.
+    assert ((deep >> 4)[::16] == word_perm("d", config.MAX_DEPTH)).all()
 
 
 def test_probe_towers_agree_with_is_trivial():

@@ -49,7 +49,7 @@ WRONG_TYPES = st.one_of(
     st.recursive(st.none() | _INTEGERS | _TEXTS, lambda inner: st.lists(inner, max_size=3)),
 )
 SHAPES_IN_USE = dict.fromkeys(
-    shape for _, fields, _ in certificates._KINDS.values() for shape, _ in fields.values()
+    field.shape for _, fields, _ in certificates._KINDS.values() for field in fields.values()
 )
 VALUES = st.one_of(*[SHAPES[shape] for shape in SHAPES_IN_USE], WRONG_TYPES)
 
