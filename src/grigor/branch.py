@@ -3,7 +3,8 @@
 Two complementary mechanisms:
 
 * constructive: TWord, a formal product of signed conjugates of t, used to
-  *build* elements of K (lifts, pair embeddings realizing psi(K) >= K x K);
+  *build* elements of K (lifts, pair embeddings realizing psi(K) >= K x K)
+  and to search for them in `first_qualifying`, the one seeded search loop;
 * decisional: membership is read off the level-3 permutation, since
   St(3) <= K.  The sympy level quotients, imported only when built, serve
   the `quotient` command and cross-check that the index of K's image
@@ -13,13 +14,15 @@ Two complementary mechanisms:
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from itertools import chain, islice
+from typing import TYPE_CHECKING, TypeVar
 
 from . import config
+from .dag import shared
 from .errors import CapExceeded, SearchExhausted
-from .decide import order
 from .leafperm import word_perm
 from .words import (
     IDENTITY,
@@ -37,6 +40,8 @@ if TYPE_CHECKING:
 T = "abab"  # t = (ab)^2
 U = reduce_word("badabada")  # u = (bada)^2, psi(u) = (t, 1)
 V = reduce_word("abadabad")  # v = (abad)^2, psi(v) = (1, t)
+
+C = TypeVar("C")
 
 
 @dataclass(frozen=True)
@@ -210,12 +215,16 @@ class KMembershipResult:
 
 
 def membership_in_K(g: str) -> KMembershipResult:
-    """Decide membership of g in K from its level-K_LEVEL permutation.
+    """Decide membership of the word g in K; see `reduced_membership_in_K`."""
+    return reduced_membership_in_K(reduce_word(g))
+
+
+def reduced_membership_in_K(g: str) -> KMembershipResult:
+    """Decide membership of the reduced word g in K by its level-K_LEVEL permutation.
 
     Odd `a`-parity words are Outside at level 1: t fixes level 1 and level
     stabilizers are normal, so K <= St(1).
     """
-    g = reduce_word(g)
     if a_parity(g):
         return KMembershipResult(g, "outside", 1)
     inside = tuple(word_perm(g, K_LEVEL).tolist()) in k_image_table()
@@ -236,6 +245,19 @@ def random_tword(
     return TWord(tuple(factors))
 
 
+def first_qualifying(
+    qualifies: Callable[[C], bool], candidates: Iterable[C], failure: str
+) -> C:
+    """The first candidate that qualifies; SearchExhausted(failure) when none does.
+
+    The one search loop: every search states its seeded candidate stream,
+    cut to its budget, and its test.
+    """
+    for candidate in filter(qualifies, candidates):
+        return candidate
+    raise SearchExhausted(failure)
+
+
 @lru_cache(maxsize=32, typed=True)
 def search_high_order(
     exponent: int,
@@ -244,11 +266,10 @@ def search_high_order(
 ) -> TWord:
     """A TWord whose flattening has order >= 2**exponent.
 
-    Deterministic given the seed: t itself is tried first, then random
-    products of conjugates of t.  The budget is split over three rounds
-    with the conjugator length bound doubling between rounds.  Since all
-    orders are powers of two, order >= 2**e iff the order is not exact at
-    cap e-1; the order 2**e itself is never built.
+    Deterministic given the seed: t itself is tried first, then up to
+    `budget` random products of conjugates of t, a third of them (at least
+    one) at each conjugator length bound CONJUGATOR_LENGTH, twice it and
+    four times it.
 
     The result depends on the arguments alone, so it is memoized per
     process; SearchExhausted and CapExceeded are raised again on every
@@ -260,24 +281,12 @@ def search_high_order(
         raise ValueError("budget must be >= 0")
 
     def qualifies(k: TWord) -> bool:
-        return not order(flatten(k), max(exponent - 1, 0)).is_exact
+        log_order = shared("decide", lambda dag: dag.order_exponent(dag.from_word(flatten(k))))
+        return log_order >= exponent
 
-    if qualifies(T_ATOM):
-        return T_ATOM
     rng = random.Random(seed)
-    rounds = 3
-    per_round = max(1, budget // rounds)
-    length = config.CONJUGATOR_LENGTH
-    spent = 0
-    for _ in range(rounds):
-        for _ in range(per_round):
-            if spent >= budget:
-                break
-            spent += 1
-            k = random_tword(rng, conj_len=length)
-            if qualifies(k):
-                return k
-        length *= 2
-    raise SearchExhausted(
-        f"no element of order >= 2^{exponent} found within budget {budget}"
-    )
+    per_bound = max(1, budget // 3)
+    bounds = (config.CONJUGATOR_LENGTH << r for r in range(3) for _ in range(per_bound))
+    draws = (random_tword(rng, conj_len=bound) for bound in islice(bounds, budget))
+    failure = f"no element of order >= 2^{exponent} found within budget {budget}"
+    return first_qualifying(qualifies, chain((T_ATOM,), draws), failure)

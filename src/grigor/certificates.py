@@ -31,7 +31,9 @@ from itertools import islice
 from typing import Any
 
 from . import __version__, config
-from .branch import KMembershipResult, flatten, format_tword, membership_in_K, parse_tword
+from .branch import (
+    KMembershipResult, flatten, format_tword, membership_in_K, parse_tword, reduced_membership_in_K
+)
 from .dag import A, IDENTITY, Dag, shared
 from .engel import (
     BoundedLeftRefutation,
@@ -144,8 +146,9 @@ def verify(data: dict[str, Any]) -> tuple[bool, str]:
     """Re-check a certificate dict; returns (ok, detail)."""
     if not isinstance(data, dict):
         return False, "malformed certificate: not a JSON object"
-    if data.get("schema") != config.SCHEMA_VERSION:
-        return False, f"unsupported schema {data.get('schema')!r}"
+    schema = data.get("schema")
+    if not _integer(schema) or schema != config.SCHEMA_VERSION:
+        return False, f"unsupported schema {schema!r}"
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         return False, f"unknown certificate kind {kind!r}"
@@ -250,7 +253,7 @@ def _verify_right(cert: RightRefutation) -> tuple[bool, str]:
 
 
 def _verify_membership(cert: KMembershipResult) -> tuple[bool, str]:
-    result = membership_in_K(cert.word)
+    result = reduced_membership_in_K(cert.word)  # the _WORD reader reduced it
     if result.verdict != cert.verdict:
         return False, f"recomputed verdict {result.verdict} != {cert.verdict}"
     if cert.level != result.level:

@@ -194,7 +194,10 @@ def _cmd_survey(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # unreadable, like invalid JSON: exit 2
+            raise ValueError(f"{args.file}: JSON nested too deeply") from None
     ok, detail = certificates.verify(data)
     _emit(args, {"ok": ok, "detail": detail}, f"{'OK' if ok else 'FAIL'}: {detail}")
     return 0 if ok else 1

@@ -20,7 +20,8 @@ and a bounded refutation of "x is right Engel with sink <= N+1" built
 from a non-Engel pair in K, cross-checked against the tower identity of
 `lemma2_check` coordinate by coordinate.  Neither element depends on x,
 since psi(K) contains K x K: `search_high_order` and `search_nonengel_pair`
-are memoized per process, so a process that certifies many elements runs
+find them through `branch.first_qualifying`, the one search loop, and are
+memoized per process, so a process that certifies many elements runs
 each search once; a failed search is not cached and runs again.  For the
 same reason the replays decide their towers on the long-lived "decide"
 table of `dag.shared`, where the towers of (h, y1) and the nodes of k
@@ -36,24 +37,13 @@ from functools import lru_cache
 from itertools import count, islice
 
 from . import config
-from .branch import (
-    TWord,
-    emb_pair,
-    flatten,
-    random_tword,
-    search_high_order,
-)
+from .branch import TWord, emb_pair, first_qualifying, flatten, random_tword, search_high_order
 from .dag import A, Dag, shared
 from .decide import is_trivial, order
-from .errors import (
-    CapExceeded,
-    PreconditionViolated,
-    SearchExhausted,
-    WordLengthCapExceeded,
-)
+from .errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
 from .leafperm import moved_vertex, tower_perms
 from .tree import decompose, first_active_level
-from .words import IDENTITY, a_parity, commutator, invert, multiply, reduce_word
+from .words import a_parity, commutator, invert, multiply, reduce_word
 
 
 def tower(x: str, g: str) -> Iterator[str]:
@@ -343,10 +333,11 @@ def search_nonengel_pair(
 ) -> tuple[TWord, TWord]:
     """A pair (h, y1) of TWords with [flatten(h),_n flatten(y1)] != 1, n <= bound.
 
-    Bounded evidence for the fact that K is not an Engel group;
-    deterministic given the seed, and memoized per process on the
-    arguments.  SearchExhausted and CapExceeded are raised again on every
-    call, never cached.
+    Bounded evidence for the fact that K is not an Engel group: up to
+    `budget` random pairs, each decided on a fresh Dag.  Deterministic
+    given the seed, and memoized per process on the arguments;
+    SearchExhausted and CapExceeded are raised again on every call, never
+    cached.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -354,25 +345,17 @@ def search_nonengel_pair(
         raise ValueError("budget must be >= 0")
     rng = random.Random(seed)
 
-    def qualifies(h: TWord, y1: TWord) -> bool:
+    def qualifies(pair: tuple[TWord, TWord]) -> bool:
         dag = Dag()
-        towers = dag.tower(dag.from_word(flatten(h)), dag.from_word(flatten(y1)))
+        towers = dag.tower(*(dag.from_word(flatten(k)) for k in pair))  # [h,_n y1]
         return 0 not in islice(towers, bound)  # id 0 is the identity
 
-    # Simple canonical candidates first, then random ones.
-    simple = [
-        (TWord(((IDENTITY, 1),)), TWord((("b", 1),))),
-        (TWord(((IDENTITY, 1),)), TWord((("ab", 1),))),
-    ]
-    for h, y1 in simple:
-        if qualifies(h, y1):
-            return h, y1
-    for _ in range(budget):
-        h = random_tword(rng, max_factors=2)
-        y1 = random_tword(rng, max_factors=2)
-        if qualifies(h, y1):
-            return h, y1
-    raise SearchExhausted(f"no non-Engel pair up to depth {bound} within {budget}")
+    draws = (
+        (random_tword(rng, max_factors=2), random_tword(rng, max_factors=2))
+        for _ in range(budget)
+    )
+    failure = f"no non-Engel pair up to depth {bound} within {budget}"
+    return first_qualifying(qualifies, draws, failure)
 
 
 def replay_right(
@@ -421,12 +404,12 @@ def random_word(rng: random.Random, length: int = config.WALK_LENGTH) -> str:
 
 
 def random_involution(rng: random.Random, length: int = config.WALK_LENGTH) -> str:
-    """A random element of order exactly 2, by rejection."""
-    for _ in range(10_000):
-        w = random_word(rng, length)
-        if order(w).exponent == 1:
-            return w
-    raise SearchExhausted("no involution found by rejection sampling")
+    """A random element of order exactly 2, by rejection in `first_qualifying`."""
+    return first_qualifying(
+        lambda w: order(w).exponent == 1,
+        (random_word(rng, length) for _ in range(config.SEARCH_BUDGET)),
+        "no involution found by rejection sampling",
+    )
 
 
 @dataclass(frozen=True)

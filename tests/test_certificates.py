@@ -107,6 +107,13 @@ def test_unknown_kind_and_schema():
     assert not ok and "schema" in detail
     ok, detail = certificates.verify({"schema": 1, "kind": "nonsense"})
     assert not ok
+    # True == 1 and 1.0 == 1 in Python; the schema must be a JSON integer.
+    data = certificates.membership_certificate("abab")
+    for schema in (True, 1.0, "1"):
+        assert certificates.verify({**data, "schema": schema}) == (
+            False, f"unsupported schema {schema!r}"
+        )
+    assert certificates.verify(data) == (True, "membership verdict inside confirmed")
 
 
 def test_deterministic_serialization():

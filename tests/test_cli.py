@@ -286,6 +286,23 @@ def test_verify_rejects_non_object(capsys, tmp_path, text):
     assert err == ""
 
 
+DEEP = "[" * 1000 + "]" * 1000  # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [DEEP, "[" * 1000, '{"schema":1,"kind":"k_membership","word":%s}' % DEEP],
+    ids=["nested", "unclosed", "in-a-field"],
+)
+def test_verify_rejects_deep_nesting_as_unreadable(capsys, tmp_path, text):
+    # This once escaped as a RecursionError traceback with exit 1.
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply"
+
+
 INT_FIELDS = {
     "engel_sink": "n",
     "non_engel_witness": "bound",

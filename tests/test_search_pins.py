@@ -1,0 +1,407 @@
+"""The three seeded searches return what they always have.
+
+Each outcome is the `format_tword` result (a pair is two, joined by a
+space) or the `SearchExhausted` message, for seeds 0-3 of
+`search_high_order` over exponents 0-7 and budgets {0, 1, 2, 3, 4, 5, 7,
+40, default} -- budgets 0-7 cross the boundaries of its three rounds --
+of `search_nonengel_pair` over bounds 1-9 and budgets {0, 1, 3, 40,
+default}, and of `random_involution` for seeds 0-29.  The data were
+recorded from the searches as first written, one hand-written draw loop
+each, so a rewrite of the loop must keep every random draw in its order.
+"""
+
+import random
+
+import pytest
+
+from grigor import config
+from grigor.branch import format_tword, search_high_order
+from grigor.engel import random_involution, search_nonengel_pair
+from grigor.errors import SearchExhausted
+
+D = config.SEARCH_BUDGET
+
+
+HIGH_ORDER = {  # (exponent, budget): outcomes for seeds 0-3
+    (0, 0): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (0, 1): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (0, 2): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (0, 3): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (0, 4): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (0, 5): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (0, 7): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (0, 40): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (0, D): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, 0): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, 1): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, 2): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, 3): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, 4): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, 5): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, 7): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, 40): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (1, D): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, 0): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, 1): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, 2): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, 3): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, 4): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, 5): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, 7): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, 40): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (2, D): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, 0): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, 1): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, 2): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, 3): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, 4): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, 5): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, 7): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, 40): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (3, D): ("1^+1", "1^+1", "1^+1", "1^+1"),
+    (4, 0): (
+        "no element of order >= 2^4 found within budget 0",
+        "no element of order >= 2^4 found within budget 0",
+        "no element of order >= 2^4 found within budget 0",
+        "no element of order >= 2^4 found within budget 0",
+    ),
+    (4, 1): (
+        "no element of order >= 2^4 found within budget 1",
+        "no element of order >= 2^4 found within budget 1",
+        "no element of order >= 2^4 found within budget 1",
+        "no element of order >= 2^4 found within budget 1",
+    ),
+    (4, 2): (
+        "no element of order >= 2^4 found within budget 2",
+        "no element of order >= 2^4 found within budget 2",
+        "no element of order >= 2^4 found within budget 2",
+        "no element of order >= 2^4 found within budget 2",
+    ),
+    (4, 3): (
+        "no element of order >= 2^4 found within budget 3",
+        "no element of order >= 2^4 found within budget 3",
+        "no element of order >= 2^4 found within budget 3",
+        "no element of order >= 2^4 found within budget 3",
+    ),
+    (4, 4): (
+        "no element of order >= 2^4 found within budget 4",
+        "no element of order >= 2^4 found within budget 4",
+        "no element of order >= 2^4 found within budget 4",
+        "no element of order >= 2^4 found within budget 4",
+    ),
+    (4, 5): (
+        "no element of order >= 2^4 found within budget 5",
+        "no element of order >= 2^4 found within budget 5",
+        "no element of order >= 2^4 found within budget 5",
+        "no element of order >= 2^4 found within budget 5",
+    ),
+    (4, 7): (
+        "cacabac^+1;cadadacabacad^-1;cacaba^-1",
+        "no element of order >= 2^4 found within budget 7",
+        "no element of order >= 2^4 found within budget 7",
+        "no element of order >= 2^4 found within budget 7",
+    ),
+    (4, 40): (
+        "no element of order >= 2^4 found within budget 40",
+        "no element of order >= 2^4 found within budget 40",
+        "no element of order >= 2^4 found within budget 40",
+        "no element of order >= 2^4 found within budget 40",
+    ),
+    (4, D): (
+        "dacabac^+1;bacad^+1;acaca^-1",
+        "cacab^+1;b^-1;cabadaca^+1",
+        "cacadac^+1;dababa^-1",
+        "babac^-1;cabadaba^+1;bada^+1",
+    ),
+    (5, 0): (
+        "no element of order >= 2^5 found within budget 0",
+        "no element of order >= 2^5 found within budget 0",
+        "no element of order >= 2^5 found within budget 0",
+        "no element of order >= 2^5 found within budget 0",
+    ),
+    (5, 1): (
+        "no element of order >= 2^5 found within budget 1",
+        "no element of order >= 2^5 found within budget 1",
+        "no element of order >= 2^5 found within budget 1",
+        "no element of order >= 2^5 found within budget 1",
+    ),
+    (5, 2): (
+        "no element of order >= 2^5 found within budget 2",
+        "no element of order >= 2^5 found within budget 2",
+        "no element of order >= 2^5 found within budget 2",
+        "no element of order >= 2^5 found within budget 2",
+    ),
+    (5, 3): (
+        "no element of order >= 2^5 found within budget 3",
+        "no element of order >= 2^5 found within budget 3",
+        "no element of order >= 2^5 found within budget 3",
+        "no element of order >= 2^5 found within budget 3",
+    ),
+    (5, 4): (
+        "no element of order >= 2^5 found within budget 4",
+        "no element of order >= 2^5 found within budget 4",
+        "no element of order >= 2^5 found within budget 4",
+        "no element of order >= 2^5 found within budget 4",
+    ),
+    (5, 5): (
+        "no element of order >= 2^5 found within budget 5",
+        "no element of order >= 2^5 found within budget 5",
+        "no element of order >= 2^5 found within budget 5",
+        "no element of order >= 2^5 found within budget 5",
+    ),
+    (5, 7): (
+        "cacabac^+1;cadadacabacad^-1;cacaba^-1",
+        "no element of order >= 2^5 found within budget 7",
+        "no element of order >= 2^5 found within budget 7",
+        "no element of order >= 2^5 found within budget 7",
+    ),
+    (5, 40): (
+        "no element of order >= 2^5 found within budget 40",
+        "no element of order >= 2^5 found within budget 40",
+        "no element of order >= 2^5 found within budget 40",
+        "no element of order >= 2^5 found within budget 40",
+    ),
+    (5, D): (
+        "dacabac^+1;bacad^+1;acaca^-1",
+        "cacab^+1;b^-1;cabadaca^+1",
+        "ca^-1;dacadac^-1;cab^+1",
+        "babac^-1;cabadaba^+1;bada^+1",
+    ),
+    (6, 0): (
+        "no element of order >= 2^6 found within budget 0",
+        "no element of order >= 2^6 found within budget 0",
+        "no element of order >= 2^6 found within budget 0",
+        "no element of order >= 2^6 found within budget 0",
+    ),
+    (6, 1): (
+        "no element of order >= 2^6 found within budget 1",
+        "no element of order >= 2^6 found within budget 1",
+        "no element of order >= 2^6 found within budget 1",
+        "no element of order >= 2^6 found within budget 1",
+    ),
+    (6, 2): (
+        "no element of order >= 2^6 found within budget 2",
+        "no element of order >= 2^6 found within budget 2",
+        "no element of order >= 2^6 found within budget 2",
+        "no element of order >= 2^6 found within budget 2",
+    ),
+    (6, 3): (
+        "no element of order >= 2^6 found within budget 3",
+        "no element of order >= 2^6 found within budget 3",
+        "no element of order >= 2^6 found within budget 3",
+        "no element of order >= 2^6 found within budget 3",
+    ),
+    (6, 4): (
+        "no element of order >= 2^6 found within budget 4",
+        "no element of order >= 2^6 found within budget 4",
+        "no element of order >= 2^6 found within budget 4",
+        "no element of order >= 2^6 found within budget 4",
+    ),
+    (6, 5): (
+        "no element of order >= 2^6 found within budget 5",
+        "no element of order >= 2^6 found within budget 5",
+        "no element of order >= 2^6 found within budget 5",
+        "no element of order >= 2^6 found within budget 5",
+    ),
+    (6, 7): (
+        "cacabac^+1;cadadacabacad^-1;cacaba^-1",
+        "no element of order >= 2^6 found within budget 7",
+        "no element of order >= 2^6 found within budget 7",
+        "no element of order >= 2^6 found within budget 7",
+    ),
+    (6, 40): (
+        "no element of order >= 2^6 found within budget 40",
+        "no element of order >= 2^6 found within budget 40",
+        "no element of order >= 2^6 found within budget 40",
+        "no element of order >= 2^6 found within budget 40",
+    ),
+    (6, D): (
+        "dacabac^+1;bacad^+1;acaca^-1",
+        "cacab^+1;b^-1;cabadaca^+1",
+        "ca^-1;dacadac^-1;cab^+1",
+        "babac^-1;cabadaba^+1;bada^+1",
+    ),
+    (7, 0): (
+        "no element of order >= 2^7 found within budget 0",
+        "no element of order >= 2^7 found within budget 0",
+        "no element of order >= 2^7 found within budget 0",
+        "no element of order >= 2^7 found within budget 0",
+    ),
+    (7, 1): (
+        "no element of order >= 2^7 found within budget 1",
+        "no element of order >= 2^7 found within budget 1",
+        "no element of order >= 2^7 found within budget 1",
+        "no element of order >= 2^7 found within budget 1",
+    ),
+    (7, 2): (
+        "no element of order >= 2^7 found within budget 2",
+        "no element of order >= 2^7 found within budget 2",
+        "no element of order >= 2^7 found within budget 2",
+        "no element of order >= 2^7 found within budget 2",
+    ),
+    (7, 3): (
+        "no element of order >= 2^7 found within budget 3",
+        "no element of order >= 2^7 found within budget 3",
+        "no element of order >= 2^7 found within budget 3",
+        "no element of order >= 2^7 found within budget 3",
+    ),
+    (7, 4): (
+        "no element of order >= 2^7 found within budget 4",
+        "no element of order >= 2^7 found within budget 4",
+        "no element of order >= 2^7 found within budget 4",
+        "no element of order >= 2^7 found within budget 4",
+    ),
+    (7, 5): (
+        "no element of order >= 2^7 found within budget 5",
+        "no element of order >= 2^7 found within budget 5",
+        "no element of order >= 2^7 found within budget 5",
+        "no element of order >= 2^7 found within budget 5",
+    ),
+    (7, 7): (
+        "no element of order >= 2^7 found within budget 7",
+        "no element of order >= 2^7 found within budget 7",
+        "no element of order >= 2^7 found within budget 7",
+        "no element of order >= 2^7 found within budget 7",
+    ),
+    (7, 40): (
+        "no element of order >= 2^7 found within budget 40",
+        "no element of order >= 2^7 found within budget 40",
+        "no element of order >= 2^7 found within budget 40",
+        "no element of order >= 2^7 found within budget 40",
+    ),
+    (7, D): (
+        "no element of order >= 2^7 found within budget 10000",
+        "no element of order >= 2^7 found within budget 10000",
+        "no element of order >= 2^7 found within budget 10000",
+        "no element of order >= 2^7 found within budget 10000",
+    ),
+}
+
+NONENGEL_PAIR = {  # (bound, budget): outcomes for seeds 0-3
+    (1, 0): (
+        "no non-Engel pair up to depth 1 within 0",
+        "no non-Engel pair up to depth 1 within 0",
+        "no non-Engel pair up to depth 1 within 0",
+        "no non-Engel pair up to depth 1 within 0",
+    ),
+    (1, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (1, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (1, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (1, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (2, 0): (
+        "no non-Engel pair up to depth 2 within 0",
+        "no non-Engel pair up to depth 2 within 0",
+        "no non-Engel pair up to depth 2 within 0",
+        "no non-Engel pair up to depth 2 within 0",
+    ),
+    (2, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (2, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (2, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (2, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (3, 0): (
+        "no non-Engel pair up to depth 3 within 0",
+        "no non-Engel pair up to depth 3 within 0",
+        "no non-Engel pair up to depth 3 within 0",
+        "no non-Engel pair up to depth 3 within 0",
+    ),
+    (3, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (3, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (3, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (3, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (4, 0): (
+        "no non-Engel pair up to depth 4 within 0",
+        "no non-Engel pair up to depth 4 within 0",
+        "no non-Engel pair up to depth 4 within 0",
+        "no non-Engel pair up to depth 4 within 0",
+    ),
+    (4, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (4, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (4, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (4, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (5, 0): (
+        "no non-Engel pair up to depth 5 within 0",
+        "no non-Engel pair up to depth 5 within 0",
+        "no non-Engel pair up to depth 5 within 0",
+        "no non-Engel pair up to depth 5 within 0",
+    ),
+    (5, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (5, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (5, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (5, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (6, 0): (
+        "no non-Engel pair up to depth 6 within 0",
+        "no non-Engel pair up to depth 6 within 0",
+        "no non-Engel pair up to depth 6 within 0",
+        "no non-Engel pair up to depth 6 within 0",
+    ),
+    (6, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (6, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (6, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (6, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (7, 0): (
+        "no non-Engel pair up to depth 7 within 0",
+        "no non-Engel pair up to depth 7 within 0",
+        "no non-Engel pair up to depth 7 within 0",
+        "no non-Engel pair up to depth 7 within 0",
+    ),
+    (7, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (7, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (7, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (7, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (8, 0): (
+        "no non-Engel pair up to depth 8 within 0",
+        "no non-Engel pair up to depth 8 within 0",
+        "no non-Engel pair up to depth 8 within 0",
+        "no non-Engel pair up to depth 8 within 0",
+    ),
+    (8, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (8, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (8, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (8, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (9, 0): (
+        "no non-Engel pair up to depth 9 within 0",
+        "no non-Engel pair up to depth 9 within 0",
+        "no non-Engel pair up to depth 9 within 0",
+        "no non-Engel pair up to depth 9 within 0",
+    ),
+    (9, 1): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (9, 3): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (9, 40): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+    (9, D): ("dac^+1;ac^-1 dada^-1;da^+1", "acaba^-1 d^-1", "a^-1 baca^+1", "b^-1 c^+1;acaca^+1"),
+}
+
+INVOLUTIONS = (  # seeds 0-29
+    "acadaca", "badadada", "badadab", "cabac", "c", "badac", "dad", "abadadad", "aba", "cac", "c",
+    "c", "aba", "adacadad", "adabada", "dad", "cabababababac", "acaca", "a", "d", "d", "dacad",
+    "bacacab", "d", "acaca", "bab", "adad", "dabad", "acaca", "d",
+)
+
+
+def outcome(search):
+    try:
+        return search()
+    except SearchExhausted as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(("exponent", "budget"), sorted(HIGH_ORDER))
+def test_search_high_order_pinned(exponent, budget):
+    found = [
+        outcome(lambda: format_tword(search_high_order(exponent, budget, seed)))
+        for seed in range(4)
+    ]
+    assert tuple(found) == HIGH_ORDER[exponent, budget]
+
+
+@pytest.mark.parametrize(("bound", "budget"), sorted(NONENGEL_PAIR))
+def test_search_nonengel_pair_pinned(bound, budget):
+    found = [
+        outcome(lambda: " ".join(map(format_tword, search_nonengel_pair(bound, budget, seed))))
+        for seed in range(4)
+    ]
+    assert tuple(found) == NONENGEL_PAIR[bound, budget]
+
+
+def test_random_involution_pinned():
+    found = [outcome(lambda: random_involution(random.Random(seed))) for seed in range(30)]
+    assert tuple(found) == INVOLUTIONS
