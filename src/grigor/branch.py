@@ -269,7 +269,9 @@ def search_high_order(
     Deterministic given the seed: t itself is tried first, then up to
     `budget` random products of conjugates of t, a third of them (at least
     one) at each conjugator length bound CONJUGATOR_LENGTH, twice it and
-    four times it.
+    four times it.  Since `budget // 3` decides which draws are made, a
+    larger budget can fail where a smaller one succeeds: for exponent 5,
+    seed 0, budget 7 succeeds and budget 40 does not.
 
     The result depends on the arguments alone, so it is memoized per
     process; SearchExhausted and CapExceeded are raised again on every

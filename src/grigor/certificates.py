@@ -233,11 +233,12 @@ def _verify_right(cert: RightRefutation) -> tuple[bool, str]:
         commutator = dag.commutator(fy1, dag.from_word(flatten(cert.h)))
         if fy2 != dag.conjugate(commutator, dag.inv(g1)):
             return "y2 is not [y1, h]^(g1^-1)"
-        if dag.nodes[dag.from_word(cert.y)] != (0, fy1, fy2):
+        fy = dag.from_word(cert.y)
+        if dag.nodes[fy] != (0, fy1, fy2):
             return "y does not embed (y1, y2)"
         if len(cert.witnesses) != bound:
             return "one witness vertex per tower depth is required"
-        pairs = islice(right_towers(dag, cert.x_active, cert.y, cert.h, cert.y1), bound)
+        pairs = islice(right_towers(dag, fx_active, fy), bound)
         for m, ((t, first), witness) in enumerate(zip(pairs, cert.witnesses), 1):
             if dag.act(t, witness) == witness:
                 return f"witness at m={m} is not moved by the tower"

@@ -1,7 +1,8 @@
 """Shared defaults for depth caps, search budgets, and serialization.
 
-Every tunable that appears as a CLI flag defaults to the value defined
-here, so the library and the command line cannot drift apart.
+The CLI flags `--order-cap` and `--budget` default to ORDER_CAP and
+SEARCH_BUDGET, so the library and the command line cannot drift apart
+there; the other flags' defaults are literals in `cli.build_parser`.
 """
 
 # Probe depth for the moved-vertex oracle.

@@ -33,6 +33,7 @@ make a fresh Dag per call.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from itertools import islice
 from typing import TypeVar
 
 from . import config
@@ -140,23 +141,21 @@ class Dag:
         return self.mul(self.inv(self.mul(g, x)), self.mul(x, g))
 
     def tower(self, x: int, g: int) -> Iterator[int]:
-        """[x,_1 g], [x,_2 g], ...; the node cap ends a tower that outgrows it."""
-        while True:
-            x = self.commutator(x, g)
-            yield x
-
-    def iterated_commutator(self, x: int, g: int, m: int) -> int:
-        """[x,_m g], stopping at the first trivial entry, since [1, g] = 1.
+        """[x,_1 g], [x,_2 g], ... through the first trivial entry, since [1, g] = 1.
 
         A tower that never sinks never repeats an element (the group is a
         residually finite 2-group), so each step interns a node and the
         node cap ends it.
         """
-        for _ in range(m):
-            if x == IDENTITY:
-                break
+        while True:
             x = self.commutator(x, g)
-        return x
+            yield x
+            if x == IDENTITY:
+                return
+
+    def iterated_commutator(self, x: int, g: int, m: int) -> int:
+        """[x,_m g] for m >= 1; the identity past the tower's sink."""
+        return next(islice(self.tower(x, g), m - 1, None), IDENTITY)
 
     def first_active_level(self, g: int) -> int | None:
         """The n with g in St(n) \\ St(n+1); None iff g is the identity."""

@@ -3,9 +3,9 @@
 The left-normed tower is [x,_1 g] = x^-1 g^-1 x g and
 [x,_n g] = [[x,_{n-1} g], g].  Probes, replays, lemma checks and their
 verifiers ask two questions of a tower entry -- is it the identity, and
-which vertex does it move -- and answer both on section-DAG ids
-(`Dag.tower`, `Dag.iterated_commutator`), whose elements do not double
-in size with each step.  `exact_witness` is the one witness routine: it
+which vertex does it move -- and answer both on section-DAG ids, whose
+elements do not double in size with each step; `Dag.tower` is the one
+walk of a DAG tower.  `exact_witness` is the one witness routine: it
 takes any entries of one tower and cross-checks them all in one leafperm
 pass, at the level the deepest of them needs.  The reduced-word `tower`
 serves probe transcripts only: they record word lengths, and its length
@@ -17,15 +17,18 @@ Words stay the input and output.
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
 and a bounded refutation of "x is right Engel with sink <= N+1" built
-from a non-Engel pair in K, cross-checked against the tower identity of
-`lemma2_check` coordinate by coordinate.  Neither element depends on x,
-since psi(K) contains K x K: `search_high_order` and `search_nonengel_pair`
-find them through `branch.first_qualifying`, the one search loop, and are
-memoized per process, so a process that certifies many elements runs
-each search once; a failed search is not cached and runs again.  For the
-same reason the replays decide their towers on the long-lived "decide"
-table of `dag.shared`, where the towers of (h, y1) and the nodes of k
-stay interned from one call to the next.
+from a non-Engel pair (h, y1) in K, embedded as y with
+psi(y) = (y1, [y1, h]^(g1^-1)).  Lemma 2 is stated once, in
+`right_towers`: it pairs each [x,_{m+1} y] with the sections the lemma
+predicts from those of a.x and y, here [h,_{m+1} y1]^y1 at vertex 0, and
+`lemma2_check` reads both coordinates from it.  Neither element depends
+on x, since psi(K) contains K x K: `search_high_order` and
+`search_nonengel_pair` find them through `branch.first_qualifying`, the
+one search loop, and are memoized per process, so a process that
+certifies many elements runs each search once; a failed search is not
+cached and runs again.  For the same reason the replays decide their
+towers on the long-lived "decide" table of `dag.shared`, where the towers
+of (h, y1) and the nodes of k stay interned from one call to the next.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count, islice, zip_longest
 
 from . import config
 from .branch import TWord, emb_pair, first_qualifying, flatten, random_tword, search_high_order
-from .dag import A, Dag, shared
+from .dag import A, IDENTITY, Dag, shared
 from .decide import is_trivial, order
 from .errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
 from .leafperm import moved_vertex, tower_perms
@@ -106,26 +109,24 @@ def probe(x: str, g: str, depth: int) -> tuple[Dag, list[int], int, int]:
     towers = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
     for m, (w, t) in enumerate(islice(towers, depth), 1):
         lengths.append(len(w))
-        if t == 0:  # id 0 is the identity
+        if t == IDENTITY:
             break
     return dag, lengths, m, t
 
 
-def right_towers(
-    dag: Dag, x_active: str, y: str, h: TWord, y1: TWord
-) -> Iterator[tuple[int, int]]:
-    """([x_active,_{m+1} y], [h,_{m+1} y1]^y1) for m = 1, 2, ...
+def right_towers(dag: Dag, x: int, y: int, i: int = 0) -> Iterator[tuple[int, int]]:
+    """([x,_{m+1} y], its section at vertex i as Lemma 2 predicts it) for m >= 1.
 
-    When psi(y) = (y1, [y1, h]^(g1^-1)) and x_active = a.g, the tower
-    identity says the second is the first coordinate of the first.
+    For x = a.g with g and y in St(1), psi(g) = (g1, g2) and
+    psi(y) = (y1, y2), the prediction [(y_{1-i}^-1)^{g_i},_m y_i]^{y_i}
+    is read off the sections of a.x and of y.  A tower that sinks stays
+    trivial, so the shorter one is filled with the identity.
     """
-    fy1 = dag.from_word(flatten(y1))
-    towers = zip(
-        dag.tower(dag.from_word(x_active), dag.from_word(y)),
-        dag.tower(dag.from_word(flatten(h)), fy1),
-    )
-    for t, first in islice(towers, 1, None):
-        yield t, dag.conjugate(first, fy1)
+    _, *ys = dag.nodes[y]
+    start = dag.conjugate(dag.inv(ys[1 - i]), dag.nodes[dag.mul(A, x)][1 + i])
+    entries = islice(dag.tower(x, y), 1, None)
+    for t, section in zip_longest(entries, dag.tower(start, ys[i]), fillvalue=IDENTITY):
+        yield t, dag.conjugate(section, ys[i])
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
     g = reduce_word(g)
     x = reduce_word(x)
     dag, transcript, n, t = probe(x, g, bound)
-    if t == 0:  # id 0 is the identity
+    if t == IDENTITY:
         return EngelSink(g, x, n, tuple(transcript))
     witness = exact_witness(dag, {bound: t}, x, g)[bound]
     return NoSinkUpTo(g, x, bound, tuple(transcript), witness)
@@ -183,15 +184,15 @@ def lemma1_check(k: TWord, g: str, m: int) -> bool:
     dag = Dag()
     fg = dag.from_word(g)
     x = dag.mul(A, fg)
-    if dag.mul(x, x) != 0:  # id 0 is the identity
+    if dag.mul(x, x) != IDENTITY:
         raise PreconditionViolated("a.g must be an involution")
     power = dag.from_word(flatten(k))
-    y = dag.node(0, power, 0)  # psi(y) = (k, 1); id 0 is the identity
+    y = dag.node(0, power, IDENTITY)  # psi(y) = (k, 1)
     active, left, right = dag.nodes[dag.iterated_commutator(y, x, m)]
     if active:
         return False
     for _ in range(m - 1):  # k^(2^(m-1)); squaring stops at the identity
-        if power == 0:
+        if power == IDENTITY:
             break
         power = dag.mul(power, power)
     conjugated = dag.conjugate(power, dag.nodes[fg][2])  # (k^g2)^(2^(m-1))
@@ -203,11 +204,9 @@ def lemma1_check(k: TWord, g: str, m: int) -> bool:
 def lemma2_check(x: str, y: str, m: int) -> bool:
     """Verify the section identity for towers [x,_{m+1} y] with y in St(1).
 
-    Requires x = a.g with g in St(1), i.e. odd `a`-parity.  Writing
-    psi(g) = (g1, g2) and psi(y) = (y1, y2), both coordinates of
-    psi([x,_{m+1} y]) are compared against
-    ([(y2^-1)^g1,_m y1]^y1, [(y1^-1)^g2,_m y2]^y2), each side decided
-    independently on one fresh Dag.
+    Requires x = a.g with g in St(1), i.e. odd `a`-parity.  Both
+    coordinates of psi([x,_{m+1} y]) are compared against the sections
+    `right_towers` predicts from those of g and y, on one fresh Dag.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -219,17 +218,11 @@ def lemma2_check(x: str, y: str, m: int) -> bool:
         raise PreconditionViolated("y must lie in St(1)")
     dag = Dag()
     fx, fy = dag.from_word(x), dag.from_word(y)
-    _, g1, g2 = dag.nodes[dag.mul(A, fx)]
-    _, y1, y2 = dag.nodes[fy]
-    active, left, right = dag.nodes[dag.iterated_commutator(fx, fy, m + 1)]
-    if active:
-        return False
-
-    def side(base: int, other: int, g_section: int) -> int:
-        start = dag.conjugate(dag.inv(other), g_section)
-        return dag.conjugate(dag.iterated_commutator(start, base, m), base)
-
-    return left == side(y1, y2, g1) and right == side(y2, y1, g2)
+    (t, left), (_, right) = (
+        next(islice(right_towers(dag, fx, fy, i), m - 1, None), (IDENTITY, IDENTITY))
+        for i in (0, 1)
+    )
+    return dag.nodes[t] == (0, left, right)
 
 
 @dataclass(frozen=True)
@@ -256,8 +249,8 @@ class RightRefutation:
 
     y embeds the non-Engel pair data (y1, y2) with y2 = [y1, h]^(g1^-1);
     for each m <= N the vertex witnesses[m-1] is moved by
-    [x_active,_{m+1} y], and the first coordinate of its decomposition
-    equals [h,_{m+1} y1]^y1 (the tower identity cross-check).
+    [x_active,_{m+1} y], and its first section is the one `right_towers`
+    predicts from y's sections: [h,_{m+1} y1]^y1, once y2 is checked.
     """
 
     x: str
@@ -348,7 +341,7 @@ def search_nonengel_pair(
     def qualifies(pair: tuple[TWord, TWord]) -> bool:
         dag = Dag()
         towers = dag.tower(*(dag.from_word(flatten(k)) for k in pair))  # [h,_n y1]
-        return 0 not in islice(towers, bound)  # id 0 is the identity
+        return IDENTITY not in islice(towers, bound)
 
     draws = (
         (random_tword(rng, max_factors=2), random_tword(rng, max_factors=2))
@@ -370,7 +363,8 @@ def replay_right(
     pair (h, y1) in K, sets y2 = [y1, h]^(g1^-1), embeds y with
     psi(y) = (y1, y2), and verifies for every m <= bound that
     [x_active,_{m+1} y] is nontrivial both directly (witness vertex) and
-    through the tower identity (first coordinate = [h,_{m+1} y1]^y1).
+    through the tower identity: its first section is the one
+    `right_towers` predicts from y's sections, [h,_{m+1} y1]^y1.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -384,7 +378,8 @@ def replay_right(
 
     def witnesses(dag: Dag) -> tuple[str, ...]:
         entries: dict[int, int] = {}
-        for m, (t, first) in enumerate(islice(right_towers(dag, active, y, h, y1), bound), 2):
+        towers = right_towers(dag, dag.from_word(active), dag.from_word(y))
+        for m, (t, first) in enumerate(islice(towers, bound), 2):
             t_active, t_left, _ = dag.nodes[t]
             if t_active:
                 raise AssertionError("tower left St(1); identity preconditions broken")

@@ -9,7 +9,7 @@ import pytest
 
 import grigor
 from grigor import certificates, config, leafperm
-from grigor.dag import Dag
+from grigor.dag import A, B, IDENTITY, Dag
 from grigor.branch import flatten, search_high_order
 from grigor.decide import witness_vertex
 from grigor.engel import (
@@ -100,6 +100,15 @@ def test_dag_tower_matches_word_tower():
         for m, (word, t, perm) in enumerate(islice(entries, 5), 1):
             assert t == dag.from_word(word), (x, g, m)
             assert (perm == word_perm(word, 6)).all(), (x, g, m)
+
+
+def test_dag_tower_ends_at_its_first_trivial_entry():
+    # [b,_4 a] = 1, and the walk stops there since [1, a] = 1.
+    dag = Dag()
+    entries = list(islice(dag.tower(B, A), 10))
+    assert len(entries) == 4 and entries[-1] == IDENTITY
+    assert IDENTITY not in entries[:-1]
+    assert dag.iterated_commutator(B, A, 10**9) == IDENTITY
 
 
 def test_leafperm_imports_no_grigor_module():

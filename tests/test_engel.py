@@ -1,11 +1,13 @@
+import json
 import random
-from itertools import islice
+from itertools import islice, zip_longest
+from pathlib import Path
 
 import pytest
 
 from grigor import config
 from grigor.branch import TWord, T_ATOM, emb_pair, flatten, random_tword
-from grigor.dag import Dag
+from grigor.dag import IDENTITY, Dag
 from grigor.decide import are_equal, is_trivial, order, witness_vertex
 from grigor.engel import (
     EngelSink,
@@ -20,12 +22,14 @@ from grigor.engel import (
     random_word,
     replay_bounded_left,
     replay_right,
+    right_towers,
     search_nonengel_pair,
     section_chain,
+    tower,
 )
 from grigor.errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
 from grigor.tree import act, decompose
-from grigor.words import commutator, conjugate, invert, multiply, reduce_word
+from grigor.words import a_parity, commutator, conjugate, invert, multiply, reduce_word
 
 from conftest import make_word
 
@@ -221,6 +225,38 @@ def test_lemma2_preconditions():
         lemma2_check("b", "d", 1)  # x even parity
     with pytest.raises(PreconditionViolated):
         lemma2_check("a", "ab", 1)  # y outside St(1)
+
+
+def _lemma2_pairs():
+    """(odd x, y in St(1)): random pairs, pairs with y = d, whose towers
+    sink, and the (x_active, y) of both golden right refutations."""
+    rng = random.Random(2718)
+    pairs = []
+    for _ in range(30):
+        x, y = random_word(rng, 12), random_word(rng, 12)
+        x = x if a_parity(x) else reduce_word("a" + x)
+        pairs.append((x, reduce_word(y + "a") if a_parity(y) else y))
+    pairs += [(x, "d") for x in ["a", "ab"] + [x for x, _ in pairs[:3]]]
+    golden = Path(__file__).parent / "golden"
+    for name in ("right_refutation_a", "right_refutation_d"):
+        cert = json.loads((golden / f"{name}.json").read_text(encoding="utf-8"))
+        pairs.append((cert["x_active"], cert["y"]))
+    return pairs
+
+
+def test_right_towers_predict_the_sections_of_the_word_tower():
+    # Entry m is [x,_{m+1} y]; past the sink of both towers, the entry and
+    # its predicted section are the identity.
+    for x, y in _lemma2_pairs():
+        words = list(islice(tower(x, y), 1, 6))
+        for i in (0, 1):
+            dag = Dag()
+            predicted = islice(right_towers(dag, dag.from_word(x), dag.from_word(y), i), 5)
+            pairs = zip_longest(words, predicted, fillvalue=(IDENTITY, IDENTITY))
+            for m, (word, (t, section)) in enumerate(pairs, 1):
+                d = decompose(word)
+                assert t == dag.from_word(word), (x, y, i, m)
+                assert section == dag.from_word((d.left, d.right)[i]), (x, y, i, m)
 
 
 def test_section_chain():
