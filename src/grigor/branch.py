@@ -231,6 +231,11 @@ def reduced_membership_in_K(g: str) -> KMembershipResult:
     return KMembershipResult(g, "inside" if inside else "outside", K_LEVEL)
 
 
+def random_word(rng: random.Random, length: int = config.WALK_LENGTH) -> str:
+    """Reduced word from a random walk of the given length."""
+    return reduce_word("".join(rng.choice("abcd") for _ in range(length)))
+
+
 def random_tword(
     rng: random.Random,
     max_factors: int = 3,
@@ -239,9 +244,7 @@ def random_tword(
     """A random formal product of signed conjugates of t."""
     factors = []
     for _ in range(rng.randint(1, max_factors)):
-        length = rng.randint(0, conj_len)
-        w = reduce_word("".join(rng.choice("abcd") for _ in range(length)))
-        factors.append((w, rng.choice((1, -1))))
+        factors.append((random_word(rng, rng.randint(0, conj_len)), rng.choice((1, -1))))
     return TWord(tuple(factors))
 
 

@@ -87,7 +87,7 @@ def _cmd_first_active(args) -> int:
 
 
 def _cmd_k_test(args) -> int:
-    result = branch.membership_in_K(words.parse_word(args.word))
+    result = branch.reduced_membership_in_K(words.parse_word(args.word))
     return _issue(args, result, result.verdict)
 
 

@@ -52,6 +52,8 @@ class Dag:
     """Intern table and memos of one computation, or of one role's calls.
 
     nodes[g] is the decomposition (active, left, right) of element g.
+    Outside the seeded nucleus a node's sections have smaller ids, as
+    `node` interns them first, so first active levels fill in id order.
     Interning a node past config.NODE_CAP raises CapExceeded.  `size`
     counts the nodes and the memoized words, which `shared` bounds.
     """
@@ -62,7 +64,7 @@ class Dag:
         self._mul: dict[tuple[int, int], int] = {}
         self._inv = {g: g for g in range(len(_LEAVES))}
         # Seeded: b -> c -> d -> b is a cycle of sections.
-        self._level: dict[int, int | None] = {IDENTITY: None, A: 0, B: 1, C: 1, D: 2}
+        self._levels: list[int | None] = [None, 0, 1, 1, 2]
         self._exponent = {IDENTITY: 0, A: 1, B: 1, C: 1, D: 1}
         self._words = {"": IDENTITY, "a": A, "b": B, "c": C, "d": D}
 
@@ -159,16 +161,11 @@ class Dag:
 
     def first_active_level(self, g: int) -> int | None:
         """The n with g in St(n) \\ St(n+1); None iff g is the identity."""
-        if g not in self._level:
-            active, left, right = self.nodes[g]
-            if active:
-                level = 0
-            else:
-                below = [self.first_active_level(s) for s in (left, right)]
-                below = [m for m in below if m is not None]
-                level = 1 + min(below) if below else None
-            self._level[g] = level
-        return self._level[g]
+        levels = self._levels
+        # Only the identity, id 0, is inactive with both sections 0.
+        for active, left, right in self.nodes[len(levels) : g + 1]:
+            levels.append(0 if active else 1 + min(levels[s] for s in (left, right) if s))
+        return levels[g]
 
     def order_exponent(self, g: int) -> int:
         """The e with g of order 2**e (every element has 2-power order).

@@ -40,7 +40,9 @@ from functools import lru_cache
 from itertools import count, islice, zip_longest
 
 from . import config
-from .branch import TWord, emb_pair, first_qualifying, flatten, random_tword, search_high_order
+from .branch import (
+    TWord, emb_pair, first_qualifying, flatten, random_tword, random_word, search_high_order
+)
 from .dag import A, IDENTITY, Dag, shared
 from .decide import is_trivial, order
 from .errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
@@ -393,11 +395,6 @@ def replay_right(
     )
 
 
-def random_word(rng: random.Random, length: int = config.WALK_LENGTH) -> str:
-    """Reduced word from a random walk of the given length."""
-    return reduce_word("".join(rng.choice("abcd") for _ in range(length)))
-
-
 def random_involution(rng: random.Random, length: int = config.WALK_LENGTH) -> str:
     """A random element of order exactly 2, by rejection in `first_qualifying`."""
     return first_qualifying(
@@ -438,6 +435,8 @@ def involution_survey(
         raise ValueError("samples must be >= 0")
     if opponents < 0:
         raise ValueError("opponents must be >= 0")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     rng = random.Random(seed)
     sinks = no_sink = overflow = 0
     depths: dict[int, int] = {}

@@ -263,6 +263,17 @@ def test_negative_counts_are_usage_errors(capsys, argv, name):
     assert run(capsys, *argv) == (2, "", f"error: {name} must be >= 0")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("survey", "--samples", "0", "--bound", "-1"),
+        ("survey", "--samples", "2", "--opponents", "0", "--bound", "0"),
+    ],
+)
+def test_survey_checks_its_bound_when_it_runs_no_probe(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: bound must be >= 1")
+
+
 def test_resource_cap_exit(capsys):
     code, _, err = run(capsys, "replay-left", "a", "-N", "11", "--budget", "3")
     assert code == 3

@@ -51,6 +51,7 @@ def test_dag_agrees_with_words():
     rng = random.Random(2024)
     dag = Dag()
     trivial = 0
+    levels = {}
     for _ in range(2000):
         w = make_word(rng, rng.randint(0, 40))
         g = dag.from_word(w)
@@ -70,7 +71,13 @@ def test_dag_agrees_with_words():
         image = format(int(word_perm(w, len(v))[int(v, 2)]), f"0{len(v)}b")
         assert dag.act(g, v) == act(w, v) == image, (w, v)
         assert _least_moved_vertex(dag, g) == witness, w
+        levels[w] = level
     assert 0 < trivial < 2000
+    # Second pass: the same levels on a fresh Dag, asked for in reverse id
+    # order, so the first query comes before any level below it is known.
+    fresh = Dag()
+    for g, w in sorted(((fresh.from_word(w), w) for w in levels), reverse=True):
+        assert fresh.first_active_level(g) == levels[w], w
 
 
 def test_leaf_products_use_the_klein_table():
@@ -109,6 +116,16 @@ def test_dag_tower_ends_at_its_first_trivial_entry():
     assert len(entries) == 4 and entries[-1] == IDENTITY
     assert IDENTITY not in entries[:-1]
     assert dag.iterated_commutator(B, A, 10**9) == IDENTITY
+
+
+def test_first_active_levels_of_a_deep_tower():
+    # [ba,_m dababa] has not sunk by m = 3,000, where the Dag holds
+    # 400,326 nodes and is 2,003 sections deep, past the recursion limit.
+    dag = Dag()
+    x, g = dag.from_word("ba"), dag.from_word("dababa")
+    entries = list(islice(dag.tower(x, g), 3000))
+    assert dag.first_active_level(entries[799]) == 533
+    assert dag.first_active_level(entries[-1]) == 2000
 
 
 def test_leafperm_imports_no_grigor_module():
