@@ -30,6 +30,7 @@ from .words import (
     conjugate,
     format_word,
     invert,
+    multiply,
     parse_word,
     reduce_word,
 )
@@ -50,7 +51,7 @@ class TWord:
 
     Lies in K by construction.  Closed under multiplication (concatenate),
     inversion (reverse and flip signs), and conjugation (right-multiply
-    every conjugator).
+    every conjugator).  The conjugators w_i are reduced words.
     """
 
     factors: tuple[tuple[str, int], ...] = ()
@@ -62,7 +63,7 @@ class TWord:
         return TWord(tuple((w, -s) for w, s in reversed(self.factors)))
 
     def conjugated(self, w: str) -> "TWord":
-        return TWord(tuple((reduce_word(c + w), s) for c, s in self.factors))
+        return TWord(tuple((multiply(c, w), s) for c, s in self.factors))
 
     def commutator_with(self, other: "TWord") -> "TWord":
         """[self, other] = self^-1 . self^other."""
@@ -74,12 +75,10 @@ T_ATOM = TWord(((IDENTITY, 1),))  # t itself
 
 def flatten(k: TWord) -> str:
     """The reduced word of the formal product."""
-    parts: list[str] = []
+    word = IDENTITY
     for w, s in k.factors:
-        parts.append(invert(w))
-        parts.append(T if s > 0 else invert(T))
-        parts.append(w)
-    return reduce_word("".join(parts))
+        word = multiply(word, conjugate(T if s > 0 else invert(T), w))
+    return word
 
 
 def parse_tword(text: str) -> TWord:
@@ -124,14 +123,12 @@ def emb_pair(k1: TWord, k2: TWord) -> str:
     Each factor (w, s) of k1 contributes (u^lift_first(w))^s, since
     psi(u^s) = (t^{s_left}, 1); mirrored with v for k2.
     """
-    parts: list[str] = []
-    for w, s in k1.factors:
-        piece = conjugate(U, lift_first(w))
-        parts.append(piece if s > 0 else invert(piece))
-    for w, s in k2.factors:
-        piece = conjugate(V, lift_second(w))
-        parts.append(piece if s > 0 else invert(piece))
-    return reduce_word("".join(parts))
+    y = IDENTITY
+    for base, lift, k in ((U, lift_first, k1), (V, lift_second, k2)):
+        for w, s in k.factors:
+            piece = conjugate(base, lift(w))
+            y = multiply(y, piece if s > 0 else invert(piece))
+    return y
 
 
 @dataclass(frozen=True)

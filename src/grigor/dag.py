@@ -117,8 +117,9 @@ class Dag:
         return inverse
 
     def from_word(self, w: str) -> int:
-        """The element a (reduced or raw) word over abcd represents."""
-        return self._from_reduced(reduce_word(w))
+        """The element a reduced or raw word over abcd represents; a memo hit skips reducing."""
+        g = self._words.get(w)
+        return self._from_reduced(reduce_word(w)) if g is None else g
 
     def _from_reduced(self, w: str) -> int:
         g = self._words.get(w)

@@ -52,7 +52,11 @@ from .words import a_parity, commutator, invert, multiply, reduce_word
 
 
 def tower(x: str, g: str) -> Iterator[str]:
-    """[x,_1 g], [x,_2 g], ... each reduced; WordLengthCapExceeded past the cap."""
+    """[x,_1 g], [x,_2 g], ... for reduced x and g, each reduced.
+
+    A step is `words.commutator`, which rewrites only at its junctions and
+    copies the rest of the entry as slices.  WordLengthCapExceeded past the cap.
+    """
     for n in count(1):
         x = commutator(x, g)
         if len(x) > config.WORD_LENGTH_CAP:
@@ -63,7 +67,7 @@ def tower(x: str, g: str) -> Iterator[str]:
 
 
 def iterated_commutator(x: str, g: str, n: int) -> str:
-    """The left-normed tower [x,_n g], reduced after every step."""
+    """The left-normed tower [x,_n g] of reduced x and g, reduced."""
     if n < 1:
         raise ValueError("tower depth must be >= 1")
     return next(islice(tower(x, g), n - 1, None))

@@ -8,7 +8,9 @@ relations of unbounded length (e.g. (ad)^4 = 1), so element equality is
 delegated to the `decide` module.
 
 Words are plain strings; the identity is the empty string, spelled "1" in
-text output and accepted as "1" or "" on input.  `decompose` reads the
+text output and accepted as "1" or "" on input.  `reduce_word` is the one
+full pass, for raw letters; `multiply`, `conjugate` and `commutator` take
+reduced words and touch only their junctions.  `decompose` reads the
 first-level wreath recursion off a word; `dag` builds elements from it and
 `tree` re-exports it.
 """
@@ -68,8 +70,21 @@ def a_parity(w: str) -> int:
 
 
 def multiply(x: str, y: str) -> str:
-    """Product of two representatives, reduced."""
-    return reduce_word(x + y)
+    """Product of two reduced words, reduced, touching only the junction.
+
+    Equal letters cancel in pairs across the join, then at most one pair
+    from {b, c, d} merges by the Klein table; the rest is copied as slices,
+    so the per-letter work is the letters cancelled, not |x| + |y|.  The
+    rewriting system is confluent, so this is reduce_word(x + y); raw
+    letters go through `reduce_word` first.
+    """
+    i, j = len(x), 0
+    while i and j < len(y) and x[i - 1] == y[j]:
+        i -= 1
+        j += 1
+    if i and j < len(y) and "a" not in (x[i - 1], y[j]):
+        return x[: i - 1] + _MERGE[x[i - 1] + y[j]] + y[j + 1 :]
+    return x[:i] + y[j:]
 
 
 def invert(x: str) -> str:
@@ -78,13 +93,13 @@ def invert(x: str) -> str:
 
 
 def conjugate(x: str, w: str) -> str:
-    """x conjugated by w, i.e. w^-1 x w, reduced."""
-    return reduce_word(w[::-1] + x + w)
+    """x conjugated by w, i.e. w^-1 x w, for reduced x and w; reduced."""
+    return multiply(multiply(invert(w), x), w)
 
 
 def commutator(x: str, g: str) -> str:
-    """[x, g] = x^-1 g^-1 x g, reduced."""
-    return reduce_word(x[::-1] + g[::-1] + x + g)
+    """[x, g] = x^-1 g^-1 x g, for reduced x and g; reduced."""
+    return multiply(invert(x), conjugate(x, g))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from grigor.branch import (
     TWord,
@@ -26,6 +27,7 @@ from grigor.leafperm import word_perm
 from grigor.tree import decompose
 from grigor.words import invert, multiply, reduce_word
 
+import word_reference
 from conftest import make_word
 
 
@@ -85,6 +87,20 @@ def test_lift_correctness(rng):
         mirrored = lift_second(g)
         assert mirrored.count("a") % 2 == 0
         assert are_equal(decompose(mirrored).right, g)
+
+
+tword_factors = st.lists(
+    st.tuples(st.text("abcd", max_size=12).map(reduce_word), st.sampled_from((1, -1))),
+    max_size=4,
+)
+
+
+@given(tword_factors, tword_factors, st.text("abcd", max_size=12).map(reduce_word))
+def test_tword_words_equal_the_full_reduction(f1, f2, w):
+    k1, k2 = TWord(tuple(f1)), TWord(tuple(f2))
+    assert flatten(k1) == word_reference.flatten(k1)
+    assert emb_pair(k1, k2) == word_reference.emb_pair(k1, k2)
+    assert k1.conjugated(w).factors == tuple((reduce_word(c + w), s) for c, s in f1)
 
 
 def test_emb_pair_examples():

@@ -449,6 +449,14 @@ def test_engel_probe_caps_tower():
     assert proc.stderr.startswith("resource cap: tower at depth")
 
 
+def test_engel_probe_word_cap_depth(capsys):
+    # The word tower of b against ad first passes the length cap at depth
+    # 15; the transcript lengths and this message both come from it.
+    assert run(capsys, "engel-probe", "--g", "ad", "--x", "b", "--bound", "40") == (
+        3, "", "resource cap: tower at depth 15 grew past 65536 letters"
+    )
+
+
 def test_verify_rejects_inflated_left_bound(tmp_path):
     # k in the golden file has order 64; claiming bound 30 must be refuted
     # from the order of k, without powering k to 2**29.

@@ -2,6 +2,7 @@ from hypothesis import given, strategies as st
 
 from grigor.words import (
     commutator,
+    conjugate,
     format_word,
     invert,
     multiply,
@@ -12,6 +13,17 @@ from grigor.words import (
 from word_reference import is_reduced
 
 raw_words = st.text(alphabet="abcd", max_size=64)
+reduced_words = raw_words.map(reduce_word)
+
+
+@st.composite
+def junctions(draw):
+    """Reduced (x, y) where y opens with a prefix of x^-1, then often a
+    letter of {b, c, d}: x.y cancels that prefix and may merge a pair."""
+    x = draw(reduced_words)
+    prefix = invert(x)[: draw(st.integers(0, len(x)))]
+    y = reduce_word(prefix + draw(st.sampled_from(("", "b", "c", "d"))) + draw(raw_words))
+    return x, y
 
 
 def test_involutions_cancel():
@@ -60,15 +72,22 @@ def test_inverse_cancels(w):
     assert multiply(invert(r), r) == ""
 
 
-@given(raw_words, raw_words)
-def test_multiply_is_reduced_concatenation(x, y):
-    assert multiply(reduce_word(x), reduce_word(y)) == reduce_word(x + y)
+@given(st.tuples(reduced_words, reduced_words) | junctions())
+def test_multiply_is_reduced_concatenation(pair):
+    # Products of reduced words equal the full reduction of the letters.
+    # Both orders: y.x puts the cancelling prefix at the junctions of
+    # y^-1 x and y^-1 x^-1 instead.
+    for x, y in (pair, pair[::-1]):
+        assert multiply(x, y) == reduce_word(x + y)
+        assert conjugate(x, y) == reduce_word(invert(y) + x + y)
+        assert commutator(x, y) == reduce_word(invert(x) + invert(y) + x + y)
 
 
 def test_multiply_examples():
     assert multiply("", "ab") == "ab"
     assert multiply("ab", "ba") == ""
     assert multiply("b", "c") == "d"
+    assert multiply("abac", "cadab") == "acab"  # cancels c and a, merges b.d
 
 
 def test_invert_examples():

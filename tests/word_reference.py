@@ -5,8 +5,12 @@ squaring decide the same questions as the section DAG by a second
 algorithm, so tests that compare the two compare something.  Neither is
 memoized: they are slow on long words and meant for short ones.
 `is_reduced` states the shape invariants that `reduce_word` must meet.
+`flatten` and `emb_pair` build the words of `branch` by one full
+reduction of the concatenated pieces, against which the junction-only
+products there are compared.
 """
 
+from grigor.branch import T, U, V, lift_first, lift_second
 from grigor.words import LETTERS, decompose, invert, reduce_word
 
 
@@ -45,3 +49,28 @@ def order_exponent(w: str, cap: int = 12) -> int | None:
             return e
         cur = reduce_word(cur + cur)
     return None
+
+
+def flatten(k) -> str:
+    """The word of the TWord k: every factor t^w_i as w_i^-1 t w_i, reduced once."""
+    parts: list[str] = []
+    for w, s in k.factors:
+        parts.append(invert(w))
+        parts.append(T if s > 0 else invert(T))
+        parts.append(w)
+    return reduce_word("".join(parts))
+
+
+def emb_pair(k1, k2) -> str:
+    """y with psi(y) = (flatten(k1), flatten(k2)), from the conjugates of u
+    and v by the lifts of the conjugators, reduced once."""
+    parts: list[str] = []
+    for w, s in k1.factors:
+        lift = lift_first(w)
+        piece = reduce_word(invert(lift) + U + lift)
+        parts.append(piece if s > 0 else invert(piece))
+    for w, s in k2.factors:
+        lift = lift_second(w)
+        piece = reduce_word(invert(lift) + V + lift)
+        parts.append(piece if s > 0 else invert(piece))
+    return reduce_word("".join(parts))
