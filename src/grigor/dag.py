@@ -117,7 +117,12 @@ class Dag:
         return inverse
 
     def from_word(self, w: str) -> int:
-        """The element a reduced or raw word over abcd represents; a memo hit skips reducing."""
+        """The element a reduced or raw word over abcd represents.
+
+        A memo hit skips reducing; on a miss, reducing a word that is
+        reduced already costs one regex match, so the word API needs no
+        reduced-only entry point.
+        """
         g = self._words.get(w)
         return self._from_reduced(reduce_word(w)) if g is None else g
 

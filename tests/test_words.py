@@ -1,8 +1,11 @@
+import pytest
 from hypothesis import given, strategies as st
 
+from grigor import tree
 from grigor.words import (
     commutator,
     conjugate,
+    decompose,
     format_word,
     invert,
     multiply,
@@ -10,11 +13,21 @@ from grigor.words import (
     reduce_word,
 )
 
-from word_reference import is_reduced
+from word_reference import is_reduced, scan_decompose, stack_reduce_word
 
 raw_words = st.text(alphabet="abcd", max_size=64)
 reduced_words = raw_words.map(reduce_word)
-
+# Inputs of the kernel tests: raw words; reduced words, built by the
+# reference; a's between runs of {b, c, d} of up to 12 letters, often empty,
+# so a's cancel across them; u.u^-1 for raw and reduced u, which cancels
+# to the identity; and a-only strings.
+reference_reduced = raw_words.map(stack_reduce_word)
+long_run_words = st.lists(
+    st.text(alphabet="bcd", max_size=12) | st.just(""), max_size=16
+).map("a".join)
+cancelling_words = (raw_words | reference_reduced).map(lambda u: u + invert(u))
+a_only_words = st.integers(0, 64).map(lambda n: "a" * n)
+kernel_inputs = raw_words | reference_reduced | long_run_words | cancelling_words | a_only_words
 
 @st.composite
 def junctions(draw):
@@ -40,13 +53,35 @@ def test_klein_merges():
     assert reduce_word("bcd") == ""
 
 
+def bad_letter(ch: str) -> str:
+    return f"invalid letter {ch!r}; expected one of 'abcd'"
+
+
 def test_reduce_rejects_bad_letters():
-    try:
-        reduce_word("abe")
-    except ValueError as exc:
-        assert "e" in str(exc)
-    else:
-        raise AssertionError("expected ValueError")
+    # The first invalid letter is named, in a short or a long run.
+    for word, ch in (("abe", "e"), ("abxe", "x"), ("ababbbbxe", "x")):
+        with pytest.raises(ValueError) as exc:
+            reduce_word(word)
+        assert str(exc.value) == bad_letter(ch)
+
+
+def test_decompose_rejects_bad_letters():
+    for call in (decompose, lambda w: tree.sections_at(w, 1)):
+        for word, ch in (("abe", "e"), ("abxe", "x")):
+            with pytest.raises(ValueError) as exc:
+                call(word)
+            assert str(exc.value) == bad_letter(ch)
+
+
+@given(kernel_inputs)
+def test_reduce_matches_stack_reference(w):
+    assert reduce_word(w) == stack_reduce_word(w)
+
+
+@given(kernel_inputs)
+def test_decompose_matches_scan_reference(w):
+    assert decompose(w) == scan_decompose(w)
+
 
 
 @given(raw_words)

@@ -5,13 +5,77 @@ squaring decide the same questions as the section DAG by a second
 algorithm, so tests that compare the two compare something.  Neither is
 memoized: they are slow on long words and meant for short ones.
 `is_reduced` states the shape invariants that `reduce_word` must meet.
+`stack_reduce_word` and `scan_decompose` are the letter-by-letter
+kernels that `reduce_word` and `decompose` must agree with.
 `flatten` and `emb_pair` build the words of `branch` by one full
 reduction of the concatenated pieces, against which the junction-only
 products there are compared.
 """
 
 from grigor.branch import T, U, V, lift_first, lift_second
-from grigor.words import LETTERS, decompose, invert, reduce_word
+from grigor.words import LETTERS, Decomposition, decompose, invert, reduce_word
+
+# Klein four-group table on {b, c, d}.
+_MERGE = {
+    "bc": "d", "cb": "d",
+    "bd": "c", "db": "c",
+    "cd": "b", "dc": "b",
+}
+
+# First-level sections of the non-rooted generators: b = (a, c), c = (a, d),
+# d = (1, b).  The rooted generator a only toggles the activity bit.
+_SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
+
+
+def stack_reduce_word(raw: str) -> str:
+    """Reduce a raw letter sequence to its rewriting-system fixpoint.
+
+    Single left-to-right pass with a stack; every rule strictly shortens
+    the word, so the scan is amortized O(n) and the fixpoint is unique.
+    """
+    out: list[str] = []
+    push = out.append
+    pop = out.pop
+    for ch in raw:
+        if ch not in LETTERS:
+            raise ValueError(f"invalid letter {ch!r}; expected one of {LETTERS!r}")
+        while True:
+            if not out:
+                push(ch)
+                break
+            top = out[-1]
+            if top == ch:
+                pop()
+                break
+            if top != "a" and ch != "a":
+                pop()
+                ch = _MERGE[top + ch]
+                continue  # merged letter may interact with the new top
+            push(ch)
+            break
+    return "".join(out)
+
+
+def scan_decompose(g: str) -> Decomposition:
+    """First-level decomposition of a word over abcd.
+
+    Left-to-right scan tracking the accumulated `a`-parity p: a letter in
+    {b, c, d} contributes its section pair to (left, right) as-is when
+    p = 0 and swapped when p = 1 (the swap realizes psi(g^a) = (g2, g1)).
+    """
+    p = 0
+    left: list[str] = []
+    right: list[str] = []
+    for ch in g:
+        if ch == "a":
+            p ^= 1
+        else:
+            lo, hi = _SECTIONS[ch]
+            if p:
+                lo, hi = hi, lo
+            left.append(lo)
+            right.append(hi)
+    return Decomposition(p, stack_reduce_word("".join(left)), stack_reduce_word("".join(right)))
 
 
 def is_reduced(w: str) -> bool:
