@@ -14,8 +14,9 @@ section-DAG arithmetic on ids, and each property is checked once: y is
 checked by its sections, psi(y) = (y1, y2) read off `dag.nodes`, which
 decides it since psi is injective on St(1) and each element has one id.
 The refutation verifiers decide only on the "verify" table of
-`dag.shared`, which nothing that issues an answer fills; probe verifiers
-walk a fresh Dag with `engel.probe`, the walk the probes issue from.
+`dag.shared`, and the probe verifiers, which walk `engel.probe` as the
+probes do, only on its small "probe-verify" table: nothing that issues
+an answer fills either.
 Probe transcripts are checked too: one reduced word length per tower
 depth.
 
@@ -166,13 +167,20 @@ def _verify_sink(cert: EngelSink) -> tuple[bool, str]:
     n = cert.n
     if n < 1:
         return False, "sink depth must be >= 1"
-    _, lengths, m, t = probe(cert.x, cert.g, n)
-    if m < n:
-        return False, f"tower already trivial at depth {m}"
-    if cert.transcript != tuple(lengths):
-        return False, _TRANSCRIPT_MISMATCH
-    if t != IDENTITY:
-        return False, f"tower not trivial at claimed depth {n}"
+
+    def check(dag: Dag) -> str | None:
+        lengths, m, t = probe(dag, cert.x, cert.g, n)
+        if m < n:
+            return f"tower already trivial at depth {m}"
+        if cert.transcript != tuple(lengths):
+            return _TRANSCRIPT_MISMATCH
+        if t != IDENTITY:
+            return f"tower not trivial at claimed depth {n}"
+        return None
+
+    problem = shared("probe-verify", check)
+    if problem:
+        return False, problem
     return True, f"sink at depth {n} confirmed"
 
 
@@ -180,13 +188,20 @@ def _verify_no_sink(cert: NoSinkUpTo) -> tuple[bool, str]:
     bound = cert.bound
     if bound < 1:
         return False, "bound must be >= 1"
-    dag, lengths, m, t = probe(cert.x, cert.g, bound)
-    if t == IDENTITY:
-        return False, f"tower trivial at depth {m} <= bound"
-    if cert.transcript != tuple(lengths):
-        return False, _TRANSCRIPT_MISMATCH
-    if dag.act(t, cert.witness) == cert.witness:
-        return False, "witness vertex is not moved by the final tower"
+
+    def check(dag: Dag) -> str | None:
+        lengths, m, t = probe(dag, cert.x, cert.g, bound)
+        if t == IDENTITY:
+            return f"tower trivial at depth {m} <= bound"
+        if cert.transcript != tuple(lengths):
+            return _TRANSCRIPT_MISMATCH
+        if dag.act(t, cert.witness) == cert.witness:
+            return "witness vertex is not moved by the final tower"
+        return None
+
+    problem = shared("probe-verify", check)
+    if problem:
+        return False, problem
     return True, f"no sink through depth {bound} confirmed"
 
 

@@ -17,8 +17,12 @@ WORD_LENGTH_CAP = 1 << 16
 
 # Section-DAG computations (module `dag`) stop past this many interned
 # nodes; a long-lived table (the word API's included) is dropped once its
-# nodes plus memoized words reach half of it.
+# entries (`Dag.size`) reach half of it.
 NODE_CAP = 1 << 20
+
+# The long-lived tables of Engel probes and of their verifiers are dropped
+# once their entries reach this many, about 1.5 MB each.
+PROBE_TABLE_ENTRIES = 1 << 14
 
 # Random-walk length used when sampling words.
 WALK_LENGTH = 24

@@ -17,17 +17,21 @@ letters long for a reduced word of length L (asserted).
 Ids mean nothing outside the Dag that made them, and no id leaves the
 call that made it: computations take words and return words, bools and
 ints.  `shared` keeps one long-lived table per role, and a call on it
-leaves its nodes and words interned for the next.  There are two roles:
-"decide", for everything that issues an answer -- the word API
-(`decide.is_trivial`, `are_equal`, `order`, `tree.act`,
-`first_active_level`) and the Engel replays, whose towers of
-x-independent elements repeat from call to call -- and "verify", for the
-refutation verifiers, which decide every check on it and so never read a
-table an issuer filled.  A table is dropped at call entry once its nodes
-plus memoized words reach NODE_CAP // 2, and a call that hits a cap on a
-warm table runs once more on a fresh one, so it raises exactly when it
-would in a fresh process.  Probes, the pair search and the lemma checks
-make a fresh Dag per call.
+leaves its nodes and words interned for the next.  There are four roles:
+"decide", for the word API (`decide.is_trivial`, `are_equal`, `order`,
+`tree.act`, `first_active_level`) and the Engel replays, whose towers of
+x-independent elements repeat from call to call; "verify", for the
+refutation verifiers; and "probe" and "probe-verify", for Engel probes
+and their verifiers, whose towers share the near-nucleus elements.  A
+verifier decides every check on its own role's table, and so never reads
+a table an issuer filled.  A table is dropped at call entry once its
+entries (`Dag.size`) reach NODE_CAP // 2, or PROBE_TABLE_ENTRIES for the
+two probe roles: one probe fills about 150 entries of a fresh table, so
+a small table keeps the shared part warm without holding every tower.
+A call that hits a cap on a warm table runs once more on a fresh one, so
+it raises exactly when it would in a fresh process; the word-length cap
+depends on the words alone, so it is raised at once and the table kept.
+The pair search and the lemma checks make a fresh Dag per call.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from itertools import islice
 from typing import TypeVar
 
 from . import config
-from .errors import CapExceeded, SectionContractionError
+from .errors import CapExceeded, SectionContractionError, WordLengthCapExceeded
 from .words import decompose, reduce_word
 
 IDENTITY, A, B, C, D = range(5)
@@ -55,7 +59,8 @@ class Dag:
     Outside the seeded nucleus a node's sections have smaller ids, as
     `node` interns them first, so first active levels fill in id order.
     Interning a node past config.NODE_CAP raises CapExceeded.  `size`
-    counts the nodes and the memoized words, which `shared` bounds.
+    counts every entry the table holds -- nodes, memoized products,
+    inverses, order exponents and words -- which `shared` bounds.
     """
 
     def __init__(self) -> None:
@@ -70,7 +75,10 @@ class Dag:
 
     @property
     def size(self) -> int:
-        return len(self.nodes) + len(self._words)
+        return (
+            len(self.nodes) + len(self._mul) + len(self._inv)
+            + len(self._exponent) + len(self._words)
+        )
 
     def node(self, active: int, left: int, right: int) -> int:
         """The id of the element with this first-level decomposition."""
@@ -202,8 +210,10 @@ class Dag:
         return "".join(out)
 
 
-# The long-lived table of each role: "decide" or "verify".
+# The long-lived table of each role; see the module docstring.
 TABLES: dict[str, Dag] = {}
+
+_PROBE_ROLES = ("probe", "probe-verify")
 
 
 def shared(role: str, compute: Callable[[Dag], T]) -> T:
@@ -212,11 +222,14 @@ def shared(role: str, compute: Callable[[Dag], T]) -> T:
     compute must return no id: the table may be dropped after it returns.
     """
     dag = TABLES.get(role)
-    if dag is None or dag.size >= config.NODE_CAP // 2:
+    bound = config.PROBE_TABLE_ENTRIES if role in _PROBE_ROLES else config.NODE_CAP // 2
+    if dag is None or dag.size >= bound:
         dag = TABLES[role] = Dag()
     warm = len(dag.nodes) > len(_LEAVES)
     try:
         return compute(dag)
+    except WordLengthCapExceeded:
+        raise  # it depends on the words alone: a fresh table would raise it too
     except CapExceeded:
         TABLES.pop(role, None)
         if warm:

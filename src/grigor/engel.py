@@ -10,9 +10,11 @@ takes any entries of one tower and cross-checks them all in one leafperm
 pass, at the level the deepest of them needs.  The reduced-word `tower`
 serves probe transcripts only: they record word lengths, and its length
 cap ends a probe visibly.  `probe` is the one probe walk, which
-`left_engel_probe` issues from and the probe verifiers check with.  The
-lemma checks decide both sides of their identities on one fresh Dag.
-Words stay the input and output.
+`left_engel_probe` issues from on the small long-lived "probe" table of
+`dag.shared`, and the probe verifiers check with on "probe-verify": probe
+towers of different words share their near-nucleus elements.  The lemma
+checks decide both sides of their identities on one fresh Dag.  Words
+stay the input and output.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
@@ -103,21 +105,20 @@ def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int
     return witnesses
 
 
-def probe(x: str, g: str, depth: int) -> tuple[Dag, list[int], int, int]:
-    """Walk [x,_m g] for m <= depth on a fresh Dag, stopping at the first
-    trivial entry: (dag, reduced word lengths, last m, id of the last entry).
+def probe(dag: Dag, x: str, g: str, depth: int) -> tuple[list[int], int, int]:
+    """Walk [x,_m g] for m <= depth on dag, stopping at the first trivial
+    entry: (reduced word lengths, last m, id of the last entry).
 
     The word comes first in the zip, so its length cap raises before the
     DAG takes the step.
     """
-    dag = Dag()
     lengths: list[int] = []
     towers = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
     for m, (w, t) in enumerate(islice(towers, depth), 1):
         lengths.append(len(w))
         if t == IDENTITY:
             break
-    return dag, lengths, m, t
+    return lengths, m, t
 
 
 def right_towers(dag: Dag, x: int, y: int, i: int = 0) -> Iterator[tuple[int, int]]:
@@ -166,11 +167,15 @@ def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
         raise ValueError("bound must be >= 1")
     g = reduce_word(g)
     x = reduce_word(x)
-    dag, transcript, n, t = probe(x, g, bound)
-    if t == IDENTITY:
-        return EngelSink(g, x, n, tuple(transcript))
-    witness = exact_witness(dag, {bound: t}, x, g)[bound]
-    return NoSinkUpTo(g, x, bound, tuple(transcript), witness)
+
+    def issue(dag: Dag) -> EngelSink | NoSinkUpTo:
+        transcript, n, t = probe(dag, x, g, bound)
+        if t == IDENTITY:
+            return EngelSink(g, x, n, tuple(transcript))
+        witness = exact_witness(dag, {bound: t}, x, g)[bound]
+        return NoSinkUpTo(g, x, bound, tuple(transcript), witness)
+
+    return shared("probe", issue)
 
 
 def lemma1_check(k: TWord, g: str, m: int) -> bool:

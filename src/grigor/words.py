@@ -20,7 +20,7 @@ byte translations; `dag` builds elements from it and `tree` re-exports it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 LETTERS = "abcd"
 
@@ -126,8 +126,7 @@ def commutator(x: str, g: str) -> str:
     return multiply(invert(x), conjugate(x, g))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Root activity bit plus the two first-level sections (reduced words)."""
 
     active: int

@@ -158,7 +158,7 @@ def test_probe_towers_agree_with_is_trivial():
     for i in range(240):
         g = random_involution(rng) if i % 2 == 0 else random_word(rng)
         x = random_word(rng)
-        _, lengths, m, t = probe(x, g, 8)
+        lengths, m, t = probe(Dag(), x, g, 8)
         words = list(islice(tower(x, g), m))
         assert lengths == [len(word) for word in words], (g, x)
         assert not any(map(ref.is_trivial, words[:-1])), (g, x)
