@@ -7,6 +7,17 @@ module or of section DAGs.  The `decide` and `engel` modules use it as a
 cross-validating oracle, and the `branch` module uses it to generate
 finite level quotients.  `tower_perms` walks a whole commutator tower at
 one level: one `word_perm` per word, then one commutator per entry.
+Levels past 2 * config.MAX_DEPTH raise CapExceeded before any array is
+built.
+
+`word_perm` applies a word _CHUNK = 4 letters at a time, one gather per
+chunk.  A chunk's permutation is composed from the generators the first
+time its level meets it and is stored beside them, in the level's dict
+of `generator_perms`; no longer word is ever kept.  A kept level holds at
+most 340 keys (the 4 + 16 + 64 + 256 strings of 1 to 4 letters) of 2**n
+entries each: about 22 MB over levels 0-12 for adversarial raw words.
+Reduced words alternate `a` with b, c, d and so produce at most 40
+chunks, about 2.6 MB.  A deeper level drops its chunks with the call.
 
 Permutations are numpy index arrays; p[i] is the image of vertex i
 (vertices encoded as big-endian binary integers).  numpy is imported
@@ -19,28 +30,35 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
+from .config import MAX_DEPTH
+from .errors import CapExceeded
+
 if TYPE_CHECKING:
     import numpy as np
 
 # Levels up to config.MAX_DEPTH (a test pins the two equal) keep their
-# arrays, 0.25 MB in all; a deeper one, up to 2**24 entries per array, is
-# rebuilt on each call from the deepest kept level.
+# arrays, 0.25 MB of generators in all plus the chunks above; a deeper one,
+# up to 2**24 entries per array, is rebuilt on each call from the deepest
+# kept level.
 _KEPT_LEVELS = 12
+_CHUNK = 4
 _kept: dict[int, dict[str, np.ndarray]] = {}
 
 
 def generator_perms(n: int) -> dict[str, np.ndarray]:
-    """Level-n permutations of a, b, c, d.
+    """Level-n permutations of a, b, c, d, and of the chunks word_perm met.
 
     a swaps the two halves; b, c, d act blockwise by their defining
     sections b = (a, c), c = (a, d), d = (1, b).
     """
     if n in _kept:
         return _kept[n]
-    import numpy as np
-
     if n < 0:
         raise ValueError("level must be >= 0")
+    if n > 2 * MAX_DEPTH:
+        raise CapExceeded(f"level {n} is past the oracle's cap {2 * MAX_DEPTH}")
+    import numpy as np
+
     if n == 0:
         ident = np.zeros(1, dtype=np.int64)
         return {letter: ident for letter in "abcd"}
@@ -65,14 +83,34 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
 
 
 def word_perm(w: str, n: int) -> np.ndarray:
-    """Permutation induced on level n by a raw word (leftmost letter first)."""
+    """Permutation induced on level n by a raw word (leftmost letter first).
+
+    The word is applied _CHUNK letters at a time, one gather per chunk.
+    """
     import numpy as np
 
-    gens = generator_perms(n)
+    perms = generator_perms(n)
     p = np.arange(1 << n, dtype=np.int64)
-    for ch in w:
-        p = gens[ch][p]
+    for i in range(0, len(w), _CHUNK):
+        chunk = w[i : i + _CHUNK]
+        q = perms.get(chunk)
+        if q is None:
+            q = _chunk_perm(chunk, perms)
+        p = q[p]
     return p
+
+
+def _chunk_perm(chunk: str, perms: dict[str, np.ndarray]) -> np.ndarray:
+    """Compose a chunk's permutation from the generators and store it in perms.
+
+    An invalid letter raises KeyError naming it before anything is stored.
+    """
+    q = perms[chunk[0]]
+    for ch in chunk[1:]:
+        q = perms[ch][q]
+    q.setflags(write=False)
+    perms[chunk] = q
+    return q
 
 
 def tower_perms(x: str, g: str, n: int) -> Iterator[np.ndarray]:
@@ -100,15 +138,16 @@ def _inverse(p: np.ndarray) -> np.ndarray:
 def moved_vertex(perm: np.ndarray, n: int) -> str | None:
     """Least-depth, lexicographically least vertex moved within depth n.
 
-    A depth-k vertex is moved iff its block of level-n descendants maps to
-    a different block, which the block's first leaf already reveals.
+    A depth-k vertex is moved iff a leaf below it maps to a leaf whose top
+    k bits differ, that is, iff the leaf's XOR with its image is at least
+    2**(n - k).  So the highest set bit s of the largest XOR gives the
+    least depth n - s, and the first leaf reaching 2**s gives the vertex.
     """
     import numpy as np
 
-    for k in range(1, n + 1):
-        shift = n - k
-        tops = perm[:: 1 << shift] >> shift
-        mismatch = np.nonzero(tops != np.arange(1 << k, dtype=np.int64))[0]
-        if mismatch.size:
-            return format(int(mismatch[0]), f"0{k}b")
-    return None
+    diff = perm ^ np.arange(1 << n, dtype=perm.dtype)
+    top = int(diff.max())
+    if top == 0:
+        return None
+    s = top.bit_length() - 1
+    return format(int(np.argmax(diff >> s)) >> s, f"0{n - s}b")

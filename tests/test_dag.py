@@ -128,17 +128,29 @@ def test_first_active_levels_of_a_deep_tower():
     assert dag.first_active_level(entries[-1]) == 2000
 
 
-def test_leafperm_imports_no_grigor_module():
-    # The oracle stays independent of words, tree and the section DAG.
-    source = Path(grigor.__file__).with_name("leafperm.py").read_text()
+def _imported(module: str) -> list[str]:
+    source = Path(grigor.__file__).with_name(f"{module}.py").read_text()
     imported = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.append("." * node.level + (node.module or ""))
+    return imported
+
+
+def test_leafperm_imports_no_grigor_module():
+    # The oracle stays independent of words, tree and the section DAG: of
+    # grigor it reads only its level cap and the cap's exception, and
+    # those two modules import nothing of grigor.
+    imported = _imported("leafperm")
     assert "numpy" in imported
-    assert not [name for name in imported if name.startswith((".", "grigor"))], imported
+    own = [name for name in imported if name.startswith((".", "grigor"))]
+    assert sorted(own) == [".config", ".errors"], imported
+    for module in ("config", "errors"):
+        assert not [
+            name for name in _imported(module) if name.startswith((".", "grigor"))
+        ], module
 
 
 def test_leafperm_keeps_no_level_past_max_depth():

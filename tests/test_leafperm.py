@@ -1,0 +1,103 @@
+"""leafperm's chunked word_perm and closed-form moved_vertex against the
+letter-by-letter and depth-by-depth references, and its level cap."""
+
+import random
+from itertools import islice
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grigor import config, leafperm
+from grigor.decide import witness_vertex
+from grigor.errors import CapExceeded
+from grigor.leafperm import generator_perms, moved_vertex, tower_perms, word_perm
+from grigor.words import reduce_word
+
+import word_reference as ref
+from conftest import make_word
+
+raw_words = st.text("abcd", max_size=120)
+words = raw_words | raw_words.map(reduce_word) | st.just("")
+levels = st.integers(0, 14)
+
+
+@pytest.fixture
+def fresh_kept(monkeypatch):
+    """An empty table of kept levels, as in a fresh process."""
+    monkeypatch.setattr(leafperm, "_kept", {})
+
+
+@settings(deadline=None)
+@given(words, levels)
+def test_word_perm_matches_letter_by_letter(w, n):
+    assert np.array_equal(word_perm(w, n), ref.letter_word_perm(w, n)), (w, n)
+
+
+@settings(deadline=None)
+@given(words, levels)
+def test_moved_vertex_matches_depth_by_depth(w, n):
+    perm = ref.letter_word_perm(w, n)
+    assert moved_vertex(perm, n) == ref.depth_moved_vertex(perm, n), (w, n)
+
+
+@pytest.mark.parametrize("w", ["", "aa", "bcd", "adadadad"])
+@pytest.mark.parametrize("n", [0, 1, 7, 14])
+def test_identity_moves_no_vertex(w, n):
+    perm = word_perm(w, n)
+    assert np.array_equal(perm, np.arange(1 << n))
+    assert moved_vertex(perm, n) is None
+    assert ref.depth_moved_vertex(perm, n) is None
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.text("abcd", min_size=1, max_size=12), st.text("abcd", min_size=1, max_size=12),
+       st.integers(0, 10))
+def test_tower_entries_agree_with_depth_by_depth(x, g, n):
+    for perm in islice(tower_perms(x, g, n), 5):
+        assert moved_vertex(perm, n) == ref.depth_moved_vertex(perm, n), (x, g, n)
+
+
+@pytest.mark.parametrize("n", [5, 16])
+@pytest.mark.parametrize(("w", "bad"), [("x", "x"), ("abcdaXbyz", "X"), ("ab?", "?")])
+def test_invalid_letter_names_it_and_leaves_no_chunk(fresh_kept, w, bad, n):
+    with pytest.raises(KeyError) as info:
+        word_perm(w, n)
+    assert info.value.args == (bad,)
+    for perms in leafperm._kept.values():
+        assert all(set(key) <= set("abcd") for key in perms), sorted(perms)
+
+
+def test_levels_past_the_cap_raise_before_building(fresh_kept):
+    cap = 2 * config.MAX_DEPTH
+    with pytest.raises(CapExceeded):
+        witness_vertex("a", cap + 1)
+    with pytest.raises(CapExceeded):
+        word_perm("a", 25)
+    with pytest.raises(CapExceeded):
+        generator_perms(cap + 1)
+    # Building level 25 would have kept levels 0-12 on the way.
+    assert leafperm._kept == {}
+
+
+def test_deep_levels_leave_no_array_in_module_state(fresh_kept):
+    word_perm("abcda", 16)
+    assert max(leafperm._kept) == leafperm._KEPT_LEVELS
+    for n, perms in leafperm._kept.items():
+        assert all(len(p) == 1 << n for p in perms.values()), n
+
+
+def test_chunk_keys_stay_within_the_documented_bound(fresh_kept):
+    # Reduced words alternate a with b, c, d and so meet at most 40 chunks;
+    # raw words meet at most the 340 strings of 1 to 4 letters.
+    rng = random.Random(20)
+    n = 6
+    raws = [make_word(rng, rng.randrange(1, 60)) for _ in range(400)]
+    for w in raws:
+        word_perm(reduce_word(w), n)
+    assert len(generator_perms(n)) <= 40
+    for w in raws:
+        word_perm(w, n)
+    keys = generator_perms(n)
+    assert 40 < len(keys) <= 340
+    assert all(len(key) <= leafperm._CHUNK for key in keys)

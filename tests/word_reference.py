@@ -9,10 +9,15 @@ memoized: they are slow on long words and meant for short ones.
 kernels that `reduce_word` and `decompose` must agree with.
 `flatten` and `emb_pair` build the words of `branch` by one full
 reduction of the concatenated pieces, against which the junction-only
-products there are compared.
+products there are compared.  `letter_word_perm` and `depth_moved_vertex`
+are the letter-by-letter and depth-by-depth kernels that
+`leafperm.word_perm` and `leafperm.moved_vertex` must agree with.
 """
 
+import numpy as np
+
 from grigor.branch import T, U, V, lift_first, lift_second
+from grigor.leafperm import generator_perms
 from grigor.words import LETTERS, Decomposition, decompose, invert, reduce_word
 
 # Klein four-group table on {b, c, d}.
@@ -138,3 +143,27 @@ def emb_pair(k1, k2) -> str:
         piece = reduce_word(invert(lift) + V + lift)
         parts.append(piece if s > 0 else invert(piece))
     return reduce_word("".join(parts))
+
+
+def letter_word_perm(w: str, n: int) -> np.ndarray:
+    """Level-n permutation of a raw word: one gather per letter."""
+    gens = generator_perms(n)
+    p = np.arange(1 << n, dtype=np.int64)
+    for ch in w:
+        p = gens[ch][p]
+    return p
+
+
+def depth_moved_vertex(perm: np.ndarray, n: int) -> str | None:
+    """Least-depth, lexicographically least vertex moved within depth n.
+
+    A depth-k vertex is moved iff its block of level-n descendants maps to
+    a different block, which the block's first leaf already reveals.
+    """
+    for k in range(1, n + 1):
+        shift = n - k
+        tops = perm[:: 1 << shift] >> shift
+        mismatch = np.nonzero(tops != np.arange(1 << k, dtype=np.int64))[0]
+        if mismatch.size:
+            return format(int(mismatch[0]), f"0{k}b")
+    return None
