@@ -9,6 +9,9 @@ Two complementary mechanisms:
   St(3) <= K.  The sympy level quotients, imported only when built, serve
   the `quotient` command and cross-check that the index of K's image
   plateaus from level 3 on; sympy is the optional `quotients` extra.
+
+TWords and the level-3 table of K live in the verifier kernel
+`certificates`; both facts above are checked in tests/test_k_facts.py.
 """
 
 from __future__ import annotations
@@ -21,88 +24,25 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, TypeVar
 
 from . import config
+from .certificates import T, KMembershipResult, TWord, flatten, reduced_membership_in_K
 from .dag import shared
 from .errors import CapExceeded, SearchExhausted
 from .leafperm import word_perm
-from .words import (
-    IDENTITY,
-    a_parity,
-    conjugate,
-    format_word,
-    invert,
-    multiply,
-    parse_word,
-    reduce_word,
-)
+from .words import IDENTITY, conjugate, invert, multiply, reduce_word
 
 if TYPE_CHECKING:
     from sympy.combinatorics import PermutationGroup
 
-T = "abab"  # t = (ab)^2
 U = reduce_word("badabada")  # u = (bada)^2, psi(u) = (t, 1)
 V = reduce_word("abadabad")  # v = (abad)^2, psi(v) = (1, t)
 
 C = TypeVar("C")
 
-
-@dataclass(frozen=True)
-class TWord:
-    """Formal product of signed conjugates of t: prod (t^w_i)^(s_i).
-
-    Lies in K by construction.  Closed under multiplication (concatenate),
-    inversion (reverse and flip signs), and conjugation (right-multiply
-    every conjugator).  The conjugators w_i are reduced words.
-    """
-
-    factors: tuple[tuple[str, int], ...] = ()
-
-    def __mul__(self, other: "TWord") -> "TWord":
-        return TWord(self.factors + other.factors)
-
-    def inverse(self) -> "TWord":
-        return TWord(tuple((w, -s) for w, s in reversed(self.factors)))
-
-    def conjugated(self, w: str) -> "TWord":
-        return TWord(tuple((multiply(c, w), s) for c, s in self.factors))
-
-    def commutator_with(self, other: "TWord") -> "TWord":
-        """[self, other] = self^-1 . self^other."""
-        return self.inverse() * self.conjugated(flatten(other))
-
-
 T_ATOM = TWord(((IDENTITY, 1),))  # t itself
 
 
-def flatten(k: TWord) -> str:
-    """The reduced word of the formal product."""
-    word = IDENTITY
-    for w, s in k.factors:
-        word = multiply(word, conjugate(T if s > 0 else invert(T), w))
-    return word
-
-
-def parse_tword(text: str) -> TWord:
-    """Parse the semicolon-separated literal, e.g. "1^+1;ab^-1"."""
-    text = text.strip()
-    if not text:
-        return TWord()
-    factors = []
-    for chunk in text.split(";"):
-        base, sep, exp = chunk.partition("^")
-        if not sep or exp not in ("+1", "-1"):
-            raise ValueError(f"invalid TWord factor {chunk!r}; expected w^+1 or w^-1")
-        factors.append((parse_word(base), 1 if exp == "+1" else -1))
-    return TWord(tuple(factors))
-
-
-def format_tword(k: TWord) -> str:
-    return ";".join(
-        f"{format_word(w)}^{'+' if s > 0 else '-'}1" for w, s in k.factors
-    )
-
-
 # Letter maps sending a word g to an element of St(1) whose left (resp.
-# right) section equals g; verified by the lift-correctness tests.
+# right) section equals g; checked in tests/test_k_facts.py.
 _LIFT_FIRST = {"a": "b", "b": "ada", "c": "aba", "d": "aca"}
 _LIFT_SECOND = {"a": "aba", "b": "d", "c": "b", "d": "c"}
 
@@ -185,47 +125,9 @@ def certified_plateau() -> int | None:
     return None
 
 
-# St(3) <= K (de la Harpe, *Topics in Geometric Group Theory*, ch. VIII), so
-# g is in K exactly when its level-3 permutation lies in the image of K.
-K_LEVEL = 3
-
-
-@lru_cache(maxsize=None)
-def k_image_table() -> frozenset[tuple[int, ...]]:
-    """The level-K_LEVEL permutations of K: the closure of those of t, u, v."""
-    gens = [word_perm(w, K_LEVEL) for w in (T, U, V)]
-    image = {tuple(range(1 << K_LEVEL))}
-    while True:
-        grown = image | {tuple(gen[list(p)].tolist()) for p in image for gen in gens}
-        if grown == image:
-            return frozenset(image)
-        image = grown
-
-
-@dataclass(frozen=True)
-class KMembershipResult:
-    """Inside/Outside for the reduced word, with the level that decided it."""
-
-    word: str
-    verdict: str  # "inside" | "outside"
-    level: int
-
-
 def membership_in_K(g: str) -> KMembershipResult:
     """Decide membership of the word g in K; see `reduced_membership_in_K`."""
     return reduced_membership_in_K(reduce_word(g))
-
-
-def reduced_membership_in_K(g: str) -> KMembershipResult:
-    """Decide membership of the reduced word g in K by its level-K_LEVEL permutation.
-
-    Odd `a`-parity words are Outside at level 1: t fixes level 1 and level
-    stabilizers are normal, so K <= St(1).
-    """
-    if a_parity(g):
-        return KMembershipResult(g, "outside", 1)
-    inside = tuple(word_perm(g, K_LEVEL).tolist()) in k_image_table()
-    return KMembershipResult(g, "inside" if inside else "outside", K_LEVEL)
 
 
 def random_word(rng: random.Random, length: int = config.WALK_LENGTH) -> str:

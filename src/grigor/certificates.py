@@ -1,54 +1,260 @@
-"""Versioned JSON certificates and their replay verifier.
+"""The verifier kernel: certificate records, their JSON form and their replay.
 
-Every certificate is a self-contained transcript: the verifier re-checks
-it from the serialized inputs alone, so a certificate file can be audited
-independently of the run that produced it.  Each kind is declared once,
-in `_KINDS`: the class that issues it, the shape, reader and writer of
-each field, and its verifier of the issuing record.  `to_dict`,
-`from_dict` and `verify` all read that table; `verify` checks every
-field's shape, then parses every field, before anything is computed.
+A certificate is as trustworthy as its checker, so all that `verify` reads
+is here or in `dag`, `words`, `config` and `errors`, its only grigor
+imports: the records, the word `tower` and `probe`, `right_towers`
+(Lemma 2, stated once), TWords and the level-3 K table.  The issuers
+`engel` and `branch` import from here.  K membership alone loads
+`leafperm`, and numpy with it.  St(3) <= K and K x K <= psi(K), which it
+and the embeddings rest on, are machine-checked in tests/test_k_facts.py.
+
+Every certificate is a self-contained transcript, re-checked from its
+serialized inputs alone.  Each kind is declared once, in `_KINDS`: the
+class that issues it, the shape, reader and writer of each field, and its
+verifier of the issuing record.  `to_dict`, `from_dict` and `verify` all
+read that table; `verify` checks every field's shape, then parses every
+field, before anything is computed.
 
 Every check -- triviality, the section chain, the order of k, the
 embedding y, every commutator tower and its moved vertices -- is
 section-DAG arithmetic on ids, and each property is checked once: y is
 checked by its sections, psi(y) = (y1, y2) read off `dag.nodes`, which
 decides it since psi is injective on St(1) and each element has one id.
-The refutation verifiers decide only on the "verify" table of
-`dag.shared`, and the probe verifiers, which walk `engel.probe` as the
-probes do, only on its small "probe-verify" table: nothing that issues
-an answer fills either.
-Probe transcripts are checked too: one reduced word length per tower
-depth.
-
-Serialization is deterministic: sorted keys, fixed separators, no
-floats, so identical inputs yield byte-identical files.
+The verifiers decide on their own tables of `dag.shared`, "verify" and,
+for the probe kinds, the small "probe-verify", which nothing that issues
+an answer fills.  Probe transcripts are checked too: one reduced word
+length per tower depth.  Serialization is deterministic: sorted keys,
+fixed separators, no floats, so identical inputs yield byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import islice
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count, islice, zip_longest
+from types import ModuleType
 from typing import Any
 
 from . import __version__, config
-from .branch import (
-    KMembershipResult, flatten, format_tword, membership_in_K, parse_tword, reduced_membership_in_K
-)
 from .dag import A, IDENTITY, Dag, shared
-from .engel import (
-    BoundedLeftRefutation,
-    EngelSink,
-    NoSinkUpTo,
-    RightRefutation,
-    probe,
-    right_towers,
+from .errors import WordLengthCapExceeded
+from .words import (
+    a_parity, commutator, conjugate, format_word, invert, multiply, parse_word, reduce_word
 )
-from .words import format_word, parse_word
 
-Certificate = (
-    EngelSink | NoSinkUpTo | BoundedLeftRefutation | RightRefutation | KMembershipResult
-)
+
+@dataclass(frozen=True)
+class EngelSink:
+    """Least n with [x,_n g] = 1, plus the reduced tower lengths on the way."""
+
+    g: str
+    x: str
+    n: int
+    transcript: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class NoSinkUpTo:
+    """All towers [x,_m g] for m <= bound are nontrivial; witness moves the last."""
+
+    g: str
+    x: str
+    bound: int
+    transcript: tuple[int, ...]
+    witness: str
+
+
+@dataclass(frozen=True)
+class BoundedLeftRefutation:
+    """Transcript refuting "x is left-N-Engel".
+
+    The chain records the descent from x to an odd-parity section
+    x_active; k has order > 2^(N-1); y embeds (flatten(k), 1); the
+    witness vertex is moved by [y,_N x_active].
+    """
+
+    x: str
+    chain: tuple[tuple[int, str], ...]  # (child bit, section) per descent step
+    x_active: str
+    k: TWord
+    bound: int
+    y: str
+    witness: str
+
+
+@dataclass(frozen=True)
+class RightRefutation:
+    """Transcript refuting "x is right Engel with sink <= N+1".
+
+    y embeds the non-Engel pair data (y1, y2) with y2 = [y1, h]^(g1^-1);
+    for each m <= N the vertex witnesses[m-1] is moved by
+    [x_active,_{m+1} y], and its first section is the one `right_towers`
+    predicts from y's sections: [h,_{m+1} y1]^y1, once y2 is checked.
+    """
+
+    x: str
+    chain: tuple[tuple[int, str], ...]
+    x_active: str
+    h: TWord
+    y1: TWord
+    y2: TWord
+    y: str
+    bound: int
+    witnesses: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class KMembershipResult:
+    """Inside/Outside for the reduced word, with the level that decided it."""
+
+    word: str
+    verdict: str  # "inside" | "outside"
+    level: int
+
+
+Certificate = EngelSink | NoSinkUpTo | BoundedLeftRefutation | RightRefutation | KMembershipResult
+
+
+def tower(x: str, g: str) -> Iterator[str]:
+    """[x,_1 g], [x,_2 g], ... for reduced x and g, each reduced.
+
+    A step is `words.commutator`, which rewrites only at its junctions and
+    copies the rest of the entry as slices.  WordLengthCapExceeded past the cap.
+    """
+    for n in count(1):
+        x = commutator(x, g)
+        if len(x) > config.WORD_LENGTH_CAP:
+            raise WordLengthCapExceeded(
+                f"tower at depth {n} grew past {config.WORD_LENGTH_CAP} letters"
+            )
+        yield x
+
+
+def probe(dag: Dag, x: str, g: str, depth: int) -> tuple[list[int], int, int]:
+    """Walk [x,_m g] for m <= depth on dag, stopping at the first trivial
+    entry: (reduced word lengths, last m, id of the last entry).
+
+    The word comes first in the zip, so its length cap raises before the
+    DAG takes the step.
+    """
+    lengths: list[int] = []
+    towers = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
+    for m, (w, t) in enumerate(islice(towers, depth), 1):
+        lengths.append(len(w))
+        if t == IDENTITY:
+            break
+    return lengths, m, t
+
+
+def right_towers(dag: Dag, x: int, y: int, i: int = 0) -> Iterator[tuple[int, int]]:
+    """([x,_{m+1} y], its section at vertex i as Lemma 2 predicts it) for m >= 1.
+
+    For x = a.g with g and y in St(1), psi(g) = (g1, g2) and
+    psi(y) = (y1, y2), the prediction [(y_{1-i}^-1)^{g_i},_m y_i]^{y_i}
+    is read off the sections of a.x and of y.  A tower that sinks stays
+    trivial, so the shorter one is filled with the identity.
+    """
+    _, *ys = dag.nodes[y]
+    start = dag.conjugate(dag.inv(ys[1 - i]), dag.nodes[dag.mul(A, x)][1 + i])
+    entries = islice(dag.tower(x, y), 1, None)
+    for t, section in zip_longest(entries, dag.tower(start, ys[i]), fillvalue=IDENTITY):
+        yield t, dag.conjugate(section, ys[i])
+
+
+T = "abab"  # t = (ab)^2
+
+
+@dataclass(frozen=True)
+class TWord:
+    """Formal product of signed conjugates of t: prod (t^w_i)^(s_i).
+
+    Lies in K by construction.  Closed under multiplication (concatenate),
+    inversion (reverse and flip signs), and conjugation (right-multiply
+    every conjugator).  The conjugators w_i are reduced words.
+    """
+
+    factors: tuple[tuple[str, int], ...] = ()
+
+    def __mul__(self, other: "TWord") -> "TWord":
+        return TWord(self.factors + other.factors)
+
+    def inverse(self) -> "TWord":
+        return TWord(tuple((w, -s) for w, s in reversed(self.factors)))
+
+    def conjugated(self, w: str) -> "TWord":
+        return TWord(tuple((multiply(c, w), s) for c, s in self.factors))
+
+    def commutator_with(self, other: "TWord") -> "TWord":
+        """[self, other] = self^-1 . self^other."""
+        return self.inverse() * self.conjugated(flatten(other))
+
+
+def flatten(k: TWord) -> str:
+    """The reduced word of the formal product."""
+    word = ""
+    for w, s in k.factors:
+        word = multiply(word, conjugate(T if s > 0 else invert(T), w))
+    return word
+
+
+def parse_tword(text: str) -> TWord:
+    """Parse the semicolon-separated literal, e.g. "1^+1;ab^-1"."""
+    text = text.strip()
+    if not text:
+        return TWord()
+    factors = []
+    for chunk in text.split(";"):
+        base, sep, exp = chunk.partition("^")
+        if not sep or exp not in ("+1", "-1"):
+            raise ValueError(f"invalid TWord factor {chunk!r}; expected w^+1 or w^-1")
+        factors.append((parse_word(base), 1 if exp == "+1" else -1))
+    return TWord(tuple(factors))
+
+
+def format_tword(k: TWord) -> str:
+    return ";".join(f"{format_word(w)}^{'+' if s > 0 else '-'}1" for w, s in k.factors)
+
+
+# St(3) <= K (checked in tests/test_k_facts.py), so g is in K exactly when
+# its level-3 permutation lies in the image of K.
+K_LEVEL = 3
+
+
+@lru_cache(maxsize=None)
+def _leafperm() -> ModuleType:
+    from . import leafperm  # and with it numpy: only K membership loads them
+
+    return leafperm
+
+
+@lru_cache(maxsize=None)
+def k_image_table() -> frozenset[tuple[int, ...]]:
+    """The level-K_LEVEL permutations of K: the normal closure of t's, built as
+    the closure of 1 under p -> p.t and p -> p^x, x a generator, so p -> p.t^w."""
+    t, *gens = (_leafperm().word_perm(w, K_LEVEL).tolist() for w in (T, *"abcd"))
+    image = {tuple(range(1 << K_LEVEL))}
+    while True:
+        grown = image | {tuple(t[i] for i in p) for p in image}
+        grown |= {tuple(g[p[i]] for i in g) for p in image for g in gens}
+        if grown == image:
+            return frozenset(image)
+        image = grown
+
+
+def reduced_membership_in_K(g: str) -> KMembershipResult:
+    """Decide membership of the reduced word g in K by its level-K_LEVEL permutation.
+
+    Odd `a`-parity words are Outside at level 1: t fixes level 1 and level
+    stabilizers are normal, so K <= St(1).
+    """
+    if a_parity(g):
+        return KMembershipResult(g, "outside", 1)
+    inside = tuple(_leafperm().word_perm(g, K_LEVEL).tolist()) in k_image_table()
+    return KMembershipResult(g, "inside" if inside else "outside", K_LEVEL)
 
 
 def to_dict(cert: Certificate) -> dict[str, Any]:
@@ -64,7 +270,7 @@ def to_dict(cert: Certificate) -> dict[str, Any]:
 
 def membership_certificate(word: str) -> dict[str, Any]:
     """Certificate form of a K-membership verdict."""
-    return to_dict(membership_in_K(word))
+    return to_dict(reduced_membership_in_K(reduce_word(word)))
 
 
 def dumps(data: dict[str, Any]) -> str:
@@ -163,6 +369,12 @@ def verify(data: dict[str, Any]) -> tuple[bool, str]:
         return False, f"malformed certificate: {exc}"
 
 
+def _decide(role: str, check: Callable[[Dag], str | None], confirmed: str) -> tuple[bool, str]:
+    """Run check on the role's table: (False, the problem it found) or (True, confirmed)."""
+    problem = shared(role, check)
+    return (False, problem) if problem else (True, confirmed)
+
+
 def _verify_sink(cert: EngelSink) -> tuple[bool, str]:
     n = cert.n
     if n < 1:
@@ -178,10 +390,7 @@ def _verify_sink(cert: EngelSink) -> tuple[bool, str]:
             return f"tower not trivial at claimed depth {n}"
         return None
 
-    problem = shared("probe-verify", check)
-    if problem:
-        return False, problem
-    return True, f"sink at depth {n} confirmed"
+    return _decide("probe-verify", check, f"sink at depth {n} confirmed")
 
 
 def _verify_no_sink(cert: NoSinkUpTo) -> tuple[bool, str]:
@@ -199,10 +408,7 @@ def _verify_no_sink(cert: NoSinkUpTo) -> tuple[bool, str]:
             return "witness vertex is not moved by the final tower"
         return None
 
-    problem = shared("probe-verify", check)
-    if problem:
-        return False, problem
-    return True, f"no sink through depth {bound} confirmed"
+    return _decide("probe-verify", check, f"no sink through depth {bound} confirmed")
 
 
 def _verify_bounded_left(cert: BoundedLeftRefutation) -> tuple[bool, str]:
@@ -227,10 +433,7 @@ def _verify_bounded_left(cert: BoundedLeftRefutation) -> tuple[bool, str]:
             return "witness vertex is not moved by the tower"
         return None
 
-    problem = shared("verify", check)
-    if problem:
-        return False, problem
-    return True, f"left-{bound}-Engel refutation confirmed"
+    return _decide("verify", check, f"left-{bound}-Engel refutation confirmed")
 
 
 def _verify_right(cert: RightRefutation) -> tuple[bool, str]:
@@ -245,8 +448,8 @@ def _verify_right(cert: RightRefutation) -> tuple[bool, str]:
             return problem
         g1 = dag.nodes[dag.mul(A, fx_active)][1]
         fy1, fy2 = dag.from_word(flatten(cert.y1)), dag.from_word(flatten(cert.y2))
-        commutator = dag.commutator(fy1, dag.from_word(flatten(cert.h)))
-        if fy2 != dag.conjugate(commutator, dag.inv(g1)):
+        bracket = dag.commutator(fy1, dag.from_word(flatten(cert.h)))
+        if fy2 != dag.conjugate(bracket, dag.inv(g1)):
             return "y2 is not [y1, h]^(g1^-1)"
         fy = dag.from_word(cert.y)
         if dag.nodes[fy] != (0, fy1, fy2):
@@ -262,10 +465,8 @@ def _verify_right(cert: RightRefutation) -> tuple[bool, str]:
                 return f"tower identity cross-check failed at m={m}"
         return None
 
-    problem = shared("verify", check)
-    if problem:
-        return False, problem
-    return True, f"right-Engel refutation through sink bound {bound + 1} confirmed"
+    confirmed = f"right-Engel refutation through sink bound {bound + 1} confirmed"
+    return _decide("verify", check, confirmed)
 
 
 def _verify_membership(cert: KMembershipResult) -> tuple[bool, str]:

@@ -87,12 +87,12 @@ def _cmd_first_active(args) -> int:
 
 
 def _cmd_k_test(args) -> int:
-    result = branch.reduced_membership_in_K(words.parse_word(args.word))
+    result = certificates.reduced_membership_in_K(words.parse_word(args.word))
     return _issue(args, result, result.verdict)
 
 
 def _cmd_k_embed(args) -> int:
-    y = branch.emb_pair(branch.parse_tword(args.first), branch.parse_tword(args.second))
+    y = branch.emb_pair(*map(certificates.parse_tword, (args.first, args.second)))
     _emit(args, {"word": words.format_word(y)}, words.format_word(y))
     return 0
 
@@ -124,14 +124,15 @@ def _cmd_engel_probe(args) -> int:
     outcome = engel.left_engel_probe(
         words.parse_word(args.g), words.parse_word(args.x), args.bound
     )
-    if isinstance(outcome, engel.EngelSink):
+    if isinstance(outcome, certificates.EngelSink):
         return _issue(args, outcome, f"sink at depth {outcome.n}")
     text = f"no sink through depth {outcome.bound}; witness {outcome.witness}"
     return _issue(args, outcome, text, 1)
 
 
 def _cmd_lemma1(args) -> int:
-    holds = engel.lemma1_check(branch.parse_tword(args.k), words.parse_word(args.g), args.m)
+    k = certificates.parse_tword(args.k)
+    holds = engel.lemma1_check(k, words.parse_word(args.g), args.m)
     _emit(args, {"holds": holds, "m": args.m}, str(holds).lower())
     return 0
 
@@ -159,9 +160,9 @@ def _cmd_replay_right(args) -> int:
 
 
 def _cmd_search_pair(args) -> int:
-    h, y1 = engel.search_nonengel_pair(args.bound, budget=args.budget, seed=args.seed)
-    data = {"h": branch.format_tword(h), "y1": branch.format_tword(y1), "bound": args.bound}
-    _emit(args, data, f"h = {data['h']}\ny1 = {data['y1']}")
+    pair = engel.search_nonengel_pair(args.bound, budget=args.budget, seed=args.seed)
+    h, y1 = map(certificates.format_tword, pair)
+    _emit(args, {"h": h, "y1": y1, "bound": args.bound}, f"h = {h}\ny1 = {y1}")
     return 0
 
 

@@ -7,65 +7,52 @@ which vertex does it move -- and answer both on section-DAG ids, whose
 elements do not double in size with each step; `Dag.tower` is the one
 walk of a DAG tower.  `exact_witness` is the one witness routine: it
 takes any entries of one tower and cross-checks them all in one leafperm
-pass, at the level the deepest of them needs.  The reduced-word `tower`
-serves probe transcripts only: they record word lengths, and its length
-cap ends a probe visibly.  `probe` is the one probe walk, which
-`left_engel_probe` issues from on the small long-lived "probe" table of
-`dag.shared`, and the probe verifiers check with on "probe-verify": probe
-towers of different words share their near-nucleus elements.  The lemma
-checks decide both sides of their identities on one fresh Dag.  Words
-stay the input and output.
+pass, at the level the deepest of them needs.  The records issued here,
+the word tower (for probe transcripts only) and `probe`, the one probe
+walk, live in the verifier kernel `certificates`, which imports nothing
+from this module.  `left_engel_probe` issues on the small long-lived
+"probe" table of `dag.shared`, and the probe verifiers check on
+"probe-verify": probe towers of different words share their near-nucleus
+elements.  The lemma checks decide both sides of their identities on one
+fresh Dag.  Words stay the input and output.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
 and a bounded refutation of "x is right Engel with sink <= N+1" built
 from a non-Engel pair (h, y1) in K, embedded as y with
 psi(y) = (y1, [y1, h]^(g1^-1)).  Lemma 2 is stated once, in
-`right_towers`: it pairs each [x,_{m+1} y] with the sections the lemma
-predicts from those of a.x and y, here [h,_{m+1} y1]^y1 at vertex 0, and
-`lemma2_check` reads both coordinates from it.  Neither element depends
-on x, since psi(K) contains K x K: `search_high_order` and
-`search_nonengel_pair` find them through `branch.first_qualifying`, the
-one search loop, and are memoized per process, so a process that
-certifies many elements runs each search once; a failed search is not
-cached and runs again.  For the same reason the replays decide their
-towers on the long-lived "decide" table of `dag.shared`, where the towers
-of (h, y1) and the nodes of k stay interned from one call to the next.
+`certificates.right_towers`: it pairs each [x,_{m+1} y] with the sections
+the lemma predicts from those of a.x and y, here [h,_{m+1} y1]^y1 at
+vertex 0, and `lemma2_check` reads both coordinates from it.  Neither
+element depends on x, since psi(K) contains K x K (checked in
+tests/test_k_facts.py): `search_high_order` and `search_nonengel_pair`
+find them through `branch.first_qualifying`, the one search loop, and are
+memoized per process, so a process that certifies many elements runs each
+search once; a failed search is not cached and runs again.  For the same
+reason the replays decide their towers on the long-lived "decide" table
+of `dag.shared`, where the towers of (h, y1) and the nodes of k stay
+interned from one call to the next.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count, islice, zip_longest
+from itertools import islice
 
 from . import config
-from .branch import (
-    TWord, emb_pair, first_qualifying, flatten, random_tword, random_word, search_high_order
+from .branch import emb_pair, first_qualifying, random_tword, random_word, search_high_order
+from .certificates import (
+    BoundedLeftRefutation, EngelSink, NoSinkUpTo, RightRefutation, TWord, flatten, probe,
+    right_towers, tower,
 )
 from .dag import A, IDENTITY, Dag, shared
 from .decide import is_trivial, order
 from .errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
 from .leafperm import moved_vertex, tower_perms
 from .tree import decompose, first_active_level
-from .words import a_parity, commutator, invert, multiply, reduce_word
-
-
-def tower(x: str, g: str) -> Iterator[str]:
-    """[x,_1 g], [x,_2 g], ... for reduced x and g, each reduced.
-
-    A step is `words.commutator`, which rewrites only at its junctions and
-    copies the rest of the entry as slices.  WordLengthCapExceeded past the cap.
-    """
-    for n in count(1):
-        x = commutator(x, g)
-        if len(x) > config.WORD_LENGTH_CAP:
-            raise WordLengthCapExceeded(
-                f"tower at depth {n} grew past {config.WORD_LENGTH_CAP} letters"
-            )
-        yield x
+from .words import a_parity, invert, multiply, reduce_word
 
 
 def iterated_commutator(x: str, g: str, n: int) -> str:
@@ -103,58 +90,6 @@ def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int
                 )
             witnesses[m] = witness
     return witnesses
-
-
-def probe(dag: Dag, x: str, g: str, depth: int) -> tuple[list[int], int, int]:
-    """Walk [x,_m g] for m <= depth on dag, stopping at the first trivial
-    entry: (reduced word lengths, last m, id of the last entry).
-
-    The word comes first in the zip, so its length cap raises before the
-    DAG takes the step.
-    """
-    lengths: list[int] = []
-    towers = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
-    for m, (w, t) in enumerate(islice(towers, depth), 1):
-        lengths.append(len(w))
-        if t == IDENTITY:
-            break
-    return lengths, m, t
-
-
-def right_towers(dag: Dag, x: int, y: int, i: int = 0) -> Iterator[tuple[int, int]]:
-    """([x,_{m+1} y], its section at vertex i as Lemma 2 predicts it) for m >= 1.
-
-    For x = a.g with g and y in St(1), psi(g) = (g1, g2) and
-    psi(y) = (y1, y2), the prediction [(y_{1-i}^-1)^{g_i},_m y_i]^{y_i}
-    is read off the sections of a.x and of y.  A tower that sinks stays
-    trivial, so the shorter one is filled with the identity.
-    """
-    _, *ys = dag.nodes[y]
-    start = dag.conjugate(dag.inv(ys[1 - i]), dag.nodes[dag.mul(A, x)][1 + i])
-    entries = islice(dag.tower(x, y), 1, None)
-    for t, section in zip_longest(entries, dag.tower(start, ys[i]), fillvalue=IDENTITY):
-        yield t, dag.conjugate(section, ys[i])
-
-
-@dataclass(frozen=True)
-class EngelSink:
-    """Least n with [x,_n g] = 1, plus the reduced tower lengths on the way."""
-
-    g: str
-    x: str
-    n: int
-    transcript: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NoSinkUpTo:
-    """All towers [x,_m g] for m <= bound are nontrivial; witness moves the last."""
-
-    g: str
-    x: str
-    bound: int
-    transcript: tuple[int, ...]
-    witness: str
 
 
 def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
@@ -234,45 +169,6 @@ def lemma2_check(x: str, y: str, m: int) -> bool:
         for i in (0, 1)
     )
     return dag.nodes[t] == (0, left, right)
-
-
-@dataclass(frozen=True)
-class BoundedLeftRefutation:
-    """Transcript refuting "x is left-N-Engel".
-
-    The chain records the descent from x to an odd-parity section
-    x_active; k has order > 2^(N-1); y embeds (flatten(k), 1); the
-    witness vertex is moved by [y,_N x_active].
-    """
-
-    x: str
-    chain: tuple[tuple[int, str], ...]  # (child bit, section) per descent step
-    x_active: str
-    k: TWord
-    bound: int
-    y: str
-    witness: str
-
-
-@dataclass(frozen=True)
-class RightRefutation:
-    """Transcript refuting "x is right Engel with sink <= N+1".
-
-    y embeds the non-Engel pair data (y1, y2) with y2 = [y1, h]^(g1^-1);
-    for each m <= N the vertex witnesses[m-1] is moved by
-    [x_active,_{m+1} y], and its first section is the one `right_towers`
-    predicts from y's sections: [h,_{m+1} y1]^y1, once y2 is checked.
-    """
-
-    x: str
-    chain: tuple[tuple[int, str], ...]
-    x_active: str
-    h: TWord
-    y1: TWord
-    y2: TWord
-    y: str
-    bound: int
-    witnesses: tuple[str, ...]
 
 
 def section_chain(x: str) -> tuple[tuple[tuple[int, str], ...], str]:

@@ -4,11 +4,11 @@ This is the independent route to the action: permutations of the 2**n
 level-n vertices are assembled from the defining recursion of a, b, c, d
 and composed along a word, with no use of word reduction, of the `tree`
 module or of section DAGs.  The `decide` and `engel` modules use it as a
-cross-validating oracle, and the `branch` module uses it to generate
-finite level quotients.  `tower_perms` walks a whole commutator tower at
-one level: one `word_perm` per word, then one commutator per entry.
-Levels past 2 * config.MAX_DEPTH raise CapExceeded before any array is
-built.
+cross-validating oracle, `branch` to generate finite level quotients, and
+`certificates` to read K's level-3 image.  `tower_perms` walks a whole
+commutator tower at one level: one `word_perm` per word, then one
+commutator per entry.  Levels past 2 * config.MAX_DEPTH raise
+CapExceeded before any array is built.
 
 `word_perm` applies a word _CHUNK = 4 letters at a time, one gather per
 chunk.  A chunk's permutation is composed from the generators the first
@@ -36,11 +36,9 @@ from .errors import CapExceeded
 if TYPE_CHECKING:
     import numpy as np
 
-# Levels up to config.MAX_DEPTH (a test pins the two equal) keep their
-# arrays, 0.25 MB of generators in all plus the chunks above; a deeper one,
-# up to 2**24 entries per array, is rebuilt on each call from the deepest
-# kept level.
-_KEPT_LEVELS = 12
+# Levels up to MAX_DEPTH keep their arrays, 0.25 MB of generators in all
+# plus the chunks above; a deeper one, up to 2**24 entries per array, is
+# rebuilt on each call from the deepest kept level.
 _CHUNK = 4
 _kept: dict[int, dict[str, np.ndarray]] = {}
 
@@ -77,7 +75,7 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
     }
     for p in perms.values():
         p.setflags(write=False)
-    if n <= _KEPT_LEVELS:
+    if n <= MAX_DEPTH:
         _kept[n] = perms
     return perms
 

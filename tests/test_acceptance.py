@@ -12,20 +12,17 @@ from sympy.combinatorics import Permutation
 
 from grigor import certificates
 from grigor.branch import (
-    TWord,
     T_ATOM,
     build_level_quotient,
     certified_plateau,
     emb_pair,
-    flatten,
     membership_in_K,
     random_tword,
     search_high_order,
 )
+from grigor.certificates import EngelSink, NoSinkUpTo, TWord, flatten
 from grigor.decide import is_trivial, order, witness_vertex
 from grigor.engel import (
-    EngelSink,
-    NoSinkUpTo,
     involution_survey,
     left_engel_probe,
     lemma1_check,

@@ -2,24 +2,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grigor.branch import (
-    TWord,
-    T,
     T_ATOM,
-    K_LEVEL,
     U,
     V,
     build_level_quotient,
     certified_plateau,
     emb_pair,
-    flatten,
-    format_tword,
-    k_image_table,
     lift_first,
     lift_second,
     membership_in_K,
-    parse_tword,
     random_tword,
     search_high_order,
+)
+from grigor.certificates import (
+    K_LEVEL, T, TWord, flatten, format_tword, k_image_table, parse_tword
 )
 from grigor.decide import are_equal, is_trivial, order
 from grigor.errors import SearchExhausted

@@ -45,9 +45,9 @@ def run_child(*argv, timeout=30):
 
 def test_import_and_refutation_verify_leave_numpy_unloaded():
     # Only leafperm uses numpy, and it imports numpy on first use: the CLI
-    # import and the verifiers of these kinds never reach it.
-    files = [str(GOLDEN / f"{name}.json") for name in
-             ("right_refutation_a", "bounded_left_refutation", "engel_sink")]
+    # import and the verifiers of every kind but k_membership never reach it.
+    files = [str(path) for path in sorted(GOLDEN.glob("*.json"))
+             if not path.stem.startswith("k_membership")]
     script = (
         "import sys\n"
         "import grigor.cli\n"
@@ -59,6 +59,37 @@ def test_import_and_refutation_verify_leave_numpy_unloaded():
     proc = run_child("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("OK") == len(files)
+
+
+def test_verify_loads_only_the_kernel():
+    # A certificate is checked by certificates, dag, words, config and errors
+    # alone; K membership adds leafperm, and with it numpy.  Neither issuer
+    # (engel, branch) nor the searches is loaded.  Membership files go last.
+    files = [str(path) for path in sorted(
+        GOLDEN.glob("*.json"), key=lambda path: (path.stem.startswith("k_membership"), path)
+    )]
+    script = (
+        "import json, sys\n"
+        "import grigor.certificates\n"
+        "def loaded(ok):\n"
+        "    grigor = sorted(m for m in sys.modules if m.split('.')[0] == 'grigor')\n"
+        "    return [ok, grigor, 'numpy' in sys.modules]\n"
+        "seen = {'import': loaded(True)}\n"
+        f"for path in {files!r}:\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        seen[path] = loaded(grigor.certificates.verify(json.load(fh))[0])\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    kernel = [f"grigor{m}" for m in ("", ".certificates", ".config", ".dag", ".errors", ".words")]
+    assert len(seen) == 1 + 7
+    for path, (ok, modules, numpy) in seen.items():
+        membership = Path(path).stem.startswith("k_membership")
+        assert ok, path
+        assert modules == sorted(kernel + ["grigor.leafperm"] * membership), path
+        assert numpy == membership, path
 
 
 def test_reduce(capsys):

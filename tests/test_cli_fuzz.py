@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grigor.branch import TWord, format_tword
+from grigor.certificates import TWord, format_tword
 from grigor.cli import main
 
 

@@ -10,16 +10,10 @@ import pytest
 import grigor
 from grigor import certificates, config, leafperm
 from grigor.dag import A, B, IDENTITY, Dag
-from grigor.branch import flatten, search_high_order
+from grigor.branch import search_high_order
+from grigor.certificates import flatten, probe, tower
 from grigor.decide import witness_vertex
-from grigor.engel import (
-    probe,
-    random_involution,
-    random_word,
-    replay_right,
-    search_nonengel_pair,
-    tower,
-)
+from grigor.engel import random_involution, random_word, replay_right, search_nonengel_pair
 from grigor.errors import CapExceeded
 from grigor.leafperm import tower_perms, word_perm
 from grigor.tree import act
@@ -153,9 +147,24 @@ def test_leafperm_imports_no_grigor_module():
         ], module
 
 
+def test_certificates_imports_only_the_kernel():
+    # The verifier kernel reads dag, words, config and errors of grigor at
+    # import, and leafperm only inside a function, for K membership.
+    source = Path(grigor.__file__).with_name("certificates.py").read_text()
+    tree = ast.parse(source)
+    top, local = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("grigor")):
+            names = [alias.name for alias in node.names] if node.module is None else [node.module]
+            (top if node in tree.body else local).extend(names)
+        elif isinstance(node, ast.Import):
+            assert not [alias for alias in node.names if alias.name.startswith("grigor")]
+    assert sorted(top) == ["__version__", "config", "dag", "errors", "words"]
+    assert local == ["leafperm"]
+
+
 def test_leafperm_keeps_no_level_past_max_depth():
     # Kept, the generator arrays of level 20 alone took 64 MB.
-    assert leafperm._KEPT_LEVELS == config.MAX_DEPTH
     deep = word_perm("d", 16)
     assert max(leafperm._kept) == config.MAX_DEPTH
     # A level-16 vertex's level-12 ancestor is its top 12 bits.

@@ -6,12 +6,11 @@ from pathlib import Path
 import pytest
 
 from grigor import config
-from grigor.branch import TWord, T_ATOM, emb_pair, flatten, random_tword
+from grigor.branch import T_ATOM, emb_pair, random_tword
+from grigor.certificates import EngelSink, NoSinkUpTo, TWord, flatten, right_towers, tower
 from grigor.dag import IDENTITY, Dag
 from grigor.decide import are_equal, is_trivial, order, witness_vertex
 from grigor.engel import (
-    EngelSink,
-    NoSinkUpTo,
     exact_witness,
     involution_survey,
     iterated_commutator,
@@ -22,10 +21,8 @@ from grigor.engel import (
     random_word,
     replay_bounded_left,
     replay_right,
-    right_towers,
     search_nonengel_pair,
     section_chain,
-    tower,
 )
 from grigor.errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
 from grigor.tree import act, decompose

@@ -1,0 +1,102 @@
+"""Machine checks of the two facts about K that the certificates cite.
+
+K is the normal closure of t = (ab)^2 in Gamma, and psi is the wreath
+recursion g -> (left section, right section), a homomorphism on St(1).
+
+St(3) <= K, from three checks:
+
+1. a^2, b^2, c^2, d^2, bcd and (ad)^4 are trivial in Gamma.  So Gamma/K,
+   generated by the images of a, b, c, d, satisfies those relators and
+   (ab)^2, and is a quotient of Q = <a, b, c, d | those, (ab)^2>.
+2. |Q| = 16, so [Gamma : K] <= 16.
+3. The level-3 quotient G_3 has 128 elements, and the image of K in it,
+   the normal closure of t's image, has 8.  The kernel of Gamma -> G_3 is
+   St(3), so [Gamma : K.St(3)] = 128 / 8 = 16.  As K <= K.St(3) and
+   [Gamma : K] <= 16, K.St(3) = K, that is, St(3) <= K.
+
+So g lies in K exactly when its level-3 permutation lies in K's image,
+which `certificates.reduced_membership_in_K` reads.
+
+K x K <= psi(K), from three more:
+
+4. u = (bada)^2 lies in K by its level-3 image (sound by St(3) <= K), and
+   psi(u) = (t, 1).
+5. Each letter's `_LIFT_FIRST` image lies in St(1) with left section that
+   letter.  psi is a homomorphism on St(1), so s = lift_first(g) lies in
+   St(1) with left section g, and u^s, in K as K is normal, has
+   psi(u^s) = (t^g, 1).  K is generated by the t^g, so K x 1 <= psi(K).
+6. The mirror checks for v = (abad)^2, psi(v) = (1, t), and
+   `_LIFT_SECOND` give 1 x K <= psi(K).
+
+`branch.emb_pair` builds its embeddings this way, and the refutation
+certificates rest on them.
+"""
+
+from math import prod
+
+from sympy.combinatorics import Permutation, PermutationGroup
+from sympy.combinatorics.fp_groups import FpGroup
+from sympy.combinatorics.free_groups import free_group
+
+from grigor.branch import _LIFT_FIRST, _LIFT_SECOND, U, V
+from grigor.certificates import K_LEVEL, T, k_image_table, reduced_membership_in_K
+from grigor.dag import IDENTITY, Dag
+from grigor.decide import is_trivial
+from grigor.leafperm import word_perm
+
+RELATORS = ("aa", "bb", "cc", "dd", "bcd", "adadadad")
+
+
+def _level3(word: str) -> Permutation:
+    return Permutation(word_perm(word, K_LEVEL).tolist())
+
+
+def _elements(group: PermutationGroup) -> set[tuple[int, ...]]:
+    return {tuple(p.array_form) for p in group.elements}
+
+
+def test_relators_are_trivial():
+    # Check 1.
+    assert all(map(is_trivial, RELATORS))
+    assert not is_trivial(T)
+
+
+def test_gamma_mod_t_has_order_16():
+    # Check 2: Q = Gamma's relators plus t = (ab)^2.
+    free, *generators = free_group("a b c d")
+    letters = dict(zip("abcd", generators))
+    relators = [prod(map(letters.get, word), start=free.identity) for word in (*RELATORS, T)]
+    assert FpGroup(free, relators).order() == 16
+
+
+def test_k_has_index_16_in_level_3():
+    # Check 3: |G_3| = 128 and the normal closure of t's image has 8.
+    group = PermutationGroup([_level3(letter) for letter in "abcd"])
+    closure = group.normal_closure(_level3(T))
+    assert (group.order(), closure.order()) == (128, 8)
+    assert _elements(closure) == k_image_table()
+
+
+def test_k_image_table_is_also_generated_by_t_u_v():
+    # t, u and v lie in K, and their level-3 images generate the same 8.
+    assert _elements(PermutationGroup([_level3(w) for w in (T, U, V)])) == k_image_table()
+
+
+def test_u_and_v_lie_in_k_and_embed_t():
+    # Checks 4 and 6, first half.
+    dag = Dag()
+    t = dag.from_word(T)
+    assert reduced_membership_in_K(U).verdict == "inside"
+    assert reduced_membership_in_K(V).verdict == "inside"
+    assert dag.nodes[dag.from_word(U)] == (0, t, IDENTITY)
+    assert dag.nodes[dag.from_word(V)] == (0, IDENTITY, t)
+
+
+def test_letter_lifts_have_the_letter_as_section():
+    # Checks 5 and 6, second half: inactive, with the letter on its side.
+    dag = Dag()
+    for letter in "abcd":
+        active, left, _ = dag.nodes[dag.from_word(_LIFT_FIRST[letter])]
+        assert (active, left) == (0, dag.from_word(letter)), letter
+        active, _, right = dag.nodes[dag.from_word(_LIFT_SECOND[letter])]
+        assert (active, right) == (0, dag.from_word(letter)), letter

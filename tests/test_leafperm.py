@@ -82,7 +82,7 @@ def test_levels_past_the_cap_raise_before_building(fresh_kept):
 
 def test_deep_levels_leave_no_array_in_module_state(fresh_kept):
     word_perm("abcda", 16)
-    assert max(leafperm._kept) == leafperm._KEPT_LEVELS
+    assert max(leafperm._kept) == config.MAX_DEPTH
     for n, perms in leafperm._kept.items():
         assert all(len(p) == 1 << n for p in perms.values()), n
 

@@ -15,7 +15,8 @@ import random
 import pytest
 
 from grigor import config
-from grigor.branch import format_tword, search_high_order
+from grigor.branch import search_high_order
+from grigor.certificates import format_tword
 from grigor.engel import random_involution, search_nonengel_pair
 from grigor.errors import SearchExhausted
 

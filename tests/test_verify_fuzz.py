@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grigor import certificates
-from grigor.branch import TWord, format_tword
+from grigor.certificates import TWord, format_tword
 from grigor.cli import main
 from grigor.errors import CapExceeded
 

@@ -16,7 +16,8 @@ are the letter-by-letter and depth-by-depth kernels that
 
 import numpy as np
 
-from grigor.branch import T, U, V, lift_first, lift_second
+from grigor.branch import U, V, lift_first, lift_second
+from grigor.certificates import T
 from grigor.leafperm import generator_perms
 from grigor.words import LETTERS, Decomposition, decompose, invert, reduce_word
 
