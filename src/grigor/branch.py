@@ -5,13 +5,14 @@ Two complementary mechanisms:
 * constructive: TWord, a formal product of signed conjugates of t, used to
   *build* elements of K (lifts, pair embeddings realizing psi(K) >= K x K)
   and to search for them in `first_qualifying`, the one seeded search loop;
-* decisional: membership is read off the level-3 permutation, since
-  St(3) <= K.  The sympy level quotients, imported only when built, serve
-  the `quotient` command and cross-check that the index of K's image
+* decisional: membership is read off the word's image in
+  Gamma/K = D8 x Z/2, by counting letters.  As St(3) <= K, that is also the
+  level-3 verdict.  The sympy level quotients, imported only when built,
+  serve the `quotient` command and cross-check that the index of K's image
   plateaus from level 3 on; sympy is the optional `quotients` extra.
 
-TWords and the level-3 table of K live in the verifier kernel
-`certificates`; both facts above are checked in tests/test_k_facts.py.
+TWords and K membership live in the verifier kernel `certificates`; the
+facts above are checked in tests/test_k_facts.py.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .certificates import T, KMembershipResult, TWord, flatten, reduced_membersh
 from .dag import shared
 from .errors import CapExceeded, SearchExhausted
 from .leafperm import word_perm
-from .words import IDENTITY, conjugate, invert, multiply, reduce_word
+from .words import IDENTITY, invert, reduce_word
 
 if TYPE_CHECKING:
     from sympy.combinatorics import PermutationGroup
@@ -61,14 +62,16 @@ def emb_pair(k1: TWord, k2: TWord) -> str:
     """An element y of K with psi(y) = (flatten(k1), flatten(k2)).
 
     Each factor (w, s) of k1 contributes (u^lift_first(w))^s, since
-    psi(u^s) = (t^{s_left}, 1); mirrored with v for k2.
+    psi(u^s) = (t^{s_left}, 1); mirrored with v for k2.  As in `flatten`,
+    the pieces are joined and reduced once.
     """
-    y = IDENTITY
+    pieces = []
     for base, lift, k in ((U, lift_first, k1), (V, lift_second, k2)):
+        base_inverse = invert(base)
         for w, s in k.factors:
-            piece = conjugate(base, lift(w))
-            y = multiply(y, piece if s > 0 else invert(piece))
-    return y
+            x = lift(w)
+            pieces.append(invert(x) + (base if s > 0 else base_inverse) + x)
+    return reduce_word("".join(pieces))
 
 
 @dataclass(frozen=True)

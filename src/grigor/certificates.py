@@ -3,10 +3,11 @@
 A certificate is as trustworthy as its checker, so all that `verify` reads
 is here or in `dag`, `words`, `config` and `errors`, its only grigor
 imports: the records, the word `tower` and `probe`, `right_towers`
-(Lemma 2, stated once), TWords and the level-3 K table.  The issuers
-`engel` and `branch` import from here.  K membership alone loads
-`leafperm`, and numpy with it.  St(3) <= K and K x K <= psi(K), which it
-and the embeddings rest on, are machine-checked in tests/test_k_facts.py.
+(Lemma 2, stated once), TWords and K membership, decided by letter counts
+in Gamma/K = D8 x Z/2.  The issuers `engel` and `branch` import from here;
+nothing here loads `leafperm` or numpy.  St(3) <= K, Gamma/K = D8 x Z/2
+and K x K <= psi(K), which K membership and the embeddings rest on, are
+machine-checked in tests/test_k_facts.py.
 
 Every certificate is a self-contained transcript, re-checked from its
 serialized inputs alone.  Each kind is declared once, in `_KINDS`: the
@@ -34,16 +35,14 @@ import json
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count, islice, zip_longest
-from types import ModuleType
 from typing import Any
 
 from . import __version__, config
 from .dag import A, IDENTITY, Dag, shared
 from .errors import WordLengthCapExceeded
 from .words import (
-    a_parity, commutator, conjugate, format_word, invert, multiply, parse_word, reduce_word
+    a_parity, commutator, format_word, invert, multiply, parse_word, reduce_word
 )
 
 
@@ -194,11 +193,14 @@ class TWord:
 
 
 def flatten(k: TWord) -> str:
-    """The reduced word of the formal product."""
-    word = ""
-    for w, s in k.factors:
-        word = multiply(word, conjugate(T if s > 0 else invert(T), w))
-    return word
+    """The reduced word of the formal product.
+
+    The factors' letters are joined and reduced once, which by confluence
+    gives the word that multiplying them in turn gives, in linear time.
+    """
+    t_inverse = invert(T)
+    pieces = (invert(w) + (T if s > 0 else t_inverse) + w for w, s in k.factors)
+    return reduce_word("".join(pieces))
 
 
 def parse_tword(text: str) -> TWord:
@@ -219,41 +221,34 @@ def format_tword(k: TWord) -> str:
     return ";".join(f"{format_word(w)}^{'+' if s > 0 else '-'}1" for w, s in k.factors)
 
 
-# St(3) <= K (checked in tests/test_k_facts.py), so g is in K exactly when
-# its level-3 permutation lies in the image of K.
+# St(3) <= K (checked in tests/test_k_facts.py), so Gamma/K is also G_3/K_3:
+# an even verdict is the level-3 one.
 K_LEVEL = 3
 
 
-@lru_cache(maxsize=None)
-def _leafperm() -> ModuleType:
-    from . import leafperm  # and with it numpy: only K membership loads them
-
-    return leafperm
-
-
-@lru_cache(maxsize=None)
-def k_image_table() -> frozenset[tuple[int, ...]]:
-    """The level-K_LEVEL permutations of K: the normal closure of t's, built as
-    the closure of 1 under p -> p.t and p -> p^x, x a generator, so p -> p.t^w."""
-    t, *gens = (_leafperm().word_perm(w, K_LEVEL).tolist() for w in (T, *"abcd"))
-    image = {tuple(range(1 << K_LEVEL))}
-    while True:
-        grown = image | {tuple(t[i] for i in p) for p in image}
-        grown |= {tuple(g[p[i]] for i in g) for p in image for g in gens}
-        if grown == image:
-            return frozenset(image)
-        image = grown
-
-
 def reduced_membership_in_K(g: str) -> KMembershipResult:
-    """Decide membership of the reduced word g in K by its level-K_LEVEL permutation.
+    """Decide membership of the reduced word g in K by its image in Gamma/K.
 
     Odd `a`-parity words are Outside at level 1: t fixes level 1 and level
-    stabilizers are normal, so K <= St(1).
+    stabilizers are normal, so K <= St(1).  Otherwise g is in K exactly when
+    its image in Gamma/K = D8 x Z/2 is 1, where a, d, c and b map to the
+    reflections s, s.r, s.r.z and to z, with r = (ad) of order 4 and z
+    central (tests/test_k_facts.py, checks 1-3 and 7).  The z part is the
+    parity of the b and c letters.  Dropping b leaves a product of
+    reflections s.r^e_0 . s.r^e_1 ..., with e_i = 0 for `a` and 1 for c and
+    d, which is r^(sum of e_(2i+1) - e_(2i)) when it has an even number of
+    factors, and a reflection otherwise.  Its odd and even places then
+    hold equally many letters, so the exponent is 0 mod 4 exactly when
+    they hold as many `a`s mod 4.
     """
     if a_parity(g):
         return KMembershipResult(g, "outside", 1)
-    inside = tuple(_leafperm().word_perm(g, K_LEVEL).tolist()) in k_image_table()
+    rest = g.replace("b", "")
+    inside = (
+        (g.count("b") + g.count("c")) % 2 == 0
+        and len(rest) % 2 == 0
+        and (rest[::2].count("a") - rest[1::2].count("a")) % 4 == 0
+    )
     return KMembershipResult(g, "inside" if inside else "outside", K_LEVEL)
 
 

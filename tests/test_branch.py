@@ -15,7 +15,7 @@ from grigor.branch import (
     search_high_order,
 )
 from grigor.certificates import (
-    K_LEVEL, T, TWord, flatten, format_tword, k_image_table, parse_tword
+    K_LEVEL, T, TWord, flatten, format_tword, parse_tword, reduced_membership_in_K
 )
 from grigor.decide import are_equal, is_trivial, order
 from grigor.errors import SearchExhausted
@@ -148,11 +148,11 @@ def test_membership():
 def test_k_level_is_the_certified_plateau():
     assert certified_plateau() == K_LEVEL
     quotient = build_level_quotient(K_LEVEL)
-    assert len(k_image_table()) == quotient.group_order // quotient.k_image_index
+    assert len(word_reference.k_image_table()) == quotient.group_order // quotient.k_image_index
 
 
 def test_membership_matches_sympy_quotient(rng):
-    # The level-3 table against sympy's normal closure of t in G_3.
+    # The letter-count verdicts against sympy's normal closure of t in G_3.
     from sympy.combinatorics import Permutation
 
     k_image = build_level_quotient(K_LEVEL).k_image
@@ -169,6 +169,32 @@ def test_membership_matches_sympy_quotient(rng):
         assert result.level == (1 if g.count("a") & 1 else K_LEVEL)
         verdicts.add((result.verdict, result.level))
     assert verdicts == {("inside", K_LEVEL), ("outside", K_LEVEL), ("outside", 1)}
+
+
+def test_membership_agrees_with_level_3_on_short_words():
+    # Every reduced word of up to 13 letters, grown letter by letter: the
+    # letter counts in Gamma/K = D8 x Z/2 against the level-3 permutation.
+    words = level = [""]
+    for _ in range(13):
+        level = [w + x for w in level for x in {"": "abcd", "a": "bcd"}.get(w[-1:], "a")]
+        words = words + level
+    assert len(words) == 6557
+    for g in words:
+        result = reduced_membership_in_K(g)
+        assert (result.verdict, result.level) == word_reference.level3_membership(g), g
+
+
+@given(st.text("abcd", max_size=400).map(reduce_word))
+def test_membership_agrees_with_level_3_on_reduced_raw_words(g):
+    result = reduced_membership_in_K(g)
+    assert (result.verdict, result.level) == word_reference.level3_membership(g)
+
+
+@given(st.binary(min_size=500, max_size=3000), st.booleans())
+def test_membership_agrees_with_level_3_on_long_words(data, a_first):
+    g = ("a" if a_first else "") + "a".join("bcd"[byte % 3] for byte in data)
+    result = reduced_membership_in_K(g)
+    assert (result.verdict, result.level) == word_reference.level3_membership(g)
 
 
 def test_membership_of_embeddings(rng):

@@ -45,9 +45,8 @@ def run_child(*argv, timeout=30):
 
 def test_import_and_refutation_verify_leave_numpy_unloaded():
     # Only leafperm uses numpy, and it imports numpy on first use: the CLI
-    # import and the verifiers of every kind but k_membership never reach it.
-    files = [str(path) for path in sorted(GOLDEN.glob("*.json"))
-             if not path.stem.startswith("k_membership")]
+    # import and the verifiers of every kind never reach it.
+    files = [str(path) for path in sorted(GOLDEN.glob("*.json"))]
     script = (
         "import sys\n"
         "import grigor.cli\n"
@@ -62,12 +61,10 @@ def test_import_and_refutation_verify_leave_numpy_unloaded():
 
 
 def test_verify_loads_only_the_kernel():
-    # A certificate is checked by certificates, dag, words, config and errors
-    # alone; K membership adds leafperm, and with it numpy.  Neither issuer
-    # (engel, branch) nor the searches is loaded.  Membership files go last.
-    files = [str(path) for path in sorted(
-        GOLDEN.glob("*.json"), key=lambda path: (path.stem.startswith("k_membership"), path)
-    )]
+    # A certificate of every kind is checked by certificates, dag, words,
+    # config and errors alone.  Neither issuer (engel, branch), nor the
+    # searches, nor leafperm and numpy is loaded.
+    files = [str(path) for path in sorted(GOLDEN.glob("*.json"))]
     script = (
         "import json, sys\n"
         "import grigor.certificates\n"
@@ -86,10 +83,9 @@ def test_verify_loads_only_the_kernel():
     kernel = [f"grigor{m}" for m in ("", ".certificates", ".config", ".dag", ".errors", ".words")]
     assert len(seen) == 1 + 7
     for path, (ok, modules, numpy) in seen.items():
-        membership = Path(path).stem.startswith("k_membership")
         assert ok, path
-        assert modules == sorted(kernel + ["grigor.leafperm"] * membership), path
-        assert numpy == membership, path
+        assert modules == kernel, path
+        assert not numpy, path
 
 
 def test_reduce(capsys):
@@ -455,6 +451,21 @@ def test_verify_caps_tower(tmp_path):
     assert proc.stderr.startswith("resource cap: tower at depth")
 
 
+def test_verify_rejects_a_long_tword_in_linear_time(tmp_path):
+    # A 1 MB certificate whose k has 64,000 factors.  Multiplying in one
+    # factor at a time re-copied the growing word, and verify took 26 s
+    # (2-core Xeon) to reject it; the child's timeout catches that.
+    rng = random.Random(5)
+    data = json.loads((GOLDEN / "bounded_left_refutation.json").read_text())
+    factors = (f"{make_reduced_word(rng, 12)}^{rng.choice('+-')}1" for _ in range(64_000))
+    data["k"] = ";".join(factors)
+    path = tmp_path / "cert.json"
+    path.write_text(certificates.dumps(data))
+    proc = run_child("-m", "grigor.cli", "verify", str(path), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == "FAIL: y does not embed (flatten(k), 1)\n"
+
+
 @pytest.mark.parametrize("kind", ["engel_sink", "non_engel_witness"])
 @pytest.mark.parametrize("tamper", ["replaced", "last_entry", "missing"])
 def test_verify_checks_probe_transcript(capsys, tmp_path, kind, tamper):
@@ -557,7 +568,7 @@ def test_quotient_without_sympy_exits_3():
 
 
 def test_cli_import_leaves_out_sympy():
-    # Membership reads the level-3 table; only the quotients need sympy.
+    # Membership counts letters; only the quotients need sympy.
     proc = run_child(
         "-c",
         "import grigor.cli, sys; assert 'sympy' not in sys.modules; "

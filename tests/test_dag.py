@@ -149,7 +149,7 @@ def test_leafperm_imports_no_grigor_module():
 
 def test_certificates_imports_only_the_kernel():
     # The verifier kernel reads dag, words, config and errors of grigor at
-    # import, and leafperm only inside a function, for K membership.
+    # import, and no grigor module inside a function.
     source = Path(grigor.__file__).with_name("certificates.py").read_text()
     tree = ast.parse(source)
     top, local = [], []
@@ -160,7 +160,7 @@ def test_certificates_imports_only_the_kernel():
         elif isinstance(node, ast.Import):
             assert not [alias for alias in node.names if alias.name.startswith("grigor")]
     assert sorted(top) == ["__version__", "config", "dag", "errors", "words"]
-    assert local == ["leafperm"]
+    assert local == []
 
 
 def test_leafperm_keeps_no_level_past_max_depth():

@@ -1,4 +1,4 @@
-"""Machine checks of the two facts about K that the certificates cite.
+"""Machine checks of the facts about K that the certificates cite.
 
 K is the normal closure of t = (ab)^2 in Gamma, and psi is the wreath
 recursion g -> (left section, right section), a homomorphism on St(1).
@@ -14,13 +14,12 @@ St(3) <= K, from three checks:
    St(3), so [Gamma : K.St(3)] = 128 / 8 = 16.  As K <= K.St(3) and
    [Gamma : K] <= 16, K.St(3) = K, that is, St(3) <= K.
 
-So g lies in K exactly when its level-3 permutation lies in K's image,
-which `certificates.reduced_membership_in_K` reads.
+So [Gamma : K] = 16 = |Q|, and Q -> Gamma/K, onto, is an isomorphism.
 
 K x K <= psi(K), from three more:
 
-4. u = (bada)^2 lies in K by its level-3 image (sound by St(3) <= K), and
-   psi(u) = (t, 1).
+4. u = (bada)^2 lies in K by its image in D8 x Z/2 (sound by checks 1-3
+   and 7 below), and psi(u) = (t, 1).
 5. Each letter's `_LIFT_FIRST` image lies in St(1) with left section that
    letter.  psi is a homomorphism on St(1), so s = lift_first(g) lies in
    St(1) with left section g, and u^s, in K as K is normal, has
@@ -30,6 +29,16 @@ K x K <= psi(K), from three more:
 
 `branch.emb_pair` builds its embeddings this way, and the refutation
 certificates rest on them.
+
+Gamma/K = D8 x Z/2, from one more:
+
+7. In D8 x Z/2, with r a rotation of order 4, s a reflection and z the
+   central involution, a -> s, b -> z, c -> s.r.z, d -> s.r sends every
+   relator of Q to 1, and the images generate all 16 elements.  So it
+   induces an isomorphism Q -> D8 x Z/2, and g lies in K exactly when its
+   image there is 1, which `certificates.reduced_membership_in_K` reads
+   off the word's letter counts; its verdict is also the level-3 one, by
+   St(3) <= K.
 """
 
 from math import prod
@@ -39,12 +48,21 @@ from sympy.combinatorics.fp_groups import FpGroup
 from sympy.combinatorics.free_groups import free_group
 
 from grigor.branch import _LIFT_FIRST, _LIFT_SECOND, U, V
-from grigor.certificates import K_LEVEL, T, k_image_table, reduced_membership_in_K
+from grigor.certificates import K_LEVEL, T, reduced_membership_in_K
 from grigor.dag import IDENTITY, Dag
 from grigor.decide import is_trivial
 from grigor.leafperm import word_perm
 
+from word_reference import k_image_table
+
 RELATORS = ("aa", "bb", "cc", "dd", "bcd", "adadadad")
+
+# D8 x Z/2 on points 0-3, the corners of a square, and 4-5: a rotation r,
+# a reflection s and the swap z of 4 and 5, which commutes with both.
+_R = Permutation([1, 2, 3, 0, 4, 5])
+_S = Permutation([0, 3, 2, 1, 4, 5])
+_Z = Permutation([0, 1, 2, 3, 5, 4])
+_D8_Z2 = {"a": _S, "b": _Z, "c": _S * _R * _Z, "d": _S * _R}
 
 
 def _level3(word: str) -> Permutation:
@@ -77,13 +95,27 @@ def test_k_has_index_16_in_level_3():
     assert _elements(closure) == k_image_table()
 
 
+def _image(word: str) -> Permutation:
+    return prod(map(_D8_Z2.get, word), start=Permutation(list(range(6))))
+
+
+def test_gamma_mod_k_is_d8_times_z2():
+    # Check 7: the relators of Q, (ab)^2 among them, map to 1, and the
+    # images of a, b, c, d generate 16 elements.
+    assert all(_image(word).is_Identity for word in (*RELATORS, T))
+    assert PermutationGroup(list(_D8_Z2.values())).order() == 16
+    # The names the closed form uses: r = (ad) of order 4, z central.
+    assert _image("ad") == _R and _R.order() == 4
+    assert all(_Z * _D8_Z2[x] == _D8_Z2[x] * _Z for x in "abcd")
+
+
 def test_k_image_table_is_also_generated_by_t_u_v():
     # t, u and v lie in K, and their level-3 images generate the same 8.
     assert _elements(PermutationGroup([_level3(w) for w in (T, U, V)])) == k_image_table()
 
 
 def test_u_and_v_lie_in_k_and_embed_t():
-    # Checks 4 and 6, first half.
+    # Checks 4 and 6, first half: u and v map to 1 in D8 x Z/2.
     dag = Dag()
     t = dag.from_word(T)
     assert reduced_membership_in_K(U).verdict == "inside"

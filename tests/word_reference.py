@@ -7,19 +7,26 @@ memoized: they are slow on long words and meant for short ones.
 `is_reduced` states the shape invariants that `reduce_word` must meet.
 `stack_reduce_word` and `scan_decompose` are the letter-by-letter
 kernels that `reduce_word` and `decompose` must agree with.
-`flatten` and `emb_pair` build the words of `branch` by one full
-reduction of the concatenated pieces, against which the junction-only
-products there are compared.  `letter_word_perm` and `depth_moved_vertex`
-are the letter-by-letter and depth-by-depth kernels that
-`leafperm.word_perm` and `leafperm.moved_vertex` must agree with.
+`flatten` and `emb_pair` build the words of `branch` by multiplying in
+one factor at a time, the quadratic fold that the single reduction of the
+joined pieces there must agree with.  `letter_word_perm` and
+`depth_moved_vertex` are the letter-by-letter and depth-by-depth kernels
+that `leafperm.word_perm` and `leafperm.moved_vertex` must agree with.
+`k_image_table` and `level3_membership` decide K membership from the
+level-3 permutation, by St(3) <= K, against which the letter counts of
+`certificates.reduced_membership_in_K` are compared.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from grigor.branch import U, V, lift_first, lift_second
-from grigor.certificates import T
-from grigor.leafperm import generator_perms
-from grigor.words import LETTERS, Decomposition, decompose, invert, reduce_word
+from grigor.certificates import K_LEVEL, T
+from grigor.leafperm import generator_perms, word_perm
+from grigor.words import (
+    LETTERS, Decomposition, conjugate, decompose, invert, multiply, reduce_word
+)
 
 # Klein four-group table on {b, c, d}.
 _MERGE = {
@@ -122,28 +129,45 @@ def order_exponent(w: str, cap: int = 12) -> int | None:
 
 
 def flatten(k) -> str:
-    """The word of the TWord k: every factor t^w_i as w_i^-1 t w_i, reduced once."""
-    parts: list[str] = []
+    """The word of the TWord k, multiplying in one conjugate t^w_i at a time."""
+    word = ""
     for w, s in k.factors:
-        parts.append(invert(w))
-        parts.append(T if s > 0 else invert(T))
-        parts.append(w)
-    return reduce_word("".join(parts))
+        word = multiply(word, conjugate(T if s > 0 else invert(T), w))
+    return word
 
 
 def emb_pair(k1, k2) -> str:
-    """y with psi(y) = (flatten(k1), flatten(k2)), from the conjugates of u
-    and v by the lifts of the conjugators, reduced once."""
-    parts: list[str] = []
-    for w, s in k1.factors:
-        lift = lift_first(w)
-        piece = reduce_word(invert(lift) + U + lift)
-        parts.append(piece if s > 0 else invert(piece))
-    for w, s in k2.factors:
-        lift = lift_second(w)
-        piece = reduce_word(invert(lift) + V + lift)
-        parts.append(piece if s > 0 else invert(piece))
-    return reduce_word("".join(parts))
+    """y with psi(y) = (flatten(k1), flatten(k2)), multiplying in one
+    conjugate of u or v by the lift of a conjugator at a time."""
+    y = ""
+    for base, lift, k in ((U, lift_first, k1), (V, lift_second, k2)):
+        for w, s in k.factors:
+            piece = conjugate(base, lift(w))
+            y = multiply(y, piece if s > 0 else invert(piece))
+    return y
+
+
+@lru_cache(maxsize=None)
+def k_image_table() -> frozenset[tuple[int, ...]]:
+    """The level-3 permutations of K: the normal closure of t's, built as
+    the closure of 1 under p -> p.t and p -> p^x, x a generator, so p -> p.t^w."""
+    t, *gens = (word_perm(w, K_LEVEL).tolist() for w in (T, *"abcd"))
+    image = {tuple(range(1 << K_LEVEL))}
+    while True:
+        grown = image | {tuple(t[i] for i in p) for p in image}
+        grown |= {tuple(g[p[i]] for i in g) for p in image for g in gens}
+        if grown == image:
+            return frozenset(image)
+        image = grown
+
+
+def level3_membership(g: str) -> tuple[str, int]:
+    """(verdict, level) for the reduced word g: Outside at level 1 when its
+    `a`-parity is odd, else by its level-3 permutation."""
+    if g.count("a") & 1:
+        return "outside", 1
+    inside = tuple(word_perm(g, K_LEVEL).tolist()) in k_image_table()
+    return ("inside" if inside else "outside"), K_LEVEL
 
 
 def letter_word_perm(w: str, n: int) -> np.ndarray:
