@@ -22,7 +22,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from typing import TYPE_CHECKING, TypeVar
+from typing import TypeVar
 
 from . import config
 from .certificates import T, KMembershipResult, TWord, flatten, reduced_membership_in_K
@@ -30,9 +30,6 @@ from .dag import shared
 from .errors import CapExceeded, SearchExhausted
 from .leafperm import word_perm
 from .words import IDENTITY, invert, reduce_word
-
-if TYPE_CHECKING:
-    from sympy.combinatorics import PermutationGroup
 
 U = reduce_word("badabada")  # u = (bada)^2, psi(u) = (t, 1)
 V = reduce_word("abadabad")  # v = (abad)^2, psi(v) = (1, t)
@@ -82,7 +79,6 @@ class LevelQuotient:
     group_order: int
     k_image_index: int
     base: list[int]
-    k_image: PermutationGroup
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +105,7 @@ def build_level_quotient(n: int) -> LevelQuotient:
     t_image = Permutation(list(word_perm(T, n)), size=degree)
     k_image = group.normal_closure([t_image])
     g_order = group.order()
-    return LevelQuotient(n, g_order, g_order // k_image.order(), group.base, k_image)
+    return LevelQuotient(n, g_order, g_order // k_image.order(), group.base)
 
 
 @lru_cache(maxsize=None)

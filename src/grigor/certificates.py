@@ -41,9 +41,7 @@ from typing import Any
 from . import __version__, config
 from .dag import A, IDENTITY, Dag, shared
 from .errors import WordLengthCapExceeded
-from .words import (
-    a_parity, commutator, format_word, invert, multiply, parse_word, reduce_word
-)
+from .words import a_parity, commutator, format_word, invert, parse_word, reduce_word
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,9 @@ class RightRefutation:
 
     y embeds the non-Engel pair data (y1, y2) with y2 = [y1, h]^(g1^-1);
     for each m <= N the vertex witnesses[m-1] is moved by
-    [x_active,_{m+1} y], and its first section is the one `right_towers`
-    predicts from y's sections: [h,_{m+1} y1]^y1, once y2 is checked.
+    [x_active,_{m+1} y].  The verifier also checks Lemma 2 on every
+    entry: its first section is the one `right_towers` predicts from y's
+    sections, [h,_{m+1} y1]^y1, once y2 is checked.
     """
 
     x: str
@@ -171,25 +170,16 @@ T = "abab"  # t = (ab)^2
 class TWord:
     """Formal product of signed conjugates of t: prod (t^w_i)^(s_i).
 
-    Lies in K by construction.  Closed under multiplication (concatenate),
-    inversion (reverse and flip signs), and conjugation (right-multiply
-    every conjugator).  The conjugators w_i are reduced words.
+    Lies in K by construction.  The conjugators w_i are reduced words.
+    A product concatenates the factors, the inverse reverses them and
+    flips their signs, and a conjugate by w right-multiplies every
+    conjugator by w, so each is a TWord again.
     """
 
     factors: tuple[tuple[str, int], ...] = ()
 
     def __mul__(self, other: "TWord") -> "TWord":
         return TWord(self.factors + other.factors)
-
-    def inverse(self) -> "TWord":
-        return TWord(tuple((w, -s) for w, s in reversed(self.factors)))
-
-    def conjugated(self, w: str) -> "TWord":
-        return TWord(tuple((multiply(c, w), s) for c, s in self.factors))
-
-    def commutator_with(self, other: "TWord") -> "TWord":
-        """[self, other] = self^-1 . self^other."""
-        return self.inverse() * self.conjugated(flatten(other))
 
 
 def flatten(k: TWord) -> str:

@@ -20,24 +20,27 @@ The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
 and a bounded refutation of "x is right Engel with sink <= N+1" built
 from a non-Engel pair (h, y1) in K, embedded as y with
-psi(y) = (y1, [y1, h]^(g1^-1)).  Lemma 2 is stated once, in
+psi(y) = (y1, [y1, h]^(g1^-1)).  Each replay walks one DAG tower and
+hands its entries to `exact_witness`.  Lemma 2 is stated once, in
 `certificates.right_towers`: it pairs each [x,_{m+1} y] with the sections
 the lemma predicts from those of a.x and y, here [h,_{m+1} y1]^y1 at
-vertex 0, and `lemma2_check` reads both coordinates from it.  Neither
-element depends on x, since psi(K) contains K x K (checked in
-tests/test_k_facts.py): `search_high_order` and `search_nonengel_pair`
-find them through `branch.first_qualifying`, the one search loop, and are
-memoized per process, so a process that certifies many elements runs each
-search once; a failed search is not cached and runs again.  For the same
-reason the replays decide their towers on the long-lived "decide" table
-of `dag.shared`, where the towers of (h, y1) and the nodes of k stay
-interned from one call to the next.
+vertex 0.  The right verifier checks that pairing on every certificate,
+and `lemma2_check` reads both coordinates from it; the right replay
+does not walk it.  Neither element depends on x, since psi(K) contains
+K x K (checked in tests/test_k_facts.py): `search_high_order` and
+`search_nonengel_pair` find them through `branch.first_qualifying`, the
+one search loop, and are memoized per process, so a process that
+certifies many elements runs each search once; a failed search is not
+cached and runs again.  For the same reason the replays decide their
+towers on the long-lived "decide" table of `dag.shared`, where the
+towers of (h, y1) and the nodes of k stay interned from one call to the
+next.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -267,32 +270,32 @@ def replay_right(
     """Produce a certificate that x is not right Engel with sink <= bound + 1.
 
     Section-reduces x to an active representative a.g, finds a non-Engel
-    pair (h, y1) in K, sets y2 = [y1, h]^(g1^-1), embeds y with
-    psi(y) = (y1, y2), and verifies for every m <= bound that
-    [x_active,_{m+1} y] is nontrivial both directly (witness vertex) and
-    through the tower identity: its first section is the one
-    `right_towers` predicts from y's sections, [h,_{m+1} y1]^y1.
+    pair (h, y1) in K, sets y2 = [y1, h]^(g1^-1) =
+    (y1^-1)^(g1^-1) . y1^(h g1^-1), embeds y with psi(y) = (y1, y2), and
+    records for every m <= bound a vertex moved by [x_active,_{m+1} y],
+    read off one walk of `Dag.tower` and checked by `exact_witness`
+    against leafperm.  That each entry's first section is the one Lemma 2
+    predicts, [h,_{m+1} y1]^y1, is left to `certificates.verify`, which
+    checks it on every right certificate.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     x = reduce_word(x)
     chain, active = section_chain(x)
-    g = multiply("a", active)
-    g1 = decompose(g).left
+    g1_inverse = invert(decompose(multiply("a", active)).left)
     h, y1 = search_nonengel_pair(bound + 1, budget=budget, seed=seed)
-    y2 = y1.commutator_with(h).conjugated(invert(g1))
+    h_g1_inverse = multiply(flatten(h), g1_inverse)
+    y2 = TWord(
+        tuple((multiply(w, g1_inverse), -s) for w, s in reversed(y1.factors))
+        + tuple((multiply(w, h_g1_inverse), s) for w, s in y1.factors)
+    )
     y = emb_pair(y1, y2)
 
     def witnesses(dag: Dag) -> tuple[str, ...]:
-        entries: dict[int, int] = {}
-        towers = right_towers(dag, dag.from_word(active), dag.from_word(y))
-        for m, (t, first) in enumerate(islice(towers, bound), 2):
-            t_active, t_left, _ = dag.nodes[t]
-            if t_active:
-                raise AssertionError("tower left St(1); identity preconditions broken")
-            if t_left != first:
-                raise AssertionError("tower identity cross-check failed")
-            entries[m] = t
+        towers = dag.tower(dag.from_word(active), dag.from_word(y))
+        next(towers)  # [x_active,_1 y] is not recorded
+        # A sunk tower stays trivial, which exact_witness rejects.
+        entries = {m: next(towers, IDENTITY) for m in range(2, bound + 2)}
         return tuple(exact_witness(dag, entries, active, y).values())
 
     return RightRefutation(
@@ -317,11 +320,11 @@ class SurveyReport:
     opponents: int
     bound: int
     seed: int
-    sinks: int = 0
-    no_sink: int = 0
-    overflow: int = 0
-    sink_depths: dict[int, int] = field(default_factory=dict)
-    flagged: tuple[tuple[str, str], ...] = ()  # (g, x) pairs that did not sink
+    sinks: int
+    no_sink: int
+    overflow: int
+    sink_depths: dict[int, int]
+    flagged: tuple[tuple[str, str], ...]  # (g, x) pairs that did not sink
 
 
 def involution_survey(

@@ -21,7 +21,7 @@ from grigor.decide import are_equal, is_trivial, order
 from grigor.errors import SearchExhausted
 from grigor.leafperm import word_perm
 from grigor.tree import decompose
-from grigor.words import invert, multiply, reduce_word
+from grigor.words import multiply, reduce_word
 
 import word_reference
 from conftest import make_word
@@ -46,11 +46,6 @@ def test_tword_algebra(rng):
         k1 = random_tword(rng, max_factors=2, conj_len=6)
         k2 = random_tword(rng, max_factors=2, conj_len=6)
         assert are_equal(flatten(k1 * k2), multiply(flatten(k1), flatten(k2)))
-        assert are_equal(flatten(k1.inverse()), invert(flatten(k1)))
-        w = reduce_word(make_word(rng, 6))
-        assert are_equal(
-            flatten(k1.conjugated(w)), reduce_word(invert(w) + flatten(k1) + w)
-        )
 
 
 def test_tword_literals():
@@ -91,12 +86,11 @@ tword_factors = st.lists(
 )
 
 
-@given(tword_factors, tword_factors, st.text("abcd", max_size=12).map(reduce_word))
-def test_tword_words_equal_the_full_reduction(f1, f2, w):
+@given(tword_factors, tword_factors)
+def test_tword_words_equal_the_full_reduction(f1, f2):
     k1, k2 = TWord(tuple(f1)), TWord(tuple(f2))
     assert flatten(k1) == word_reference.flatten(k1)
     assert emb_pair(k1, k2) == word_reference.emb_pair(k1, k2)
-    assert k1.conjugated(w).factors == tuple((reduce_word(c + w), s) for c, s in f1)
 
 
 def test_emb_pair_examples():
@@ -153,9 +147,12 @@ def test_k_level_is_the_certified_plateau():
 
 def test_membership_matches_sympy_quotient(rng):
     # The letter-count verdicts against sympy's normal closure of t in G_3.
-    from sympy.combinatorics import Permutation
+    from sympy.combinatorics import Permutation, PermutationGroup
 
-    k_image = build_level_quotient(K_LEVEL).k_image
+    def perm(g):
+        return Permutation(list(word_perm(g, K_LEVEL)), size=1 << K_LEVEL)
+
+    k_image = PermutationGroup([perm(x) for x in "abcd"]).normal_closure([perm(T)])
     words = [reduce_word(make_word(rng, rng.randint(0, 40))) for _ in range(200)]
     words += [flatten(random_tword(rng, conj_len=8)) for _ in range(100)]
     words += [
@@ -164,8 +161,7 @@ def test_membership_matches_sympy_quotient(rng):
     verdicts = set()
     for g in words:
         result = membership_in_K(g)
-        perm = Permutation(list(word_perm(g, K_LEVEL)), size=1 << K_LEVEL)
-        assert (result.verdict == "inside") == k_image.contains(perm)
+        assert (result.verdict == "inside") == k_image.contains(perm(g))
         assert result.level == (1 if g.count("a") & 1 else K_LEVEL)
         verdicts.add((result.verdict, result.level))
     assert verdicts == {("inside", K_LEVEL), ("outside", K_LEVEL), ("outside", 1)}

@@ -28,6 +28,7 @@ from grigor.errors import CapExceeded, PreconditionViolated, WordLengthCapExceed
 from grigor.tree import act, decompose
 from grigor.words import a_parity, commutator, conjugate, invert, multiply, reduce_word
 
+import word_reference
 from conftest import make_word
 
 
@@ -319,6 +320,20 @@ def test_replay_right():
         d = decompose(tower)
         assert are_equal(
             d.left, conjugate(iterated_commutator(fh, fy1, m + 1), fy1)
+        )
+
+
+@pytest.mark.parametrize(
+    "x, g1", [("a", ""), ("ba", "c"), ("dabacada", "da"), ("dacad", "ca")]
+)
+def test_replay_right_y2_bytes(x, g1):
+    # The golden right certificates have g1 = 1; here the conjugation by
+    # g1^-1 is pinned too, factor by factor.
+    assert decompose(multiply("a", section_chain(x)[1])).left == g1
+    for seed in range(3):
+        cert = replay_right(x, 3, seed=seed)
+        assert cert.y2.factors == word_reference.right_y2(
+            cert.y1.factors, cert.h.factors, g1
         )
 
 

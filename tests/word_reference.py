@@ -9,7 +9,10 @@ memoized: they are slow on long words and meant for short ones.
 kernels that `reduce_word` and `decompose` must agree with.
 `flatten` and `emb_pair` build the words of `branch` by multiplying in
 one factor at a time, the quadratic fold that the single reduction of the
-joined pieces there must agree with.  `letter_word_perm` and
+joined pieces there must agree with.  `right_y2` builds the factors of
+y2 = [y1, h]^(g1^-1) by TWord inversion, conjugation and product, one
+step at a time, against which the one expression in
+`engel.replay_right` is compared.  `letter_word_perm` and
 `depth_moved_vertex` are the letter-by-letter and depth-by-depth kernels
 that `leafperm.word_perm` and `leafperm.moved_vertex` must agree with.
 `k_image_table` and `level3_membership` decide K membership from the
@@ -22,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from grigor.branch import U, V, lift_first, lift_second
-from grigor.certificates import K_LEVEL, T
+from grigor.certificates import K_LEVEL, T, TWord
 from grigor.leafperm import generator_perms, word_perm
 from grigor.words import (
     LETTERS, Decomposition, conjugate, decompose, invert, multiply, reduce_word
@@ -145,6 +148,21 @@ def emb_pair(k1, k2) -> str:
             piece = conjugate(base, lift(w))
             y = multiply(y, piece if s > 0 else invert(piece))
     return y
+
+
+def right_y2(y1, h, g1: str) -> tuple[tuple[str, int], ...]:
+    """The factors of y2 = [y1, h]^(g1^-1) = (y1^-1 . y1^h)^(g1^-1) for the
+    TWord factor tuples y1 and h, one TWord operation at a time: invert y1,
+    conjugate y1 by the word of h, concatenate, conjugate by g1^-1."""
+
+    def inverse(factors):
+        return tuple((w, -s) for w, s in reversed(factors))
+
+    def conjugated(factors, w):
+        return tuple((multiply(c, w), s) for c, s in factors)
+
+    bracket = inverse(y1) + conjugated(y1, flatten(TWord(h)))
+    return conjugated(bracket, invert(g1))
 
 
 @lru_cache(maxsize=None)
