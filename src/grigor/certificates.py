@@ -24,9 +24,12 @@ decides it since psi is injective on St(1) and each element has one id.
 The verifiers decide on their own tables of `dag.shared`, "verify" and,
 for the probe kinds, the small "probe-verify", which nothing that issues
 an answer fills.  Probe transcripts are checked too: one reduced word
-length per tower depth.  Serialization is deterministic: sorted keys,
-fixed separators, no floats, so identical inputs yield byte-identical
-files.
+length per tower depth.  The probe verifiers' DAG towers rest on the
+identity [x,_{n+1} g] = [x,_n g]^-2 for g^2 = 1, which `Dag.tower` walks
+whenever g is an involution; g^2 = 1 is decided exactly, as id equality
+with the identity, so no other g takes that step.  Serialization is
+deterministic: sorted keys, fixed separators, no floats, so identical
+inputs yield byte-identical files.
 """
 
 from __future__ import annotations

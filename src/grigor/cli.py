@@ -3,7 +3,9 @@
 Word literals are strings over {a, b, c, d} with "1" for the identity;
 TWord literals are semicolon-separated signed conjugates such as
 "1^+1;ab^-1"; vertices are binary strings ("" is the root).  All output
-is deterministic given identical inputs, flags, and seed.
+is deterministic given identical inputs, flags, and seed.  Each command
+imports the modules it calls, so `grigor verify FILE` loads only the
+verifier kernel `certificates` and what it reads.
 
 Exit codes: 0 success, 1 mathematical refutation where the query was
 "is this Engel?" (engel-probe finding no sink, verify rejecting a
@@ -17,7 +19,7 @@ import functools
 import json
 import sys
 
-from . import branch, certificates, config, decide, engel, leafperm, tree, words
+from . import certificates, config, words
 from .errors import CapExceeded, SearchExhausted
 
 
@@ -45,12 +47,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_eq(args) -> int:
+    from . import decide
     equal = decide.are_equal(words.parse_word(args.left), words.parse_word(args.right))
     _emit(args, {"equal": equal}, str(equal).lower())
     return 0
 
 
 def _cmd_order(args) -> int:
+    from . import decide
     result = decide.order(words.parse_word(args.word), cap=args.order_cap)
     data = {"exact": result.is_exact, "cap": result.cap}
     if result.is_exact:
@@ -60,12 +64,14 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_act(args) -> int:
+    from . import tree
     image = tree.act(words.parse_word(args.word), args.vertex)
     _emit(args, {"vertex": image}, image if image else "(root)")
     return 0
 
 
 def _cmd_sections(args) -> int:
+    from . import leafperm, tree
     g = words.parse_word(args.word)
     secs = [words.format_word(s) for s in tree.sections_at(g, args.level)]
     perm = leafperm.word_perm(g, args.level).tolist()
@@ -75,12 +81,14 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_stab(args) -> int:
+    from . import tree
     inside = tree.in_level_stabilizer(words.parse_word(args.word), args.level)
     _emit(args, {"in_stabilizer": inside, "level": args.level}, str(inside).lower())
     return 0
 
 
 def _cmd_first_active(args) -> int:
+    from . import tree
     level = tree.first_active_level(words.parse_word(args.word))
     _emit(args, {"first_active_level": level}, "none" if level is None else str(level))
     return 0
@@ -92,12 +100,14 @@ def _cmd_k_test(args) -> int:
 
 
 def _cmd_k_embed(args) -> int:
+    from . import branch
     y = branch.emb_pair(*map(certificates.parse_tword, (args.first, args.second)))
     _emit(args, {"word": words.format_word(y)}, words.format_word(y))
     return 0
 
 
 def _cmd_lift(args) -> int:
+    from . import branch
     lift = branch.lift_second if args.second else branch.lift_first
     lifted = lift(words.parse_word(args.word))
     _emit(args, {"word": words.format_word(lifted)}, words.format_word(lifted))
@@ -105,6 +115,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from . import branch
     q = branch.build_level_quotient(args.level)
     data = {
         "level": q.n,
@@ -121,6 +132,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_engel_probe(args) -> int:
+    from . import engel
     outcome = engel.left_engel_probe(
         words.parse_word(args.g), words.parse_word(args.x), args.bound
     )
@@ -131,6 +143,7 @@ def _cmd_engel_probe(args) -> int:
 
 
 def _cmd_lemma1(args) -> int:
+    from . import engel
     k = certificates.parse_tword(args.k)
     holds = engel.lemma1_check(k, words.parse_word(args.g), args.m)
     _emit(args, {"holds": holds, "m": args.m}, str(holds).lower())
@@ -138,12 +151,14 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_lemma2(args) -> int:
+    from . import engel
     holds = engel.lemma2_check(words.parse_word(args.x), words.parse_word(args.y), args.m)
     _emit(args, {"holds": holds, "m": args.m}, str(holds).lower())
     return 0
 
 
 def _cmd_replay_left(args) -> int:
+    from . import engel
     cert = engel.replay_bounded_left(
         words.parse_word(args.x), args.bound, budget=args.budget, seed=args.seed
     )
@@ -152,6 +167,7 @@ def _cmd_replay_left(args) -> int:
 
 
 def _cmd_replay_right(args) -> int:
+    from . import engel
     cert = engel.replay_right(
         words.parse_word(args.x), args.bound, budget=args.budget, seed=args.seed
     )
@@ -160,6 +176,7 @@ def _cmd_replay_right(args) -> int:
 
 
 def _cmd_search_pair(args) -> int:
+    from . import engel
     pair = engel.search_nonengel_pair(args.bound, budget=args.budget, seed=args.seed)
     h, y1 = map(certificates.format_tword, pair)
     _emit(args, {"h": h, "y1": y1, "bound": args.bound}, f"h = {h}\ny1 = {y1}")
@@ -167,6 +184,7 @@ def _cmd_search_pair(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    from . import engel
     report = engel.involution_survey(
         args.samples, args.bound, seed=args.seed, opponents=args.opponents
     )

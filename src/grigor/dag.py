@@ -26,11 +26,12 @@ and their verifiers, whose towers share the near-nucleus elements.  A
 verifier decides every check on its own role's table, and so never reads
 a table an issuer filled.  A table is dropped at call entry once its
 entries (`Dag.size`) reach NODE_CAP // 2, or PROBE_TABLE_ENTRIES for the
-two probe roles: one probe fills about 150 entries of a fresh table, so
-a small table keeps the shared part warm without holding every tower.
-A call that hits a cap on a warm table runs once more on a fresh one, so
-it raises exactly when it would in a fresh process; the word-length cap
-depends on the words alone, so it is raised at once and the table kept.
+two probe roles: one probe fills about 70-210 entries of a fresh table
+(means over survey and benchmark probes), so a small table keeps the
+shared part warm without holding every tower.  A call that hits a cap on
+a warm table runs once more on a fresh one, so it raises exactly when it
+would in a fresh process; the word-length cap depends on the words
+alone, so it is raised at once and the table kept.
 The pair search and the lemma checks make a fresh Dag per call.
 """
 
@@ -159,15 +160,21 @@ class Dag:
     def tower(self, x: int, g: int) -> Iterator[int]:
         """[x,_1 g], [x,_2 g], ... through the first trivial entry, since [1, g] = 1.
 
-        A tower that never sinks never repeats an element (the group is a
-        residually finite 2-group), so each step interns a node and the
-        node cap ends it.
+        For an involution g, t = [s, g] has t^g = (s^-1)^g s = t^-1, so
+        [t, g] = t^-1 t^g = t^-2: past the first entry, each step is one
+        squaring and one inverse, and [x,_n g] = [x, g]^((-2)^(n-1)) sinks
+        at depth 1 + e([x, g]), where 2^e is the order.  A tower that
+        never sinks never repeats an element (the group is a residually
+        finite 2-group), so each step interns a node and the node cap
+        ends it.
         """
+        involution = self.mul(g, g) == IDENTITY
+        x = self.commutator(x, g)
         while True:
-            x = self.commutator(x, g)
             yield x
             if x == IDENTITY:
                 return
+            x = self.inv(self.mul(x, x)) if involution else self.commutator(x, g)
 
     def iterated_commutator(self, x: int, g: int, m: int) -> int:
         """[x,_m g] for m >= 1; the identity past the tower's sink."""

@@ -4,17 +4,23 @@ The left-normed tower is [x,_1 g] = x^-1 g^-1 x g and
 [x,_n g] = [[x,_{n-1} g], g].  Probes, replays, lemma checks and their
 verifiers ask two questions of a tower entry -- is it the identity, and
 which vertex does it move -- and answer both on section-DAG ids, whose
-elements do not double in size with each step; `Dag.tower` is the one
-walk of a DAG tower.  `exact_witness` is the one witness routine: it
-takes any entries of one tower and cross-checks them all in one leafperm
-pass, at the level the deepest of them needs.  The records issued here,
-the word tower (for probe transcripts only) and `probe`, the one probe
-walk, live in the verifier kernel `certificates`, which imports nothing
-from this module.  `left_engel_probe` issues on the small long-lived
-"probe" table of `dag.shared`, and the probe verifiers check on
-"probe-verify": probe towers of different words share their near-nucleus
-elements.  The lemma checks decide both sides of their identities on one
-fresh Dag.  Words stay the input and output.
+elements do not double in size with each step.  `Dag.tower` is the one
+walk of a DAG tower.  For an involution g, as in every `survey` probe and
+in the bounded-left tower [y,_N x_active], it squares:
+[x,_{n+1} g] = [x,_n g]^-2, so the tower sinks at depth 1 + e([x, g]),
+where 2^e is the order of [x, g].  `lemma1_check`, whose x is an
+involution, builds its tower from the definition instead, so that it
+still checks a closed form against the commutators.  `exact_witness` is
+the one witness routine: it takes any entries of one tower and
+cross-checks them all in one leafperm pass, at the level the deepest of
+them needs.  The records issued here, the word tower (for probe
+transcripts only) and `probe`, the one probe walk, live in the verifier
+kernel `certificates`, which imports nothing from this module.
+`left_engel_probe` issues on the small long-lived "probe" table of
+`dag.shared`, and the probe verifiers check on "probe-verify": probe
+towers of different words share their near-nucleus elements.  The lemma
+checks decide both sides of their identities on one fresh Dag.  Words
+stay the input and output.
 
 The two replay operations produce self-contained certificates: a bounded
 refutation of "x is left-N-Engel" built from a high-order element of K,
@@ -121,9 +127,12 @@ def lemma1_check(k: TWord, g: str, m: int) -> bool:
 
     Requires g in St(1) and (a.g)^2 = 1 (which forces g2 = g1^-1).  y is
     built from its sections (k, 1), and both sides are decided on one fresh
-    Dag: the left by running the tower and reading its sections, the right
-    from the closed form
+    Dag: the left by taking the commutator with x m times, as the tower is
+    defined, and reading its sections, the right from the closed form
     (k^((-1)^m 2^(m-1)), (k^g2)^((-1)^(m-1) 2^(m-1))) by m - 1 squarings.
+    The left side does not walk `Dag.tower`: x is an involution, so that
+    walk squares its entries, and would compute the closed form it is
+    checked against.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -136,8 +145,12 @@ def lemma1_check(k: TWord, g: str, m: int) -> bool:
     if dag.mul(x, x) != IDENTITY:
         raise PreconditionViolated("a.g must be an involution")
     power = dag.from_word(flatten(k))
-    y = dag.node(0, power, IDENTITY)  # psi(y) = (k, 1)
-    active, left, right = dag.nodes[dag.iterated_commutator(y, x, m)]
+    t = dag.node(0, power, IDENTITY)  # y, with psi(y) = (k, 1)
+    for _ in range(m):  # [1, x] = 1, so the walk stops at the sink
+        if t == IDENTITY:
+            break
+        t = dag.commutator(t, x)
+    active, left, right = dag.nodes[t]
     if active:
         return False
     for _ in range(m - 1):  # k^(2^(m-1)); squaring stops at the identity

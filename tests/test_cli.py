@@ -63,29 +63,43 @@ def test_import_and_refutation_verify_leave_numpy_unloaded():
 def test_verify_loads_only_the_kernel():
     # A certificate of every kind is checked by certificates, dag, words,
     # config and errors alone.  Neither issuer (engel, branch), nor the
-    # searches, nor leafperm and numpy is loaded.
+    # searches, nor leafperm and numpy is loaded, through the library or
+    # through `grigor verify FILE`, which adds only cli itself.
     files = [str(path) for path in sorted(GOLDEN.glob("*.json"))]
-    script = (
-        "import json, sys\n"
+    library = (
         "import grigor.certificates\n"
-        "def loaded(ok):\n"
-        "    grigor = sorted(m for m in sys.modules if m.split('.')[0] == 'grigor')\n"
-        "    return [ok, grigor, 'numpy' in sys.modules]\n"
-        "seen = {'import': loaded(True)}\n"
-        f"for path in {files!r}:\n"
+        "def check(path):\n"
         "    with open(path, encoding='utf-8') as fh:\n"
-        "        seen[path] = loaded(grigor.certificates.verify(json.load(fh))[0])\n"
-        "print(json.dumps(seen))\n"
+        "        return grigor.certificates.verify(json.load(fh))[0]\n"
     )
-    proc = run_child("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    kernel = [f"grigor{m}" for m in ("", ".certificates", ".config", ".dag", ".errors", ".words")]
-    assert len(seen) == 1 + 7
-    for path, (ok, modules, numpy) in seen.items():
-        assert ok, path
-        assert modules == kernel, path
-        assert not numpy, path
+    cli = (
+        "import contextlib, io, grigor.cli\n"
+        "def check(path):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return grigor.cli.main(['verify', path]) == 0\n"
+    )
+    kernel = ["grigor", "grigor.certificates", "grigor.config", "grigor.dag",
+              "grigor.errors", "grigor.words"]
+    for check, expected in ((library, kernel), (cli, sorted(kernel + ["grigor.cli"]))):
+        script = (
+            "import json, sys\n"
+            + check
+            + "def loaded(ok):\n"
+            "    grigor = sorted(m for m in sys.modules if m.split('.')[0] == 'grigor')\n"
+            "    return [ok, grigor, 'numpy' in sys.modules]\n"
+            "seen = {'import': loaded(True)}\n"
+            f"for path in {files!r}:\n"
+            "    seen[path] = loaded(check(path))\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = run_child("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert len(seen) == 1 + 7
+        for path, (ok, modules, numpy) in seen.items():
+            assert ok, path
+            assert modules == expected, path
+            assert not numpy, path
 
 
 def test_reduce(capsys):

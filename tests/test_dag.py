@@ -88,12 +88,14 @@ def test_leaf_products_use_the_klein_table():
 def test_dag_tower_matches_word_tower():
     # DAG entries against the word tower, and leafperm's one-pass quotient
     # tower against the permutation of each word entry (x itself first),
-    # for depths <= 5.
+    # for depths <= 5.  The involution pairs take the squaring step.
     rng = random.Random(7)
     pairs = [(make_word(rng, rng.randint(1, 12)), make_word(rng, rng.randint(1, 12)))
              for _ in range(40)]
+    involution_pairs = [(make_word(rng, rng.randint(1, 12)), random_involution(rng, 12))
+                        for _ in range(20)]
     cert = replay_right("a", 3)
-    for x, g in pairs + [(cert.x_active, cert.y)]:
+    for x, g in pairs + involution_pairs + [(cert.x_active, cert.y)]:
         dag = Dag()
         perms = tower_perms(x, g, 6)
         assert (next(perms) == word_perm(x, 6)).all(), (x, g)
@@ -101,6 +103,25 @@ def test_dag_tower_matches_word_tower():
         for m, (word, t, perm) in enumerate(islice(entries, 5), 1):
             assert t == dag.from_word(word), (x, g, m)
             assert (perm == word_perm(word, 6)).all(), (x, g, m)
+
+
+def test_dag_tower_of_a_non_involution_is_the_commutator_chain():
+    # Only an involution g takes the squaring step; for any other g every
+    # entry is the commutator of the one before with g, id for id.
+    rng = random.Random(11)
+    tested = 0
+    for _ in range(40):
+        dag = Dag()
+        x, g = (dag.from_word(make_word(rng, rng.randint(1, 12))) for _ in range(2))
+        if dag.mul(g, g) == IDENTITY:
+            continue
+        tested += 1
+        t = x
+        for entry in islice(dag.tower(x, g), 6):
+            t = dag.commutator(t, g)
+            assert entry == t
+        assert t == dag.iterated_commutator(x, g, 6)
+    assert tested >= 20
 
 
 def test_dag_tower_ends_at_its_first_trivial_entry():

@@ -68,6 +68,23 @@ def test_probe_involution_sinks(rng):
         assert isinstance(outcome, EngelSink)
 
 
+def test_involutions_are_left_engel_with_sink_depth_one_plus_e():
+    # For g^2 = 1, [x,_n g] = [x, g]^((-2)^(n-1)), so the tower sinks at
+    # depth 1 + e([x, g]), where 2^e is the order of [x, g].  The exponent
+    # is read off the sections of [x, g] on a fresh Dag, not off a tower.
+    rng = random.Random(24)
+    depths = set()
+    for _ in range(200):
+        g, x = random_involution(rng), random_word(rng)
+        dag = Dag()
+        e = dag.order_exponent(dag.commutator(dag.from_word(x), dag.from_word(g)))
+        outcome = left_engel_probe(g, x, 40)
+        assert isinstance(outcome, EngelSink), (g, x)
+        assert outcome.n == 1 + e, (g, x)
+        depths.add(outcome.n)
+    assert len(depths) > 3  # the formula is met at several depths
+
+
 def test_probe_no_sink_has_witness():
     x = "daca"
     outcome = left_engel_probe("ad", x, 6)

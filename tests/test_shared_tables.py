@@ -228,7 +228,7 @@ def test_probe_table_is_dropped_at_its_bound(monkeypatch):
     first = dag.TABLES["probe"]
     rng = random.Random(53)
     sizes = []  # of the table at each call's entry
-    for _ in range(100):
+    for _ in range(400):
         sizes.append(first.size)
         left_engel_probe(random_involution(rng, 16), random_word(rng, 16), 40)
         if dag.TABLES["probe"] is not first:
