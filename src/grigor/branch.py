@@ -40,7 +40,10 @@ T_ATOM = TWord(((IDENTITY, 1),))  # t itself
 
 
 # Letter maps sending a word g to an element of St(1) whose left (resp.
-# right) section equals g; checked in tests/test_k_facts.py.
+# right) section equals g; checked in tests/test_k_facts.py.  Each sends
+# a to an involution and b, c, d to a Klein four-group, so both are
+# endomorphisms of Z/2 * V4: lift(multiply(u, w)) == multiply(lift(u),
+# lift(w)) on reduced words (tests/test_branch.py).
 _LIFT_FIRST = {"a": "b", "b": "ada", "c": "aba", "d": "aca"}
 _LIFT_SECOND = {"a": "aba", "b": "d", "c": "b", "d": "c"}
 
@@ -55,12 +58,16 @@ def lift_second(g: str) -> str:
     return reduce_word("".join(_LIFT_SECOND[ch] for ch in g))
 
 
+@lru_cache(maxsize=32, typed=True)
 def emb_pair(k1: TWord, k2: TWord) -> str:
     """An element y of K with psi(y) = (flatten(k1), flatten(k2)).
 
     Each factor (w, s) of k1 contributes (u^lift_first(w))^s, since
     psi(u^s) = (t^{s_left}, 1); mirrored with v for k2.  As in `flatten`,
-    the pieces are joined and reduced once.
+    the pieces are joined and reduced once.  The result depends on the
+    arguments alone, so it is memoized per process, like the searches:
+    the replays embed only TWords that do not depend on x (see
+    `engel.replay_right`).
     """
     pieces = []
     for base, lift, k in ((U, lift_first, k1), (V, lift_second, k2)):

@@ -37,10 +37,13 @@ K x K (checked in tests/test_k_facts.py): `search_high_order` and
 `search_nonengel_pair` find them through `branch.first_qualifying`, the
 one search loop, and are memoized per process, so a process that
 certifies many elements runs each search once; a failed search is not
-cached and runs again.  For the same reason the replays decide their
-towers on the long-lived "decide" table of `dag.shared`, where the
-towers of (h, y1) and the nodes of k stay interned from one call to the
-next.
+cached and runs again.  Their embeddings are memoized too, through
+`branch.emb_pair`: the left y = emb_pair(k, 1) does not depend on x, and
+the right y is emb_pair(y1, 1) times emb_pair(1, [y1, h]) conjugated by
+lift_second(g1^-1), so only that conjugation and the junction product
+are done per x.  For the same reason the replays decide their towers on
+the long-lived "decide" table of `dag.shared`, where the towers of
+(h, y1) and the nodes of k stay interned from one call to the next.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ from functools import lru_cache
 from itertools import islice
 
 from . import config
-from .branch import emb_pair, first_qualifying, random_tword, random_word, search_high_order
+from .branch import (
+    emb_pair, first_qualifying, lift_second, random_tword, random_word, search_high_order,
+)
 from .certificates import (
     BoundedLeftRefutation, EngelSink, NoSinkUpTo, RightRefutation, TWord, flatten, probe,
     right_towers, tower,
@@ -61,7 +66,7 @@ from .decide import is_trivial, order
 from .errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
 from .leafperm import moved_vertex, tower_perms
 from .tree import decompose, first_active_level
-from .words import a_parity, invert, multiply, reduce_word
+from .words import a_parity, conjugate, invert, multiply, reduce_word
 
 
 def iterated_commutator(x: str, g: str, n: int) -> str:
@@ -290,6 +295,14 @@ def replay_right(
     against leafperm.  That each entry's first section is the one Lemma 2
     predicts, [h,_{m+1} y1]^y1, is left to `certificates.verify`, which
     checks it on every right certificate.
+
+    y is the word emb_pair(y1, y2), assembled from the memoized halves
+    emb_pair(y1, 1) and emb_pair(1, [y1, h]), which do not depend on x:
+    lift_second is an endomorphism of the free product Z/2 * V4 that
+    reduced words represent, so lifting a conjugator w . g1^-1 gives
+    lift_second(w) . L with L = lift_second(g1^-1), and the second half
+    of y is emb_pair(1, [y1, h]) conjugated by L.  Reduced words are
+    normal forms, so the product has the bytes of emb_pair(y1, y2).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -297,12 +310,17 @@ def replay_right(
     chain, active = section_chain(x)
     g1_inverse = invert(decompose(multiply("a", active)).left)
     h, y1 = search_nonengel_pair(bound + 1, budget=budget, seed=seed)
-    h_g1_inverse = multiply(flatten(h), g1_inverse)
-    y2 = TWord(
-        tuple((multiply(w, g1_inverse), -s) for w, s in reversed(y1.factors))
-        + tuple((multiply(w, h_g1_inverse), s) for w, s in y1.factors)
+    h_word = flatten(h)
+    bracket = TWord(  # [y1, h] = y1^-1 . y1^h
+        tuple((w, -s) for w, s in reversed(y1.factors))
+        + tuple((multiply(w, h_word), s) for w, s in y1.factors)
     )
-    y = emb_pair(y1, y2)
+    y2 = TWord(tuple((multiply(w, g1_inverse), s) for w, s in bracket.factors))
+    # emb_pair(y1, y2), with its two x-independent halves built once.
+    y = multiply(
+        emb_pair(y1, TWord()),
+        conjugate(emb_pair(TWord(), bracket), lift_second(g1_inverse)),
+    )
 
     def witnesses(dag: Dag) -> tuple[str, ...]:
         towers = dag.tower(dag.from_word(active), dag.from_word(y))

@@ -18,6 +18,9 @@ most 340 keys (the 4 + 16 + 64 + 256 strings of 1 to 4 letters) of 2**n
 entries each: about 22 MB over levels 0-12 for adversarial raw words.
 Reduced words alternate `a` with b, c, d and so produce at most 40
 chunks, about 2.6 MB.  A deeper level drops its chunks with the call.
+Each kept level also keeps one read-only identity array, apart from its
+chunks: `word_perm` starts from it, and `_inverse` and `moved_vertex`
+read it, so none of them calls `np.arange`.
 
 Permutations are numpy index arrays; p[i] is the image of vertex i
 (vertices encoded as big-endian binary integers).  numpy is imported
@@ -36,11 +39,13 @@ from .errors import CapExceeded
 if TYPE_CHECKING:
     import numpy as np
 
-# Levels up to MAX_DEPTH keep their arrays, 0.25 MB of generators in all
-# plus the chunks above; a deeper one, up to 2**24 entries per array, is
-# rebuilt on each call from the deepest kept level.
+# Levels up to MAX_DEPTH keep their arrays, 0.25 MB of generators and
+# 64 KB of identities in all, plus the chunks above; a deeper one, up to
+# 2**24 entries per array, is rebuilt on each call from the deepest kept
+# level.
 _CHUNK = 4
 _kept: dict[int, dict[str, np.ndarray]] = {}
+_identities: dict[int, np.ndarray] = {}
 
 
 def generator_perms(n: int) -> dict[str, np.ndarray]:
@@ -58,11 +63,10 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
     import numpy as np
 
     if n == 0:
-        ident = np.zeros(1, dtype=np.int64)
-        return {letter: ident for letter in "abcd"}
+        return {letter: _identity(0) for letter in "abcd"}
     prev = generator_perms(n - 1)
     half = 1 << (n - 1)
-    ident = np.arange(half, dtype=np.int64)
+    ident = _identity(n - 1)
 
     def block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.concatenate([left, right + half])
@@ -80,15 +84,30 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
     return perms
 
 
+def _identity(n: int) -> np.ndarray:
+    """The read-only identity permutation of level n, built once for n <= MAX_DEPTH.
+
+    Callers check the level against the cap first.
+    """
+    if n in _identities:
+        return _identities[n]
+    import numpy as np
+
+    ident = np.arange(1 << n, dtype=np.int64)
+    ident.setflags(write=False)
+    if n <= MAX_DEPTH:
+        _identities[n] = ident
+    return ident
+
+
 def word_perm(w: str, n: int) -> np.ndarray:
     """Permutation induced on level n by a raw word (leftmost letter first).
 
-    The word is applied _CHUNK letters at a time, one gather per chunk.
+    The word is applied _CHUNK letters at a time, one gather per chunk; the
+    empty word gives the read-only `_identity(n)`.
     """
-    import numpy as np
-
     perms = generator_perms(n)
-    p = np.arange(1 << n, dtype=np.int64)
+    p = _identity(n)
     for i in range(0, len(w), _CHUNK):
         chunk = w[i : i + _CHUNK]
         q = perms.get(chunk)
@@ -119,17 +138,17 @@ def tower_perms(x: str, g: str, n: int) -> Iterator[np.ndarray]:
     of the tower is built, and each word's permutation is built once.
     """
     p, q = word_perm(x, n), word_perm(g, n)
-    q_inv = _inverse(q)
+    q_inv = _inverse(q, n)
     while True:
         yield p
-        p = q[p[q_inv[_inverse(p)]]]
+        p = q[p[q_inv[_inverse(p, n)]]]
 
 
-def _inverse(p: np.ndarray) -> np.ndarray:
+def _inverse(p: np.ndarray, n: int) -> np.ndarray:
     import numpy as np
 
     inv = np.empty_like(p)
-    inv[p] = np.arange(len(p), dtype=p.dtype)
+    inv[p] = _identity(n)
     return inv
 
 
@@ -141,11 +160,9 @@ def moved_vertex(perm: np.ndarray, n: int) -> str | None:
     2**(n - k).  So the highest set bit s of the largest XOR gives the
     least depth n - s, and the first leaf reaching 2**s gives the vertex.
     """
-    import numpy as np
-
-    diff = perm ^ np.arange(1 << n, dtype=perm.dtype)
+    diff = perm ^ _identity(n)
     top = int(diff.max())
     if top == 0:
         return None
     s = top.bit_length() - 1
-    return format(int(np.argmax(diff >> s)) >> s, f"0{n - s}b")
+    return format(int((diff >> s).argmax()) >> s, f"0{n - s}b")

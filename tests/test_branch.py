@@ -80,6 +80,19 @@ def test_lift_correctness(rng):
         assert are_equal(decompose(mirrored).right, g)
 
 
+raw_words = st.text("abcd", max_size=40)
+
+
+@given(raw_words, raw_words)
+def test_lifts_commute_with_reduction_and_product(u, w):
+    # Both lifts are endomorphisms of Z/2 * V4, so the right replay may lift
+    # y2's conjugators w . g1^-1 as lift_second(w) . lift_second(g1^-1).
+    ru, rw = reduce_word(u), reduce_word(w)
+    for lift in (lift_first, lift_second):
+        assert lift(ru) == lift(u)
+        assert lift(multiply(ru, rw)) == multiply(lift(ru), lift(rw))
+
+
 tword_factors = st.lists(
     st.tuples(st.text("abcd", max_size=12).map(reduce_word), st.sampled_from((1, -1))),
     max_size=4,

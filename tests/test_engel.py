@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import islice, zip_longest
@@ -7,7 +8,9 @@ import pytest
 
 from grigor import config
 from grigor.branch import T_ATOM, emb_pair, random_tword
-from grigor.certificates import EngelSink, NoSinkUpTo, TWord, flatten, right_towers, tower
+from grigor.certificates import (
+    EngelSink, NoSinkUpTo, TWord, dumps, flatten, right_towers, to_dict, tower
+)
 from grigor.dag import IDENTITY, Dag
 from grigor.decide import are_equal, is_trivial, order, witness_vertex
 from grigor.engel import (
@@ -340,9 +343,11 @@ def test_replay_right():
         )
 
 
-@pytest.mark.parametrize(
-    "x, g1", [("a", ""), ("ba", "c"), ("dabacada", "da"), ("dacad", "ca")]
-)
+# x with the g1 = decompose(a . x_active).left of each entry.
+G1_EXAMPLES = [("a", ""), ("ba", "c"), ("dabacada", "da"), ("dacad", "ca")]
+
+
+@pytest.mark.parametrize("x, g1", G1_EXAMPLES)
 def test_replay_right_y2_bytes(x, g1):
     # The golden right certificates have g1 = 1; here the conjugation by
     # g1^-1 is pinned too, factor by factor.
@@ -352,6 +357,46 @@ def test_replay_right_y2_bytes(x, g1):
         assert cert.y2.factors == word_reference.right_y2(
             cert.y1.factors, cert.h.factors, g1
         )
+
+
+def test_replay_right_y_bytes():
+    # y is assembled from emb_pair(y1, 1) and emb_pair(1, [y1, h]) conjugated
+    # by lift_second(g1^-1); it must be the word emb_pair(y1, y2) folds to.
+    rng = random.Random(25)
+    xs = [x for x, _ in G1_EXAMPLES]
+    while len(xs) < len(G1_EXAMPLES) + 50:
+        x = reduce_word(make_word(rng, rng.randint(1, 12)))
+        if x:
+            xs.append(x)
+    for x in xs:
+        for bound in (3, 8):
+            for seed in range(3):
+                cert = replay_right(x, bound, seed=seed)
+                assert cert.y == word_reference.emb_pair(cert.y1, cert.y2), (x, bound, seed)
+
+
+# sha256 of the serialized certificates below, as issued when y was built by
+# one emb_pair(y1, y2) per call.
+REPLAY_DIGEST = "0047aefcc2ee5d12654b98a52203dfe3132b189a7041196b5a0c1ae6ad29195d"
+
+
+def test_replay_certificate_bytes_are_pinned():
+    rng = random.Random(25)
+    xs = []
+    while len(xs) < 300:
+        x = reduce_word(make_word(rng, rng.randint(1, 9)))
+        if x:
+            xs.append(x)
+    certs = [replay_right(x, bound) for x in xs for bound in (3, 8)]
+    certs += [
+        replay_bounded_left(x, bound)
+        for x in ("a", "b", "c", "d", "aca", "bab", "dabad")
+        for bound in (3, 6)
+    ]
+    digest = hashlib.sha256()
+    for cert in certs:
+        digest.update(dumps(to_dict(cert)).encode() + b"\n")
+    assert digest.hexdigest() == REPLAY_DIGEST
 
 
 def test_replay_right_rejects_identity():

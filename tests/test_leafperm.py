@@ -24,8 +24,9 @@ levels = st.integers(0, 14)
 
 @pytest.fixture
 def fresh_kept(monkeypatch):
-    """An empty table of kept levels, as in a fresh process."""
+    """Empty tables of kept levels and identities, as in a fresh process."""
     monkeypatch.setattr(leafperm, "_kept", {})
+    monkeypatch.setattr(leafperm, "_identities", {})
 
 
 @settings(deadline=None)
@@ -77,14 +78,35 @@ def test_levels_past_the_cap_raise_before_building(fresh_kept):
     with pytest.raises(CapExceeded):
         generator_perms(cap + 1)
     # Building level 25 would have kept levels 0-12 on the way.
-    assert leafperm._kept == {}
+    assert leafperm._kept == {} == leafperm._identities
 
 
 def test_deep_levels_leave_no_array_in_module_state(fresh_kept):
-    word_perm("abcda", 16)
+    moved_vertex(next(islice(tower_perms("abcda", "ad", 16), 2, None)), 16)
     assert max(leafperm._kept) == config.MAX_DEPTH
     for n, perms in leafperm._kept.items():
         assert all(len(p) == 1 << n for p in perms.values()), n
+    assert max(leafperm._identities) == config.MAX_DEPTH
+    for n, ident in leafperm._identities.items():
+        assert len(ident) == 1 << n, n
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, config.MAX_DEPTH, config.MAX_DEPTH + 2])
+def test_level_identity_is_read_only_and_the_empty_word(fresh_kept, n):
+    ident = leafperm._identity(n)
+    assert not ident.flags.writeable
+    with pytest.raises(ValueError):
+        ident[0] = 1
+    assert np.array_equal(ident, np.arange(1 << n))
+    assert np.array_equal(word_perm("", n), ident)
+    assert (leafperm._identity(n) is ident) == (n <= config.MAX_DEPTH)
+
+
+def test_fresh_kept_resets_the_identities(request):
+    word_perm("", 5)
+    assert 5 in leafperm._identities
+    request.getfixturevalue("fresh_kept")
+    assert leafperm._kept == {} == leafperm._identities
 
 
 def test_chunk_keys_stay_within_the_documented_bound(fresh_kept):

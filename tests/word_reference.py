@@ -9,7 +9,8 @@ memoized: they are slow on long words and meant for short ones.
 kernels that `reduce_word` and `decompose` must agree with.
 `flatten` and `emb_pair` build the words of `branch` by multiplying in
 one factor at a time, the quadratic fold that the single reduction of the
-joined pieces there must agree with.  `right_y2` builds the factors of
+joined pieces there, and the y that `engel.replay_right` assembles from
+two memoized halves, must agree with.  `right_y2` builds the factors of
 y2 = [y1, h]^(g1^-1) by TWord inversion, conjugation and product, one
 step at a time, against which the one expression in
 `engel.replay_right` is compared.  `letter_word_perm` and
