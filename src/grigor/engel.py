@@ -86,7 +86,9 @@ def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int
     depth.  A vertex moved at depth k moves all its descendants, so the
     least moved vertex read at level n is the one read at level k.  The
     oracle builds 2**n-entry arrays, so n past 2 * MAX_DEPTH raises
-    CapExceeded.
+    CapExceeded.  Up to level MAX_DEPTH it keeps the permutations of the
+    128 most recent tower words, so a y that many certificates share is
+    built once per process.
     """
     levels = {m: dag.first_active_level(t) for m, t in entries.items()}
     if None in levels.values():

@@ -6,21 +6,29 @@ and composed along a word, with no use of word reduction, of the `tree`
 module or of section DAGs.  The `decide` and `engel` modules use it as a
 cross-validating oracle and `branch` to generate finite level quotients;
 the verifier kernel `certificates` does not use it.  `tower_perms` walks a
-whole commutator tower at one level: one `word_perm` per word, then one
-commutator per entry.  Levels past 2 * config.MAX_DEPTH raise
+whole commutator tower at one level: one permutation per input word, then
+one commutator per entry.  Levels past 2 * config.MAX_DEPTH raise
 CapExceeded before any array is built.
 
 `word_perm` applies a word _CHUNK = 4 letters at a time, one gather per
 chunk.  A chunk's permutation is composed from the generators the first
 time its level meets it and is stored beside them, in the level's dict
-of `generator_perms`; no longer word is ever kept.  A kept level holds at
-most 340 keys (the 4 + 16 + 64 + 256 strings of 1 to 4 letters) of 2**n
-entries each: about 22 MB over levels 0-12 for adversarial raw words.
-Reduced words alternate `a` with b, c, d and so produce at most 40
-chunks, about 2.6 MB.  A deeper level drops its chunks with the call.
+of `generator_perms`; `word_perm` keeps no longer word.  A kept level
+holds at most 340 keys (the 4 + 16 + 64 + 256 strings of 1 to 4 letters)
+of 2**n entries each: about 22 MB over levels 0-12 for adversarial raw
+words.  Reduced words alternate `a` with b, c, d and so produce at most
+40 chunks, about 2.6 MB.  A deeper level drops its chunks with the call.
 Each kept level also keeps one read-only identity array, apart from its
 chunks: `word_perm` starts from it, and `_inverse` and `moved_vertex`
 read it, so none of them calls `np.arange`.
+
+The tower's inputs recur: the bounded-left replay's y does not depend on
+x, and the right replay's y depends on x only through one section.  So
+at levels up to MAX_DEPTH `tower_perms` reads its two input
+permutations from `_tower_input`, a per-process LRU cache of read-only
+arrays keyed by (word, level) and holding the 128 most recent: at most
+128 * 2**12 * 8 bytes, 4 MB.  Deeper levels, up to 2 * MAX_DEPTH,
+rebuild their inputs on each call and keep none.
 
 Permutations are numpy index arrays; p[i] is the image of vertex i
 (vertices encoded as big-endian binary integers).  numpy is imported
@@ -31,6 +39,7 @@ load it.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .config import MAX_DEPTH
@@ -134,14 +143,29 @@ def tower_perms(x: str, g: str, n: int) -> Iterator[np.ndarray]:
     """Level-n permutations of x, [x,_1 g], [x,_2 g], ..., from x and g alone.
 
     The level action is a homomorphism, so each step forms the commutator
-    [p, q] = p^-1 q^-1 p q of permutations in the level-n quotient; no word
-    of the tower is built, and each word's permutation is built once.
+    [p, q] = p^-1 q^-1 p q of permutations in the level-n quotient, as
+    c[p] = q[p[q^-1]]: one scatter and two gathers.  No word of the tower
+    is built, and each input word's permutation is built once per process
+    while it is among the 128 most recent (levels up to MAX_DEPTH only).
     """
-    p, q = word_perm(x, n), word_perm(g, n)
+    import numpy as np
+
+    perm = _tower_input if n <= MAX_DEPTH else word_perm
+    p, q = perm(x, n), perm(g, n)
     q_inv = _inverse(q, n)
     while True:
         yield p
-        p = q[p[q_inv[_inverse(p, n)]]]
+        c = np.empty_like(p)
+        c[p] = q[p[q_inv]]
+        p = c
+
+
+@lru_cache(maxsize=128)
+def _tower_input(w: str, n: int) -> np.ndarray:
+    """`word_perm(w, n)`, kept read-only for the next tower that meets it."""
+    p = word_perm(w, n)
+    p.setflags(write=False)
+    return p
 
 
 def _inverse(p: np.ndarray, n: int) -> np.ndarray:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import grigor
 from grigor import certificates
 from grigor.branch import membership_in_K
 from grigor.decide import witness_vertex
@@ -137,3 +141,59 @@ def test_records_from_unreduced_inputs_read_back(issue):
     # Issuers store reduced words, so reading the dict gives the record back.
     cert = issue()
     assert certificates.from_dict(certificates.to_dict(cert)) == cert
+
+
+def test_x_active_in_st1_with_an_empty_chain_is_rejected():
+    data = certificates.to_dict(replay_right("a", 3))
+    data.update(x="b", x_active="b", chain=[])
+    assert certificates.verify(data) == (False, "x_active is not active at the root")
+
+
+def test_sink_at_depth_zero_is_rejected():
+    data = certificates.to_dict(left_engel_probe("d", "abad", 10))
+    data.update(n=0, transcript=[])
+    assert certificates.verify(data) == (False, "sink depth must be >= 1")
+
+
+def test_sink_claimed_for_a_tower_that_does_not_sink_is_rejected():
+    # The honest transcript of a probe that finds no sink by depth 5.
+    no_sink = certificates.to_dict(left_engel_probe("ad", "b", 5))
+    assert no_sink["kind"] == "non_engel_witness"
+    data = {name: no_sink[name] for name in ("schema", "engine", "g", "x", "transcript")}
+    data.update(kind="engel_sink", n=5)
+    assert certificates.verify(data) == (False, "tower not trivial at claimed depth 5")
+
+
+def test_bounded_left_bound_zero_is_rejected():
+    data = certificates.to_dict(replay_bounded_left("a", 3))
+    data["bound"] = 0
+    assert certificates.verify(data) == (False, "bound must be >= 1")
+
+
+_FIXED_SET_SCRIPT = """
+from grigor import certificates
+from grigor.engel import left_engel_probe, replay_bounded_left, replay_right
+from grigor.words import reduce_word
+
+issued = [replay_right(x, 8) for x in ("a", "d", "dabacada")]
+issued += [replay_bounded_left(x, 6) for x in ("a", "aca")]
+issued.append(left_engel_probe("ad", "badabada", 5))
+issued.append(certificates.reduced_membership_in_K(reduce_word("abab")))
+for cert in issued:
+    print(certificates.dumps(certificates.to_dict(cert)))
+"""
+
+
+def test_certificate_bytes_do_not_depend_on_the_hash_seed():
+    src = str(Path(grigor.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIXED_SET_SCRIPT],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 7
+    assert outputs[0] == outputs[1]

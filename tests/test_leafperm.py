@@ -1,5 +1,6 @@
-"""leafperm's chunked word_perm and closed-form moved_vertex against the
-letter-by-letter and depth-by-depth references, and its level cap."""
+"""leafperm's chunked word_perm, closed-form moved_vertex and commutator
+tower against the letter-by-letter, depth-by-depth and definitional
+references; its level cap; and the bounds of what it keeps."""
 
 import random
 from itertools import islice
@@ -24,9 +25,20 @@ levels = st.integers(0, 14)
 
 @pytest.fixture
 def fresh_kept(monkeypatch):
-    """Empty tables of kept levels and identities, as in a fresh process."""
+    """Empty tables of kept levels, identities and tower inputs, as in a
+    fresh process."""
     monkeypatch.setattr(leafperm, "_kept", {})
     monkeypatch.setattr(leafperm, "_identities", {})
+    leafperm._tower_input.cache_clear()
+
+
+def definitional_tower(x, g, n):
+    """x, [x,_1 g], ... at level n, each step p^-1 q^-1 p q with argsort inverses."""
+    p, q = ref.letter_word_perm(x, n), ref.letter_word_perm(g, n)
+    q_inv = np.argsort(q)
+    while True:
+        yield p
+        p = q[p[q_inv[np.argsort(p)]]]
 
 
 @settings(deadline=None)
@@ -59,6 +71,40 @@ def test_tower_entries_agree_with_depth_by_depth(x, g, n):
         assert moved_vertex(perm, n) == ref.depth_moved_vertex(perm, n), (x, g, n)
 
 
+@settings(deadline=None, max_examples=50)
+@given(st.text("abcd", max_size=12), st.text("abcd", max_size=12), st.integers(0, 10))
+def test_warm_and_cold_towers_are_the_definitional_commutators(x, g, n):
+    leafperm._tower_input.cache_clear()
+    cold = list(islice(tower_perms(x, g, n), 5))
+    hits = leafperm._tower_input.cache_info().hits
+    warm = list(islice(tower_perms(x, g, n), 5))
+    assert leafperm._tower_input.cache_info().hits == hits + 2
+    expected = islice(definitional_tower(x, g, n), 5)
+    for m, (c, w, e) in enumerate(zip(cold, warm, expected)):
+        assert np.array_equal(c, e) and np.array_equal(w, e), (x, g, n, m)
+
+
+def test_tower_inputs_and_first_entry_are_read_only(fresh_kept):
+    n = 6
+    first = next(tower_perms("abcda", "ad", n))
+    assert first is leafperm._tower_input("abcda", n)
+    for perm in (first, leafperm._tower_input("ad", n)):
+        assert not perm.flags.writeable
+        with pytest.raises(ValueError):
+            perm[0] = 1
+
+
+def test_tower_input_cache_keeps_at_most_128_words(fresh_kept):
+    rng = random.Random(26)
+    distinct = set()
+    while len(distinct) < 300:
+        distinct.add(make_word(rng, 12))
+    for w in sorted(distinct):
+        next(tower_perms(w, "a", 4))
+        assert leafperm._tower_input.cache_info().currsize <= 128
+    assert leafperm._tower_input.cache_info().currsize == 128
+
+
 @pytest.mark.parametrize("n", [5, 16])
 @pytest.mark.parametrize(("w", "bad"), [("x", "x"), ("abcdaXbyz", "X"), ("ab?", "?")])
 def test_invalid_letter_names_it_and_leaves_no_chunk(fresh_kept, w, bad, n):
@@ -82,7 +128,11 @@ def test_levels_past_the_cap_raise_before_building(fresh_kept):
 
 
 def test_deep_levels_leave_no_array_in_module_state(fresh_kept):
+    next(tower_perms("abcda", "ad", config.MAX_DEPTH))
+    assert leafperm._tower_input.cache_info().currsize == 2
     moved_vertex(next(islice(tower_perms("abcda", "ad", 16), 2, None)), 16)
+    # The deeper tower's inputs were rebuilt and dropped: no key at level 16.
+    assert leafperm._tower_input.cache_info().currsize == 2
     assert max(leafperm._kept) == config.MAX_DEPTH
     for n, perms in leafperm._kept.items():
         assert all(len(p) == 1 << n for p in perms.values()), n
@@ -104,9 +154,12 @@ def test_level_identity_is_read_only_and_the_empty_word(fresh_kept, n):
 
 def test_fresh_kept_resets_the_identities(request):
     word_perm("", 5)
+    next(tower_perms("ab", "ac", 5))
     assert 5 in leafperm._identities
+    assert leafperm._tower_input.cache_info().currsize > 0
     request.getfixturevalue("fresh_kept")
     assert leafperm._kept == {} == leafperm._identities
+    assert leafperm._tower_input.cache_info().currsize == 0
 
 
 def test_chunk_keys_stay_within_the_documented_bound(fresh_kept):
