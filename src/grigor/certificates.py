@@ -3,33 +3,45 @@
 A certificate is as trustworthy as its checker, so all that `verify` reads
 is here or in `dag`, `words`, `config` and `errors`, its only grigor
 imports: the records, the word `tower` and `probe`, `right_towers`
-(Lemma 2, stated once), TWords and K membership, decided by letter counts
-in Gamma/K = D8 x Z/2.  The issuers `engel` and `branch` import from here;
-nothing here loads `leafperm` or numpy.  St(3) <= K, Gamma/K = D8 x Z/2
-and K x K <= psi(K), which K membership and the embeddings rest on, are
-machine-checked in tests/test_k_facts.py.
+(Lemma 2, stated once), TWords and K membership.  The issuers `engel` and
+`branch` import from here; nothing here loads `leafperm` or numpy.
 
 Every certificate is a self-contained transcript, re-checked from its
-serialized inputs alone.  Each kind is declared once, in `_KINDS`: the
-class that issues it, the shape, reader and writer of each field, and its
-verifier of the issuing record.  `to_dict`, `from_dict` and `verify` all
-read that table; `verify` checks every field's shape, then parses every
-field, before anything is computed.
+serialized inputs alone.  Each kind is declared once, in `_KINDS`, keyed
+by (schema, kind): the class that issues it, the shape, reader and
+writer of each field, and its verifier of the issuing record.
+`to_dict`, `from_dict` and `verify` all read that table; `verify` checks
+every field's shape, then parses every field, before anything is
+computed.
 
 Every check -- triviality, the section chain, the order of k, the
 embedding y, every commutator tower and its moved vertices -- is
-section-DAG arithmetic on ids, and each property is checked once: y is
-checked by its sections, psi(y) = (y1, y2) read off `dag.nodes`, which
-decides it since psi is injective on St(1) and each element has one id.
-The verifiers decide on their own tables of `dag.shared`, "verify" and,
-for the probe kinds, the small "probe-verify", which nothing that issues
-an answer fills.  Probe transcripts are checked too: one reduced word
-length per tower depth.  The probe verifiers' DAG towers rest on the
-identity [x,_{n+1} g] = [x,_n g]^-2 for g^2 = 1, which `Dag.tower` walks
-whenever g is an involution; g^2 = 1 is decided exactly, as id equality
-with the identity, so no other g takes that step.  Serialization is
-deterministic: sorted keys, fixed separators, no floats, so identical
-inputs yield byte-identical files.
+section-DAG arithmetic on ids, and each property is checked once.  The
+verifiers decide on their own tables of `dag.shared`, "verify" and, for
+the probe kinds, the small "probe-verify", which nothing that issues an
+answer fills.  The facts the checks rest on:
+
+- K membership: letter counts in Gamma/K = D8 x Z/2, and St(3) <= K, so
+  an even verdict is the level-3 one.
+- The embeddings: y is checked by its sections, psi(y) = (k, 1) or
+  (y1, y2) read off `dag.nodes`, which decides it since psi is injective
+  on St(1) and each element has one id; y lies in K because k, y1 and
+  y2 do and K x K <= psi(K).  These three facts are machine-checked in
+  tests/test_k_facts.py.
+- Probe towers: for g^2 = 1, [x,_{n+1} g] = [x,_n g]^-2, so the tower
+  sinks at depth 1 + e([x, g]), where 2^e is the order of [x, g].  This
+  involution identity sets the probe's sink depth (`probe`), and
+  `Dag.tower` steps by it whenever g is an involution; g^2 = 1 is decided
+  exactly, as id equality with the identity, so no other g takes either
+  path.  Probe transcripts are checked too: one reduced word length per
+  tower depth.
+- Right refutations: Lemma 2 (`right_towers`) predicts every entry's
+  first section from y's sections.  Once y2 and psi(y) are checked the
+  prediction cannot miss, so that check is a self-check of the DAG
+  arithmetic, not of the certificate.
+
+Serialization is deterministic: sorted keys, fixed separators, no
+floats, so identical inputs yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -139,11 +151,24 @@ def probe(dag: Dag, x: str, g: str, depth: int) -> tuple[list[int], int, int]:
     """Walk [x,_m g] for m <= depth on dag, stopping at the first trivial
     entry: (reduced word lengths, last m, id of the last entry).
 
-    The word comes first in the zip, so its length cap raises before the
-    DAG takes the step.
+    For an involution g, [x,_m g] = c^((-2)^(m-1)) with c = [x, g] (see
+    `Dag.tower`), so the tower sinks at depth 1 + e(c), where 2^e(c) is
+    the order of c.  The DAG then walks no tower to find the sink: only
+    the word tower is walked, to min(depth, sink) entries, and the DAG
+    builds the entry at depth only when the tower has not sunk by then,
+    after the words, so the word length cap raises at the same depth as
+    in a walk.  For any other g the two towers are zipped, the word
+    first, so its length cap raises before the DAG takes the step.
     """
-    lengths: list[int] = []
-    towers = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)))
+    fx, fg = dag.from_word(x), dag.from_word(g)
+    if dag.mul(fg, fg) == IDENTITY:
+        sink = 1 + dag.order_exponent(dag.commutator(fx, fg))
+        lengths = [len(w) for w in islice(tower(x, g), min(depth, sink))]
+        if sink <= depth:
+            return lengths, sink, IDENTITY
+        return lengths, depth, dag.iterated_commutator(fx, fg, depth)
+    lengths = []
+    towers = zip(tower(x, g), dag.tower(fx, fg))
     for m, (w, t) in enumerate(islice(towers, depth), 1):
         lengths.append(len(w))
         if t == IDENTITY:
@@ -247,9 +272,9 @@ def reduced_membership_in_K(g: str) -> KMembershipResult:
 
 def to_dict(cert: Certificate) -> dict[str, Any]:
     """Serializable dict form of any certificate."""
-    for kind, (issuer, fields, _) in _KINDS.items():
+    for (schema, kind), (issuer, fields, _) in _KINDS.items():
         if type(cert) is issuer:
-            data = {"schema": config.SCHEMA_VERSION, "engine": __version__, "kind": kind}
+            data = {"schema": schema, "engine": __version__, "kind": kind}
             for name, field in fields.items():
                 data[name] = field.write(getattr(cert, name))
             return data
@@ -269,7 +294,7 @@ def dumps(data: dict[str, Any]) -> str:
 def from_dict(data: dict[str, Any]) -> Certificate:
     """The record a dict of a known kind and well-shaped fields was written
     from, the inverse of `to_dict`; ValueError if a word does not parse."""
-    issuer, fields, _ = _KINDS[data["kind"]]
+    issuer, fields, _ = _KINDS[data["schema"], data["kind"]]
     return issuer(**{name: field.read(data[name]) for name, field in fields.items()})
 
 
@@ -341,13 +366,15 @@ def verify(data: dict[str, Any]) -> tuple[bool, str]:
     """Re-check a certificate dict; returns (ok, detail)."""
     if not isinstance(data, dict):
         return False, "malformed certificate: not a JSON object"
-    schema = data.get("schema")
-    if not _integer(schema) or schema != config.SCHEMA_VERSION:
-        return False, f"unsupported schema {schema!r}"
-    kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
+    schema, kind = data.get("schema"), data.get("kind")
+    # Only a JSON integer is a schema (True and 1.0 hash as 1 does), and a
+    # kind that is not a string may not be hashable.
+    entry = _KINDS.get((schema, kind)) if _integer(schema) and isinstance(kind, str) else None
+    if entry is None:
+        if not _integer(schema) or all(schema != known for known, _ in _KINDS):
+            return False, f"unsupported schema {schema!r}"
         return False, f"unknown certificate kind {kind!r}"
-    _, fields, check = _KINDS[kind]
+    _, fields, check = entry
     for name, field in fields.items():
         if not field.shape(data.get(name)):
             return False, f"malformed certificate: {name} must be {field.must_be}"
@@ -466,20 +493,21 @@ def _verify_membership(cert: KMembershipResult) -> tuple[bool, str]:
     return True, f"membership verdict {result.verdict} confirmed"
 
 
-# Each kind: the class that issues it, each field's kind in the order the
-# fields are checked and read, and its verifier of the issuing record.
+# Each kind, keyed by (schema, kind): the class that issues it, each
+# field's kind in the order the fields are checked and read, and its
+# verifier of the issuing record.
 _KINDS = {
-    "engel_sink": (
+    (1, "engel_sink"): (
         EngelSink,
         {"g": _WORD, "x": _WORD, "n": _INTEGER, "transcript": _LENGTHS},
         _verify_sink,
     ),
-    "non_engel_witness": (
+    (1, "non_engel_witness"): (
         NoSinkUpTo,
         {"g": _WORD, "x": _WORD, "bound": _INTEGER, "transcript": _LENGTHS, "witness": _TEXT},
         _verify_no_sink,
     ),
-    "bounded_left_refutation": (
+    (1, "bounded_left_refutation"): (
         BoundedLeftRefutation,
         {
             "x": _WORD, "chain": _CHAIN, "x_active": _WORD, "k": _TWORD,
@@ -487,7 +515,7 @@ _KINDS = {
         },
         _verify_bounded_left,
     ),
-    "right_refutation": (
+    (1, "right_refutation"): (
         RightRefutation,
         {
             "x": _WORD, "chain": _CHAIN, "x_active": _WORD, "h": _TWORD, "y1": _TWORD,
@@ -495,7 +523,7 @@ _KINDS = {
         },
         _verify_right,
     ),
-    "k_membership": (
+    (1, "k_membership"): (
         KMembershipResult,
         {"word": _WORD, "verdict": _TEXT, "level": _INTEGER},
         _verify_membership,

@@ -39,5 +39,6 @@ PLATEAU_RUN = 3
 # Default search budget (candidate evaluations).
 SEARCH_BUDGET = 10_000
 
-# Integer version of the certificate JSON schema.
+# Schema of the CLI's `--json` output.  A certificate carries the schema
+# of its own kind instead, the key it has in `certificates._KINDS`.
 SCHEMA_VERSION = 1

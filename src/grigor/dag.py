@@ -26,7 +26,7 @@ and their verifiers, whose towers share the near-nucleus elements.  A
 verifier decides every check on its own role's table, and so never reads
 a table an issuer filled.  A table is dropped at call entry once its
 entries (`Dag.size`) reach NODE_CAP // 2, or PROBE_TABLE_ENTRIES for the
-two probe roles: one probe fills about 70-210 entries of a fresh table
+two probe roles: one probe fills about 50-130 entries of a fresh table
 (means over survey and benchmark probes), so a small table keeps the
 shared part warm without holding every tower.  A call that hits a cap on
 a warm table runs once more on a fresh one, so it raises exactly when it

@@ -8,14 +8,17 @@ elements do not double in size with each step.  `Dag.tower` is the one
 walk of a DAG tower.  For an involution g, as in every `survey` probe and
 in the bounded-left tower [y,_N x_active], it squares:
 [x,_{n+1} g] = [x,_n g]^-2, so the tower sinks at depth 1 + e([x, g]),
-where 2^e is the order of [x, g].  `lemma1_check`, whose x is an
-involution, builds its tower from the definition instead, so that it
-still checks a closed form against the commutators.  `exact_witness` is
-the one witness routine: it takes any entries of one tower and
-cross-checks them all in one leafperm pass, at the level the deepest of
-them needs.  The records issued here, the word tower (for probe
-transcripts only) and `probe`, the one probe walk, live in the verifier
-kernel `certificates`, which imports nothing from this module.
+where 2^e is the order of [x, g].  A probe of an involution reads its
+sink depth off that order and walks no DAG tower to find it; it builds
+the entry at its bound only when the tower has not sunk by then.
+`lemma1_check`, whose x is an involution, builds its tower from the
+definition instead, so that it still checks a closed form against the
+commutators.  `exact_witness` is the one witness routine: it takes any
+entries of one tower and cross-checks them all in one leafperm pass, at
+the level the deepest of them needs.  The records issued here, the word
+tower (for probe transcripts only) and `probe`, the one probe walk, live
+in the verifier kernel `certificates`, which imports nothing from this
+module.
 `left_engel_probe` issues on the small long-lived "probe" table of
 `dag.shared`, and the probe verifiers check on "probe-verify": probe
 towers of different words share their near-nucleus elements.  The lemma
@@ -111,8 +114,9 @@ def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int
 def left_engel_probe(g: str, x: str, bound: int) -> EngelSink | NoSinkUpTo:
     """Search the tower [x,_n g] for its first trivial entry, n <= bound.
 
-    The word tower gives the transcript lengths and the length cap; its
-    section-DAG twin decides triviality and the witness.
+    The word tower gives the transcript lengths and the length cap; the
+    section DAG decides triviality and the witness, for an involution g
+    by the sink depth 1 + e([x, g]) (see `certificates.probe`).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

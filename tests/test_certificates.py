@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import grigor
-from grigor import certificates
+from grigor import certificates, dag
 from grigor.branch import membership_in_K
+from grigor.dag import IDENTITY, Dag
 from grigor.decide import witness_vertex
 from grigor.engel import left_engel_probe, replay_bounded_left, replay_right
 
@@ -168,6 +170,87 @@ def test_bounded_left_bound_zero_is_rejected():
     data = certificates.to_dict(replay_bounded_left("a", 3))
     data["bound"] = 0
     assert certificates.verify(data) == (False, "bound must be >= 1")
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_involution_sink_claimed_one_depth_off_is_rejected(shift):
+    # g is a conjugate of a, an involution, and the tower sinks at depth 5.
+    honest = certificates.to_dict(left_engel_probe("bacadadacab", "ad", 40))
+    assert honest["n"] == 5
+    n = 5 + shift
+    data = dict(honest, n=n, transcript=honest["transcript"][:n])
+    expected = {1: "tower already trivial at depth 5", -1: "tower not trivial at claimed depth 4"}
+    assert certificates.verify(data) == (False, expected[shift])
+
+
+class WrongLemma2Prediction(Dag):
+    """A Dag that corrupts one section: the second entry of each tower of
+    `y1` -- the tower Lemma 2 predicts a right refutation's sections from
+    -- is replaced by its inverse."""
+
+    y1 = None
+
+    def tower(self, x, g):
+        for m, t in enumerate(super().tower(x, g), 1):
+            yield self.inv(t) if g == self.y1 and m == 2 else t
+
+
+def test_lemma2_self_check_fails_on_wrong_arithmetic(monkeypatch):
+    # On a sound Dag the check cannot fail once y2 and y are checked: it
+    # checks the arithmetic, not the certificate.
+    cert = replay_right("a", 3)
+    assert certificates._verify_right(cert) == (
+        True, "right-Engel refutation through sink bound 4 confirmed"
+    )
+    wrong = WrongLemma2Prediction()
+    wrong.y1 = wrong.from_word(certificates.flatten(cert.y1))
+    monkeypatch.setitem(dag.TABLES, "verify", wrong)
+    assert certificates._verify_right(cert) == (
+        False, "tower identity cross-check failed at m=2"
+    )
+    assert dag.TABLES["verify"] is wrong
+
+
+@dataclass(frozen=True)
+class TranscriptFreeSink:
+    g: str
+    x: str
+    n: int
+
+
+def _verify_transcript_free_sink(cert):
+    table = Dag()
+    t = table.iterated_commutator(table.from_word(cert.x), table.from_word(cert.g), cert.n)
+    return t == IDENTITY, f"sink by depth {cert.n}"
+
+
+def test_a_schema_2_kind_round_trips(monkeypatch):
+    fields = {"g": certificates._WORD, "x": certificates._WORD, "n": certificates._INTEGER}
+    entry = (TranscriptFreeSink, fields, _verify_transcript_free_sink)
+    assert certificates.verify({"schema": 2, "kind": "engel_sink"}) == (
+        False, "unsupported schema 2"
+    )
+    monkeypatch.setitem(certificates._KINDS, (2, "transcript_free_sink"), entry)
+    cert = TranscriptFreeSink("d", "abad", 4)
+    data = certificates.to_dict(cert)
+    assert data == {
+        "schema": 2, "engine": grigor.__version__, "kind": "transcript_free_sink",
+        "g": "d", "x": "abad", "n": 4,
+    }
+    assert certificates.from_dict(data) == cert
+    assert certificates.verify(data) == (True, "sink by depth 4")
+    assert certificates.verify({**data, "n": 3}) == (False, "sink by depth 3")
+    # The kind is known under its own schema only.
+    assert certificates.verify({**data, "schema": 1}) == (
+        False, "unknown certificate kind 'transcript_free_sink'"
+    )
+    assert certificates.verify({"schema": 2, "kind": "engel_sink"}) == (
+        False, "unknown certificate kind 'engel_sink'"
+    )
+    assert certificates.verify({**data, "schema": 3}) == (False, "unsupported schema 3")
+    # Schema-1 kinds are written and read as before.
+    sink = certificates.to_dict(left_engel_probe("d", "abad", 10))
+    assert sink["schema"] == 1 and certificates.verify(sink) == (True, "sink at depth 4 confirmed")
 
 
 _FIXED_SET_SCRIPT = """

@@ -5,13 +5,14 @@ from itertools import islice, zip_longest
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grigor import config
 from grigor.branch import T_ATOM, emb_pair, random_tword
 from grigor.certificates import (
-    EngelSink, NoSinkUpTo, TWord, dumps, flatten, right_towers, to_dict, tower
+    EngelSink, NoSinkUpTo, TWord, dumps, flatten, probe, right_towers, to_dict, tower
 )
-from grigor.dag import IDENTITY, Dag
+from grigor.dag import IDENTITY, TABLES, Dag
 from grigor.decide import are_equal, is_trivial, order, witness_vertex
 from grigor.engel import (
     exact_witness,
@@ -71,21 +72,95 @@ def test_probe_involution_sinks(rng):
         assert isinstance(outcome, EngelSink)
 
 
+def definitional_probe(x, g, depth):
+    """(word lengths, last m, last word) of the tower [x,_m g], m <= depth,
+    stopping at the first trivial entry.  Each entry is the commutator of
+    the last one with g, as a word and on a fresh Dag, as the tower is
+    defined: no squaring and no order exponent."""
+    dag = Dag()
+    t, fg, w = dag.from_word(x), dag.from_word(g), x
+    lengths = []
+    for m in range(1, depth + 1):
+        t, w = dag.commutator(t, fg), commutator(w, g)
+        if len(w) > config.WORD_LENGTH_CAP:
+            raise WordLengthCapExceeded(
+                f"tower at depth {m} grew past {config.WORD_LENGTH_CAP} letters"
+            )
+        lengths.append(len(w))
+        if t == IDENTITY:
+            break
+    return lengths, m, w
+
+
 def test_involutions_are_left_engel_with_sink_depth_one_plus_e():
     # For g^2 = 1, [x,_n g] = [x, g]^((-2)^(n-1)), so the tower sinks at
-    # depth 1 + e([x, g]), where 2^e is the order of [x, g].  The exponent
-    # is read off the sections of [x, g] on a fresh Dag, not off a tower.
+    # depth 1 + e([x, g]), where 2^e is the order of [x, g].  The probe
+    # reads its sink off e; here the sink is found by the definition.
     rng = random.Random(24)
     depths = set()
     for _ in range(200):
         g, x = random_involution(rng), random_word(rng)
         dag = Dag()
         e = dag.order_exponent(dag.commutator(dag.from_word(x), dag.from_word(g)))
+        _, n, _ = definitional_probe(x, g, 40)
+        assert n == 1 + e, (g, x)
         outcome = left_engel_probe(g, x, 40)
         assert isinstance(outcome, EngelSink), (g, x)
-        assert outcome.n == 1 + e, (g, x)
-        depths.add(outcome.n)
+        assert outcome.n == n, (g, x)
+        depths.add(n)
     assert len(depths) > 3  # the formula is met at several depths
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    x=st.text("abcd", max_size=12),
+    g=st.one_of(
+        st.text("abcd", max_size=8).map(lambda u: reduce_word(invert(u) + "a" + u)),
+        st.sampled_from(["b", "c", "d", "adad", "acacacac"]),  # involutions
+        st.text("abcd", max_size=8).map(reduce_word),  # mostly not
+    ),
+    depth=st.integers(1, 10),
+)
+def test_probe_matches_the_definitional_tower(x, g, depth):
+    x = reduce_word(x)
+    dag = Dag()
+    try:
+        expected = definitional_probe(x, g, depth)
+    except WordLengthCapExceeded as exc:
+        with pytest.raises(WordLengthCapExceeded, match=f"^{exc}$"):
+            probe(dag, x, g, depth)
+        return
+    lengths, m, t = probe(dag, x, g, depth)
+    assert (lengths, m) == expected[:2]
+    assert t == dag.from_word(expected[2])
+
+
+@pytest.mark.parametrize(
+    "u, depth, sink",
+    [("adacab" * 1400, 2, 4), ("bacad" * 1000, 4, 4)],  # the cap before, at the sink
+)
+def test_involution_probe_raises_the_word_cap_where_the_word_tower_passes_it(u, depth, sink):
+    g, x = reduce_word(invert(u) + "a" + u), "b"
+    dag = Dag()
+    assert 1 + dag.order_exponent(dag.commutator(dag.from_word(x), dag.from_word(g))) == sink
+    left_engel_probe("d", "abad", 10)
+    table = TABLES["probe"]
+    with pytest.raises(WordLengthCapExceeded) as caught:
+        left_engel_probe(g, x, 40)
+    assert str(caught.value) == f"tower at depth {depth} grew past 65536 letters"
+    assert TABLES["probe"] is table
+
+
+def test_involution_probe_below_its_sink_keeps_its_witness_and_bytes():
+    g = reduce_word(invert("dacab") + "a" + "dacab")  # a conjugate of a; sinks at 5
+    assert dumps(to_dict(left_engel_probe(g, "ad", 4))) == (
+        '{"bound":4,"engine":"0.1.0","g":"bacadadacab","kind":"non_engel_witness",'
+        '"schema":1,"transcript":[25,49,97,193],"witness":"01100000","x":"ad"}'
+    )
+    assert dumps(to_dict(left_engel_probe(g, "ad", 5))) == (
+        '{"engine":"0.1.0","g":"bacadadacab","kind":"engel_sink","n":5,'
+        '"schema":1,"transcript":[25,49,97,193,385],"x":"ad"}'
+    )
 
 
 def test_probe_no_sink_has_witness():

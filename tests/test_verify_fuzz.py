@@ -64,7 +64,7 @@ VALUES = st.one_of(*[SHAPES[shape] for shape in SHAPES_IN_USE], WRONG_TYPES)
 @st.composite
 def corrupted(draw):
     data = dict(GOLDEN[draw(st.sampled_from(sorted(GOLDEN)))])
-    _, fields, _ = certificates._KINDS[data["kind"]]
+    _, fields, _ = certificates._KINDS[data["schema"], data["kind"]]
     for name in draw(st.lists(st.sampled_from(list(fields)), min_size=1, max_size=3, unique=True)):
         data[name] = draw(VALUES)
     return data
