@@ -15,10 +15,11 @@ the entry at its bound only when the tower has not sunk by then.
 definition instead, so that it still checks a closed form against the
 commutators.  `exact_witness` is the one witness routine: it takes any
 entries of one tower and cross-checks them all in one leafperm pass, at
-the level the deepest of them needs.  The records issued here, the word
-tower (for probe transcripts only) and `probe`, the one probe walk, live
-in the verifier kernel `certificates`, which imports nothing from this
-module.
+the level the deepest of them needs; leafperm memoizes that pass per
+(x, g, level, depths), and the check runs on every call.  The records
+issued here, the word tower (for probe transcripts only) and `probe`,
+the one probe walk, live in the verifier kernel `certificates`, which
+imports nothing from this module.
 `left_engel_probe` issues on the small long-lived "probe" table of
 `dag.shared`, and the probe verifiers check on "probe-verify": probe
 towers of different words share their near-nucleus elements.  The lemma
@@ -43,10 +44,11 @@ certifies many elements runs each search once; a failed search is not
 cached and runs again.  Their embeddings are memoized too, through
 `branch.emb_pair`: the left y = emb_pair(k, 1) does not depend on x, and
 the right y is emb_pair(y1, 1) times emb_pair(1, [y1, h]) conjugated by
-lift_second(g1^-1), so only that conjugation and the junction product
-are done per x.  For the same reason the replays decide their towers on
-the long-lived "decide" table of `dag.shared`, where the towers of
-(h, y1) and the nodes of k stay interned from one call to the next.
+lift_second(g1^-1), with [y1, h] built once per (h, y1), so only that
+conjugation and the junction product are done per x.  For the same
+reason the replays decide their towers on the long-lived "decide" table
+of `dag.shared`, where the towers of (h, y1) and the nodes of k stay
+interned from one call to the next.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .certificates import (
 from .dag import A, IDENTITY, Dag, shared
 from .decide import is_trivial, order
 from .errors import CapExceeded, PreconditionViolated, WordLengthCapExceeded
-from .leafperm import moved_vertex, tower_perms
+from .leafperm import tower_witnesses
 from .tree import decompose, first_active_level
 from .words import a_parity, conjugate, invert, multiply, reduce_word
 
@@ -91,7 +93,10 @@ def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int
     oracle builds 2**n-entry arrays, so n past 2 * MAX_DEPTH raises
     CapExceeded.  Up to level MAX_DEPTH it keeps the permutations of the
     128 most recent tower words, so a y that many certificates share is
-    built once per process.
+    built once per process.  It also memoizes the moved vertices of the
+    128 most recent (x, g, n, depths), so a tower that recurs, as a
+    shared x_active does, is not walked again.  The depth check runs on
+    every call, hit or miss.
     """
     levels = {m: dag.first_active_level(t) for m, t in entries.items()}
     if None in levels.values():
@@ -99,15 +104,13 @@ def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int
     n = max(levels.values()) + 1
     if n > 2 * config.MAX_DEPTH:
         raise CapExceeded(f"first moved vertex lies below depth {2 * config.MAX_DEPTH}")
-    witnesses: dict[int, str] = {}
-    for m, perm in enumerate(islice(tower_perms(x, g, n), max(levels) + 1)):
-        if m in levels:
-            witness = moved_vertex(perm, n)
-            if witness is None or len(witness) != levels[m] + 1:
-                raise AssertionError(
-                    f"leaf permutations disagree with first active level {levels[m]}"
-                )
-            witnesses[m] = witness
+    depths = tuple(sorted(levels))
+    witnesses = dict(zip(depths, tower_witnesses(x, g, n, depths)))
+    for m, witness in witnesses.items():
+        if witness is None or len(witness) != levels[m] + 1:
+            raise AssertionError(
+                f"leaf permutations disagree with first active level {levels[m]}"
+            )
     return witnesses
 
 
@@ -285,6 +288,16 @@ def search_nonengel_pair(
     return first_qualifying(qualifies, draws, failure)
 
 
+@lru_cache(maxsize=32, typed=True)
+def _bracket(h: TWord, y1: TWord) -> TWord:
+    """[y1, h] = y1^-1 . y1^h as TWord factors, built once per (h, y1)."""
+    h_word = flatten(h)
+    return TWord(
+        tuple((w, -s) for w, s in reversed(y1.factors))
+        + tuple((multiply(w, h_word), s) for w, s in y1.factors)
+    )
+
+
 def replay_right(
     x: str,
     bound: int,
@@ -308,7 +321,9 @@ def replay_right(
     reduced words represent, so lifting a conjugator w . g1^-1 gives
     lift_second(w) . L with L = lift_second(g1^-1), and the second half
     of y is emb_pair(1, [y1, h]) conjugated by L.  Reduced words are
-    normal forms, so the product has the bytes of emb_pair(y1, y2).
+    normal forms, so the product has the bytes of emb_pair(y1, y2).  The
+    TWord [y1, h] does not depend on x either, and `_bracket` builds it
+    once per (h, y1).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -316,11 +331,7 @@ def replay_right(
     chain, active = section_chain(x)
     g1_inverse = invert(decompose(multiply("a", active)).left)
     h, y1 = search_nonengel_pair(bound + 1, budget=budget, seed=seed)
-    h_word = flatten(h)
-    bracket = TWord(  # [y1, h] = y1^-1 . y1^h
-        tuple((w, -s) for w, s in reversed(y1.factors))
-        + tuple((multiply(w, h_word), s) for w, s in y1.factors)
-    )
+    bracket = _bracket(h, y1)
     y2 = TWord(tuple((multiply(w, g1_inverse), s) for w, s in bracket.factors))
     # emb_pair(y1, y2), with its two x-independent halves built once.
     y = multiply(

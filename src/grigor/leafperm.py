@@ -30,6 +30,18 @@ arrays keyed by (word, level) and holding the 128 most recent: at most
 128 * 2**12 * 8 bytes, 4 MB.  Deeper levels, up to 2 * MAX_DEPTH,
 rebuild their inputs on each call and keep none.
 
+The towers themselves recur too: a refutation depends on x only through
+its active section, and many x share one.  So `tower_witnesses`, what
+the witness routine asks of a tower, the `moved_vertex` of some of its
+entries at one level, is a second per-process LRU cache with the same
+bound of 128.  It keys on (word x, word g, level, tuple of depths), ints
+and words only, and holds tuples of vertex strings of at most
+2 * MAX_DEPTH bits (None for an entry that moves no vertex), so a
+recurring tower skips its 2**n-entry arrays and moved-vertex scans; a
+new x with a known g still reads its inputs from `_tower_input`.  Levels
+past 2 * MAX_DEPTH raise CapExceeded before the memo is read and leave
+no entry.
+
 Permutations are numpy index arrays; p[i] is the image of vertex i
 (vertices encoded as big-endian binary integers).  numpy is imported
 inside the functions, so importing this module (and the CLI) does not
@@ -40,6 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .config import MAX_DEPTH
@@ -147,6 +160,8 @@ def tower_perms(x: str, g: str, n: int) -> Iterator[np.ndarray]:
     c[p] = q[p[q^-1]]: one scatter and two gathers.  No word of the tower
     is built, and each input word's permutation is built once per process
     while it is among the 128 most recent (levels up to MAX_DEPTH only).
+    Nothing else of the tower is kept here; `tower_witnesses` keeps what
+    the witness routine reads of it.
     """
     import numpy as np
 
@@ -158,6 +173,33 @@ def tower_perms(x: str, g: str, n: int) -> Iterator[np.ndarray]:
         c = np.empty_like(p)
         c[p] = q[p[q_inv]]
         p = c
+
+
+def tower_witnesses(
+    x: str, g: str, n: int, depths: tuple[int, ...]
+) -> tuple[str | None, ...]:
+    """`moved_vertex` at level n of each [x,_m g], m in depths, in that order.
+
+    Memoized per process for the 128 most recent (x, g, n, depths) keys, so
+    a tower that recurs is not walked again.  A level past 2 * MAX_DEPTH
+    raises CapExceeded before the memo is read, on every call.
+    """
+    if n > 2 * MAX_DEPTH:
+        raise CapExceeded(f"level {n} is past the oracle's cap {2 * MAX_DEPTH}")
+    return _tower_witnesses(x, g, n, depths)
+
+
+@lru_cache(maxsize=128)
+def _tower_witnesses(
+    x: str, g: str, n: int, depths: tuple[int, ...]
+) -> tuple[str | None, ...]:
+    wanted = set(depths)
+    found = {
+        m: moved_vertex(perm, n)
+        for m, perm in enumerate(islice(tower_perms(x, g, n), max(depths) + 1))
+        if m in wanted
+    }
+    return tuple(found[m] for m in depths)
 
 
 @lru_cache(maxsize=128)

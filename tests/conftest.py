@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from grigor import dag, leafperm
+from grigor import dag, engel, leafperm
 from grigor.branch import emb_pair, search_high_order
 from grigor.engel import search_nonengel_pair
 from grigor.words import reduce_word
@@ -35,11 +35,13 @@ def rng():
 @pytest.fixture(autouse=True)
 def cold_search_caches():
     """Start every test with empty search and embedding memos, no shared
-    section-DAG tables and no kept tower inputs, as in a fresh process, so
-    a test that lowers a cap runs its search instead of reading a result
-    memoized under the default cap."""
+    section-DAG tables and no kept tower inputs or witnesses, as in a fresh
+    process, so a test that lowers a cap runs its search instead of reading
+    a result memoized under the default cap."""
     search_high_order.cache_clear()
     search_nonengel_pair.cache_clear()
     emb_pair.cache_clear()
+    engel._bracket.cache_clear()
     dag.TABLES.clear()
     leafperm._tower_input.cache_clear()
+    leafperm._tower_witnesses.cache_clear()

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import random
+from functools import partial
 from itertools import islice, zip_longest
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grigor import config
+from grigor import config, leafperm
 from grigor.branch import T_ATOM, emb_pair, random_tword
 from grigor.certificates import (
     EngelSink, NoSinkUpTo, TWord, dumps, flatten, probe, right_towers, to_dict, tower
@@ -265,6 +266,44 @@ def test_exact_witness_checks_every_entry(monkeypatch):
         exact_witness(dag, entries, active, y)
 
 
+class MisreportedLevel(Dag):
+    """A Dag whose first_active_level reports one id one level shallower."""
+
+    liar = None
+
+    def first_active_level(self, g):
+        level = super().first_active_level(g)
+        return level - 1 if g == self.liar else level
+
+
+def test_exact_witness_cross_checks_a_memoized_tower():
+    cert = replay_right("a", 8)
+    active, y = cert.x_active, cert.y
+    dag = MisreportedLevel()
+    towers = dag.tower(dag.from_word(active), dag.from_word(y))
+    entries = dict(enumerate(islice(towers, 1, 9), 2))
+    levels = {m: dag.first_active_level(t) for m, t in entries.items()}
+    # Misreport the shallowest entry: the deepest sets the oracle's level,
+    # and with it the memo's key, so that stays the same.
+    m = min(levels, key=levels.get)
+    assert levels[m] < max(levels.values())
+    expected = f"leaf permutations disagree with first active level {levels[m] - 1}"
+    memo = leafperm._tower_witnesses
+    memo.cache_clear()
+    dag.liar = entries[m]
+    with pytest.raises(AssertionError) as cold:
+        exact_witness(dag, entries, active, y)
+    assert str(cold.value) == expected
+    dag.liar = None
+    assert exact_witness(dag, entries, active, y) == dict(zip(entries, cert.witnesses))
+    assert memo.cache_info().hits == 1
+    dag.liar = entries[m]
+    with pytest.raises(AssertionError) as warm:
+        exact_witness(dag, entries, active, y)
+    assert str(warm.value) == expected
+    assert memo.cache_info().hits == 2
+
+
 def test_lemma1_base_case():
     # psi([y, a]) = (t^-1, t) for y embedding (t, 1)
     y = emb_pair(T_ATOM, TWord())
@@ -455,23 +494,48 @@ def test_replay_right_y_bytes():
 REPLAY_DIGEST = "0047aefcc2ee5d12654b98a52203dfe3132b189a7041196b5a0c1ae6ad29195d"
 
 
-def test_replay_certificate_bytes_are_pinned():
+def _replay_digest_cases():
+    """The issuing calls behind REPLAY_DIGEST, in their pinned order."""
     rng = random.Random(25)
     xs = []
     while len(xs) < 300:
         x = reduce_word(make_word(rng, rng.randint(1, 9)))
         if x:
             xs.append(x)
-    certs = [replay_right(x, bound) for x in xs for bound in (3, 8)]
-    certs += [
-        replay_bounded_left(x, bound)
+    cases = [partial(replay_right, x, bound) for x in xs for bound in (3, 8)]
+    cases += [
+        partial(replay_bounded_left, x, bound)
         for x in ("a", "b", "c", "d", "aca", "bab", "dabad")
         for bound in (3, 6)
     ]
+    return cases
+
+
+def _replay_digest(certs):
     digest = hashlib.sha256()
     for cert in certs:
         digest.update(dumps(to_dict(cert)).encode() + b"\n")
-    assert digest.hexdigest() == REPLAY_DIGEST
+    return digest.hexdigest()
+
+
+def test_replay_certificate_bytes_are_pinned():
+    assert _replay_digest(issue() for issue in _replay_digest_cases()) == REPLAY_DIGEST
+
+
+def test_replay_certificate_bytes_survive_a_partly_evicted_witness_memo():
+    # Issue the pinned set cold, evict part of the memo with more than 128
+    # other keys, and issue it again in reverse order: hits and misses mix.
+    cases = _replay_digest_cases()
+    assert _replay_digest(issue() for issue in cases) == REPLAY_DIGEST
+    memo = leafperm._tower_witnesses
+    for w in ("b", "c", "d", "ab", "ac", "ad"):
+        for n in range(1, 23):
+            leafperm.tower_witnesses(w, "a", n, (0,))
+    info = memo.cache_info()
+    certs = [issue() for issue in reversed(cases)]
+    after = memo.cache_info()
+    assert after.hits > info.hits and after.misses > info.misses
+    assert _replay_digest(reversed(certs)) == REPLAY_DIGEST
 
 
 def test_replay_right_rejects_identity():

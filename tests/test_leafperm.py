@@ -1,6 +1,7 @@
-"""leafperm's chunked word_perm, closed-form moved_vertex and commutator
-tower against the letter-by-letter, depth-by-depth and definitional
-references; its level cap; and the bounds of what it keeps."""
+"""leafperm's chunked word_perm, closed-form moved_vertex, commutator
+tower and memoized tower witnesses against the letter-by-letter,
+depth-by-depth and definitional references; its level cap; and the bounds
+of what it keeps."""
 
 import random
 from itertools import islice
@@ -12,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from grigor import config, leafperm
 from grigor.decide import witness_vertex
 from grigor.errors import CapExceeded
-from grigor.leafperm import generator_perms, moved_vertex, tower_perms, word_perm
+from grigor.leafperm import (
+    generator_perms, moved_vertex, tower_perms, tower_witnesses, word_perm,
+)
 from grigor.words import reduce_word
 
 import word_reference as ref
@@ -25,11 +28,12 @@ levels = st.integers(0, 14)
 
 @pytest.fixture
 def fresh_kept(monkeypatch):
-    """Empty tables of kept levels, identities and tower inputs, as in a
-    fresh process."""
+    """Empty tables of kept levels, identities, tower inputs and tower
+    witnesses, as in a fresh process."""
     monkeypatch.setattr(leafperm, "_kept", {})
     monkeypatch.setattr(leafperm, "_identities", {})
     leafperm._tower_input.cache_clear()
+    leafperm._tower_witnesses.cache_clear()
 
 
 def definitional_tower(x, g, n):
@@ -84,6 +88,32 @@ def test_warm_and_cold_towers_are_the_definitional_commutators(x, g, n):
         assert np.array_equal(c, e) and np.array_equal(w, e), (x, g, n, m)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.text("abcd", max_size=12), st.text("abcd", max_size=12), st.integers(0, 12),
+       st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True).map(tuple))
+def test_memoized_witnesses_are_those_of_fresh_and_definitional_towers(x, g, n, depths):
+    leafperm._tower_witnesses.cache_clear()
+    cold = tower_witnesses(x, g, n, depths)
+    warm = tower_witnesses(x, g, n, depths)
+    info = leafperm._tower_witnesses.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    top = max(depths) + 1
+    fresh = list(islice(tower_perms(x, g, n), top))
+    definitional = list(islice(definitional_tower(x, g, n), top))
+    assert cold == warm == tuple(moved_vertex(fresh[m], n) for m in depths), (x, g, n, depths)
+    assert cold == tuple(moved_vertex(definitional[m], n) for m in depths), (x, g, n, depths)
+
+
+def test_tower_witnesses_past_the_cap_raise_on_every_call(fresh_kept):
+    n = 2 * config.MAX_DEPTH + 1
+    for _ in range(3):
+        with pytest.raises(CapExceeded):
+            tower_witnesses("abcda", "ad", n, (0, 1))
+    info = leafperm._tower_witnesses.cache_info()
+    assert info.currsize == 0 and info.hits == 0 and info.misses == 0
+    assert leafperm._kept == {} == leafperm._identities
+
+
 def test_tower_inputs_and_first_entry_are_read_only(fresh_kept):
     n = 6
     first = next(tower_perms("abcda", "ad", n))
@@ -99,10 +129,11 @@ def test_tower_input_cache_keeps_at_most_128_words(fresh_kept):
     distinct = set()
     while len(distinct) < 300:
         distinct.add(make_word(rng, 12))
+    memos = (leafperm._tower_input, leafperm._tower_witnesses)
     for w in sorted(distinct):
-        next(tower_perms(w, "a", 4))
-        assert leafperm._tower_input.cache_info().currsize <= 128
-    assert leafperm._tower_input.cache_info().currsize == 128
+        tower_witnesses(w, "a", 4, (0, 2))  # a miss, which walks tower_perms
+        assert all(memo.cache_info().currsize <= 128 for memo in memos)
+    assert all(memo.cache_info().currsize == 128 for memo in memos)
 
 
 @pytest.mark.parametrize("n", [5, 16])
@@ -155,11 +186,23 @@ def test_level_identity_is_read_only_and_the_empty_word(fresh_kept, n):
 def test_fresh_kept_resets_the_identities(request):
     word_perm("", 5)
     next(tower_perms("ab", "ac", 5))
+    tower_witnesses("ab", "ac", 5, (1,))
     assert 5 in leafperm._identities
     assert leafperm._tower_input.cache_info().currsize > 0
+    assert leafperm._tower_witnesses.cache_info().currsize > 0
     request.getfixturevalue("fresh_kept")
     assert leafperm._kept == {} == leafperm._identities
     assert leafperm._tower_input.cache_info().currsize == 0
+    assert leafperm._tower_witnesses.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("run", [1, 2])
+def test_every_test_starts_with_no_tower_witnesses(run):
+    # The first run leaves a key behind; conftest's cold_search_caches must
+    # have dropped it before the second starts.
+    assert leafperm._tower_witnesses.cache_info().currsize == 0, run
+    tower_witnesses("ab", "ac", 5, (1,))
+    assert leafperm._tower_witnesses.cache_info().currsize == 1
 
 
 def test_chunk_keys_stay_within_the_documented_bound(fresh_kept):
