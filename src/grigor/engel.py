@@ -15,8 +15,9 @@ the entry at its bound only when the tower has not sunk by then.
 definition instead, so that it still checks a closed form against the
 commutators.  `exact_witness` is the one witness routine: it takes any
 entries of one tower and cross-checks them all in one leafperm pass, at
-the level the deepest of them needs; leafperm memoizes that pass per
-(x, g, level, depths), and the check runs on every call.  The records
+the level the deepest of them needs; leafperm memoizes that pass's
+moved vertices, and none of its arrays, per (x, g, level, depths), and
+the check runs on every call.  The records
 issued here, the word tower (for probe transcripts only) and `probe`,
 the one probe walk, live in the verifier kernel `certificates`, which
 imports nothing from this module.
@@ -91,12 +92,9 @@ def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int
     depth.  A vertex moved at depth k moves all its descendants, so the
     least moved vertex read at level n is the one read at level k.  The
     oracle builds 2**n-entry arrays, so n past 2 * MAX_DEPTH raises
-    CapExceeded.  Up to level MAX_DEPTH it keeps the permutations of the
-    128 most recent tower words, so a y that many certificates share is
-    built once per process.  It also memoizes the moved vertices of the
-    128 most recent (x, g, n, depths), so a tower that recurs, as a
-    shared x_active does, is not walked again.  The depth check runs on
-    every call, hit or miss.
+    CapExceeded.  It memoizes the moved vertices of the 1,024 most recent
+    (x, g, n, depths), so a tower that recurs, as a shared x_active does,
+    is not walked again.  The depth check runs on every call, hit or miss.
     """
     levels = {m: dag.first_active_level(t) for m, t in entries.items()}
     if None in levels.values():

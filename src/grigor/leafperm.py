@@ -18,29 +18,20 @@ holds at most 340 keys (the 4 + 16 + 64 + 256 strings of 1 to 4 letters)
 of 2**n entries each: about 22 MB over levels 0-12 for adversarial raw
 words.  Reduced words alternate `a` with b, c, d and so produce at most
 40 chunks, about 2.6 MB.  A deeper level drops its chunks with the call.
-Each kept level also keeps one read-only identity array, apart from its
-chunks: `word_perm` starts from it, and `_inverse` and `moved_vertex`
-read it, so none of them calls `np.arange`.
 
-The tower's inputs recur: the bounded-left replay's y does not depend on
-x, and the right replay's y depends on x only through one section.  So
-at levels up to MAX_DEPTH `tower_perms` reads its two input
-permutations from `_tower_input`, a per-process LRU cache of read-only
-arrays keyed by (word, level) and holding the 128 most recent: at most
-128 * 2**12 * 8 bytes, 4 MB.  Deeper levels, up to 2 * MAX_DEPTH,
-rebuild their inputs on each call and keep none.
-
-The towers themselves recur too: a refutation depends on x only through
-its active section, and many x share one.  So `tower_witnesses`, what
-the witness routine asks of a tower, the `moved_vertex` of some of its
-entries at one level, is a second per-process LRU cache with the same
-bound of 128.  It keys on (word x, word g, level, tuple of depths), ints
-and words only, and holds tuples of vertex strings of at most
-2 * MAX_DEPTH bits (None for an entry that moves no vertex), so a
-recurring tower skips its 2**n-entry arrays and moved-vertex scans; a
-new x with a known g still reads its inputs from `_tower_input`.  Levels
-past 2 * MAX_DEPTH raise CapExceeded before the memo is read and leave
-no entry.
+The towers recur: a refutation depends on x only through its active
+section, and many x share one.  So `tower_witnesses`, what the witness
+routine asks of a tower (the `moved_vertex` of some of its entries at one
+level), is memoized per process in an LRU cache of the _WITNESS_KEYS most
+recent keys; no array of a tower is kept.  A key is (word x, word g,
+level, tuple of depths) and a value a tuple of vertex strings of at most
+2 * MAX_DEPTH bits (None for an entry that moves no vertex).  Over
+30,000 operations of perfbench's certify workload the keys averaged 111
+letters and an entry, key and value, 1.2 KB.  So the bound of 1,024 keys
+holds about 1.2 MB, the size of 38 level-12 arrays, and takes in that
+workload's whole working set of about 500 keys.  Levels past
+2 * MAX_DEPTH raise CapExceeded before the memo is read and leave no
+entry.
 
 Permutations are numpy index arrays; p[i] is the image of vertex i
 (vertices encoded as big-endian binary integers).  numpy is imported
@@ -61,13 +52,12 @@ from .errors import CapExceeded
 if TYPE_CHECKING:
     import numpy as np
 
-# Levels up to MAX_DEPTH keep their arrays, 0.25 MB of generators and
-# 64 KB of identities in all, plus the chunks above; a deeper one, up to
-# 2**24 entries per array, is rebuilt on each call from the deepest kept
-# level.
+# Levels up to MAX_DEPTH keep their arrays, 0.25 MB of generators in all
+# plus the chunks above; a deeper one, up to 2**24 entries per array, is
+# rebuilt on each call from the deepest kept level.
 _CHUNK = 4
+_WITNESS_KEYS = 1024
 _kept: dict[int, dict[str, np.ndarray]] = {}
-_identities: dict[int, np.ndarray] = {}
 
 
 def generator_perms(n: int) -> dict[str, np.ndarray]:
@@ -85,10 +75,11 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
     import numpy as np
 
     if n == 0:
-        return {letter: _identity(0) for letter in "abcd"}
+        ident = np.zeros(1, dtype=np.int64)
+        return {letter: ident for letter in "abcd"}
     prev = generator_perms(n - 1)
     half = 1 << (n - 1)
-    ident = _identity(n - 1)
+    ident = np.arange(half, dtype=np.int64)
 
     def block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.concatenate([left, right + half])
@@ -106,30 +97,15 @@ def generator_perms(n: int) -> dict[str, np.ndarray]:
     return perms
 
 
-def _identity(n: int) -> np.ndarray:
-    """The read-only identity permutation of level n, built once for n <= MAX_DEPTH.
-
-    Callers check the level against the cap first.
-    """
-    if n in _identities:
-        return _identities[n]
-    import numpy as np
-
-    ident = np.arange(1 << n, dtype=np.int64)
-    ident.setflags(write=False)
-    if n <= MAX_DEPTH:
-        _identities[n] = ident
-    return ident
-
-
 def word_perm(w: str, n: int) -> np.ndarray:
     """Permutation induced on level n by a raw word (leftmost letter first).
 
-    The word is applied _CHUNK letters at a time, one gather per chunk; the
-    empty word gives the read-only `_identity(n)`.
+    The word is applied _CHUNK letters at a time, one gather per chunk.
     """
+    import numpy as np
+
     perms = generator_perms(n)
-    p = _identity(n)
+    p = np.arange(1 << n, dtype=np.int64)
     for i in range(0, len(w), _CHUNK):
         chunk = w[i : i + _CHUNK]
         q = perms.get(chunk)
@@ -158,16 +134,14 @@ def tower_perms(x: str, g: str, n: int) -> Iterator[np.ndarray]:
     The level action is a homomorphism, so each step forms the commutator
     [p, q] = p^-1 q^-1 p q of permutations in the level-n quotient, as
     c[p] = q[p[q^-1]]: one scatter and two gathers.  No word of the tower
-    is built, and each input word's permutation is built once per process
-    while it is among the 128 most recent (levels up to MAX_DEPTH only).
-    Nothing else of the tower is kept here; `tower_witnesses` keeps what
-    the witness routine reads of it.
+    is built, each input word's permutation is built once per call, and
+    nothing of the tower is kept; `tower_witnesses` keeps what the witness
+    routine reads of it.
     """
     import numpy as np
 
-    perm = _tower_input if n <= MAX_DEPTH else word_perm
-    p, q = perm(x, n), perm(g, n)
-    q_inv = _inverse(q, n)
+    p, q = word_perm(x, n), word_perm(g, n)
+    q_inv = _inverse(q)
     while True:
         yield p
         c = np.empty_like(p)
@@ -180,16 +154,16 @@ def tower_witnesses(
 ) -> tuple[str | None, ...]:
     """`moved_vertex` at level n of each [x,_m g], m in depths, in that order.
 
-    Memoized per process for the 128 most recent (x, g, n, depths) keys, so
-    a tower that recurs is not walked again.  A level past 2 * MAX_DEPTH
-    raises CapExceeded before the memo is read, on every call.
+    Memoized per process for the _WITNESS_KEYS most recent (x, g, n,
+    depths) keys, so a tower that recurs is not walked again.  A level past
+    2 * MAX_DEPTH raises CapExceeded before the memo is read, on every call.
     """
     if n > 2 * MAX_DEPTH:
         raise CapExceeded(f"level {n} is past the oracle's cap {2 * MAX_DEPTH}")
     return _tower_witnesses(x, g, n, depths)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=_WITNESS_KEYS)
 def _tower_witnesses(
     x: str, g: str, n: int, depths: tuple[int, ...]
 ) -> tuple[str | None, ...]:
@@ -202,19 +176,11 @@ def _tower_witnesses(
     return tuple(found[m] for m in depths)
 
 
-@lru_cache(maxsize=128)
-def _tower_input(w: str, n: int) -> np.ndarray:
-    """`word_perm(w, n)`, kept read-only for the next tower that meets it."""
-    p = word_perm(w, n)
-    p.setflags(write=False)
-    return p
-
-
-def _inverse(p: np.ndarray, n: int) -> np.ndarray:
+def _inverse(p: np.ndarray) -> np.ndarray:
     import numpy as np
 
     inv = np.empty_like(p)
-    inv[p] = _identity(n)
+    inv[p] = np.arange(len(p), dtype=p.dtype)
     return inv
 
 
@@ -226,7 +192,9 @@ def moved_vertex(perm: np.ndarray, n: int) -> str | None:
     2**(n - k).  So the highest set bit s of the largest XOR gives the
     least depth n - s, and the first leaf reaching 2**s gives the vertex.
     """
-    diff = perm ^ _identity(n)
+    import numpy as np
+
+    diff = perm ^ np.arange(1 << n, dtype=perm.dtype)
     top = int(diff.max())
     if top == 0:
         return None

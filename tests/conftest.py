@@ -32,16 +32,21 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+# The per-process memos that no test inherits from another.
+# test_search_cache.py checks that these and its short list of memos kept
+# across tests name every lru_cache wrapper of grigor.
+COLD_MEMOS = (
+    search_high_order, search_nonengel_pair, emb_pair, engel._bracket,
+    leafperm._tower_witnesses,
+)
+
+
 @pytest.fixture(autouse=True)
 def cold_search_caches():
-    """Start every test with empty search and embedding memos, no shared
-    section-DAG tables and no kept tower inputs or witnesses, as in a fresh
-    process, so a test that lowers a cap runs its search instead of reading
-    a result memoized under the default cap."""
-    search_high_order.cache_clear()
-    search_nonengel_pair.cache_clear()
-    emb_pair.cache_clear()
-    engel._bracket.cache_clear()
+    """Start every test with empty search, embedding and tower-witness
+    memos and no shared section-DAG tables, as in a fresh process, so a
+    test that lowers a cap runs its search instead of reading a result
+    memoized under the default cap."""
+    for memo in COLD_MEMOS:
+        memo.cache_clear()
     dag.TABLES.clear()
-    leafperm._tower_input.cache_clear()
-    leafperm._tower_witnesses.cache_clear()

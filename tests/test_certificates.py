@@ -255,15 +255,20 @@ def test_a_schema_2_kind_round_trips(monkeypatch):
 
 _FIXED_SET_SCRIPT = """
 from grigor import certificates
-from grigor.engel import left_engel_probe, replay_bounded_left, replay_right
+from grigor.engel import (
+    involution_survey, left_engel_probe, replay_bounded_left, replay_right,
+)
 from grigor.words import reduce_word
 
 issued = [replay_right(x, 8) for x in ("a", "d", "dabacada")]
 issued += [replay_bounded_left(x, 6) for x in ("a", "aca")]
 issued.append(left_engel_probe("ad", "badabada", 5))
 issued.append(certificates.reduced_membership_in_K(reduce_word("abab")))
+# Again, with their witnesses read from the warm tower memo.
+issued += [replay_right(x, 8) for x in ("a", "d", "dabacada")]
 for cert in issued:
     print(certificates.dumps(certificates.to_dict(cert)))
+print(involution_survey(50, 40, seed=3, opponents=2))
 """
 
 
@@ -278,5 +283,7 @@ def test_certificate_bytes_do_not_depend_on_the_hash_seed():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0].count("\n") == 7
+    lines = outputs[0].splitlines()
+    assert len(lines) == 11
+    assert lines[7:10] == lines[:3]
     assert outputs[0] == outputs[1]

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from functools import partial
-from itertools import islice, zip_longest
+from itertools import islice, product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -523,15 +523,19 @@ def test_replay_certificate_bytes_are_pinned():
 
 
 def test_replay_certificate_bytes_survive_a_partly_evicted_witness_memo():
-    # Issue the pinned set cold, evict part of the memo with more than 128
-    # other keys, and issue it again in reverse order: hits and misses mix.
+    # Issue the pinned set cold, then fill the memo past its bound with
+    # other keys, so that the older half of the set's keys is evicted, and
+    # issue the set again in reverse order: hits and misses mix.
     cases = _replay_digest_cases()
     assert _replay_digest(issue() for issue in cases) == REPLAY_DIGEST
     memo = leafperm._tower_witnesses
-    for w in ("b", "c", "d", "ab", "ac", "ad"):
-        for n in range(1, 23):
-            leafperm.tower_witnesses(w, "a", n, (0,))
     info = memo.cache_info()
+    assert info.currsize >= 2
+    others = info.maxsize - info.currsize // 2
+    for w in islice(map("".join, product("bcd", repeat=7)), others):
+        leafperm.tower_witnesses(w, "a", 4, (0,))
+    info = memo.cache_info()
+    assert info.currsize == info.maxsize
     certs = [issue() for issue in reversed(cases)]
     after = memo.cache_info()
     assert after.hits > info.hits and after.misses > info.misses

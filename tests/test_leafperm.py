@@ -28,11 +28,8 @@ levels = st.integers(0, 14)
 
 @pytest.fixture
 def fresh_kept(monkeypatch):
-    """Empty tables of kept levels, identities, tower inputs and tower
-    witnesses, as in a fresh process."""
+    """No kept level and no tower witness, as in a fresh process."""
     monkeypatch.setattr(leafperm, "_kept", {})
-    monkeypatch.setattr(leafperm, "_identities", {})
-    leafperm._tower_input.cache_clear()
     leafperm._tower_witnesses.cache_clear()
 
 
@@ -78,11 +75,8 @@ def test_tower_entries_agree_with_depth_by_depth(x, g, n):
 @settings(deadline=None, max_examples=50)
 @given(st.text("abcd", max_size=12), st.text("abcd", max_size=12), st.integers(0, 10))
 def test_warm_and_cold_towers_are_the_definitional_commutators(x, g, n):
-    leafperm._tower_input.cache_clear()
     cold = list(islice(tower_perms(x, g, n), 5))
-    hits = leafperm._tower_input.cache_info().hits
     warm = list(islice(tower_perms(x, g, n), 5))
-    assert leafperm._tower_input.cache_info().hits == hits + 2
     expected = islice(definitional_tower(x, g, n), 5)
     for m, (c, w, e) in enumerate(zip(cold, warm, expected)):
         assert np.array_equal(c, e) and np.array_equal(w, e), (x, g, n, m)
@@ -111,29 +105,21 @@ def test_tower_witnesses_past_the_cap_raise_on_every_call(fresh_kept):
             tower_witnesses("abcda", "ad", n, (0, 1))
     info = leafperm._tower_witnesses.cache_info()
     assert info.currsize == 0 and info.hits == 0 and info.misses == 0
-    assert leafperm._kept == {} == leafperm._identities
+    assert leafperm._kept == {}
 
 
-def test_tower_inputs_and_first_entry_are_read_only(fresh_kept):
-    n = 6
-    first = next(tower_perms("abcda", "ad", n))
-    assert first is leafperm._tower_input("abcda", n)
-    for perm in (first, leafperm._tower_input("ad", n)):
-        assert not perm.flags.writeable
-        with pytest.raises(ValueError):
-            perm[0] = 1
-
-
-def test_tower_input_cache_keeps_at_most_128_words(fresh_kept):
+def test_tower_witness_memo_keeps_at_most_its_bound(fresh_kept):
+    memo = leafperm._tower_witnesses
+    bound = memo.cache_info().maxsize
     rng = random.Random(26)
     distinct = set()
-    while len(distinct) < 300:
+    while len(distinct) < bound + 200:
         distinct.add(make_word(rng, 12))
-    memos = (leafperm._tower_input, leafperm._tower_witnesses)
     for w in sorted(distinct):
         tower_witnesses(w, "a", 4, (0, 2))  # a miss, which walks tower_perms
-        assert all(memo.cache_info().currsize <= 128 for memo in memos)
-    assert all(memo.cache_info().currsize == 128 for memo in memos)
+        assert memo.cache_info().currsize <= bound
+    info = memo.cache_info()
+    assert (info.currsize, info.misses) == (bound, bound + 200)
 
 
 @pytest.mark.parametrize("n", [5, 16])
@@ -155,44 +141,38 @@ def test_levels_past_the_cap_raise_before_building(fresh_kept):
     with pytest.raises(CapExceeded):
         generator_perms(cap + 1)
     # Building level 25 would have kept levels 0-12 on the way.
-    assert leafperm._kept == {} == leafperm._identities
+    assert leafperm._kept == {}
 
 
 def test_deep_levels_leave_no_array_in_module_state(fresh_kept):
-    next(tower_perms("abcda", "ad", config.MAX_DEPTH))
-    assert leafperm._tower_input.cache_info().currsize == 2
+    tower_witnesses("abcda", "ad", config.MAX_DEPTH, (0, 3))
+    tower_witnesses("abcda", "ad", 16, (2,))
     moved_vertex(next(islice(tower_perms("abcda", "ad", 16), 2, None)), 16)
-    # The deeper tower's inputs were rebuilt and dropped: no key at level 16.
-    assert leafperm._tower_input.cache_info().currsize == 2
+    # The module keeps arrays in _kept alone, of levels up to MAX_DEPTH,
+    # and its tower memo keeps vertex strings.
+    stores = sorted(
+        name for name, value in vars(leafperm).items()
+        if not name.startswith("__")
+        and (isinstance(value, (dict, list, set, np.ndarray)) or hasattr(value, "cache_info"))
+    )
+    assert stores == ["_kept", "_tower_witnesses"]
     assert max(leafperm._kept) == config.MAX_DEPTH
     for n, perms in leafperm._kept.items():
         assert all(len(p) == 1 << n for p in perms.values()), n
-    assert max(leafperm._identities) == config.MAX_DEPTH
-    for n, ident in leafperm._identities.items():
-        assert len(ident) == 1 << n, n
+    assert leafperm._tower_witnesses.cache_info().currsize == 2
+    for witnesses in (tower_witnesses("abcda", "ad", config.MAX_DEPTH, (0, 3)),
+                      tower_witnesses("abcda", "ad", 16, (2,))):
+        assert all(w is None or isinstance(w, str) for w in witnesses), witnesses
+    assert leafperm._tower_witnesses.cache_info().hits == 2
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, config.MAX_DEPTH, config.MAX_DEPTH + 2])
-def test_level_identity_is_read_only_and_the_empty_word(fresh_kept, n):
-    ident = leafperm._identity(n)
-    assert not ident.flags.writeable
-    with pytest.raises(ValueError):
-        ident[0] = 1
-    assert np.array_equal(ident, np.arange(1 << n))
-    assert np.array_equal(word_perm("", n), ident)
-    assert (leafperm._identity(n) is ident) == (n <= config.MAX_DEPTH)
-
-
-def test_fresh_kept_resets_the_identities(request):
+def test_fresh_kept_resets_the_kept_levels_and_witnesses(request):
     word_perm("", 5)
-    next(tower_perms("ab", "ac", 5))
     tower_witnesses("ab", "ac", 5, (1,))
-    assert 5 in leafperm._identities
-    assert leafperm._tower_input.cache_info().currsize > 0
+    assert 5 in leafperm._kept
     assert leafperm._tower_witnesses.cache_info().currsize > 0
     request.getfixturevalue("fresh_kept")
-    assert leafperm._kept == {} == leafperm._identities
-    assert leafperm._tower_input.cache_info().currsize == 0
+    assert leafperm._kept == {}
     assert leafperm._tower_witnesses.cache_info().currsize == 0
 
 
