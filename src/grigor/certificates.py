@@ -14,6 +14,15 @@ writer of each field, and its verifier of the issuing record.
 every field's shape, then parses every field, before anything is
 computed.
 
+Work that recurs from one certificate to the next is memoized, and no
+check is skipped: the verifier's table keeps the towers it has walked
+(`Dag.tower`), and `flatten` keeps the words of the 1,024 most recent
+TWords.  A memoized TWord and its word stay alive: about 9 bytes for
+each byte of the TWord's literal (8 MB of factors and a 1.4 MB word for
+a 1 MB literal of 64,000 factors), so at worst the memo holds 1,024
+TWords as large as the certificates that carried them.  `grigor verify`
+reads one certificate per process.
+
 Every check -- triviality, the section chain, the order of k, the
 embedding y, every commutator tower and its moved vertices -- is
 section-DAG arithmetic on ids, and each property is checked once.  The
@@ -50,6 +59,7 @@ import json
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, islice, zip_longest
 from typing import Any
 
@@ -210,11 +220,15 @@ class TWord:
         return TWord(self.factors + other.factors)
 
 
+@lru_cache(maxsize=1024)
 def flatten(k: TWord) -> str:
     """The reduced word of the formal product.
 
     The factors' letters are joined and reduced once, which by confluence
     gives the word that multiplying them in turn gives, in linear time.
+    The word depends on k alone, so it is memoized per process for the
+    1,024 most recent TWords: the right verifier flattens the same h and
+    y1 in every certificate of a process, and a y2 per x_active.
     """
     t_inverse = invert(T)
     pieces = (invert(w) + (T if s > 0 else t_inverse) + w for w, s in k.factors)

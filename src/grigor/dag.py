@@ -17,12 +17,15 @@ letters long for a reduced word of length L (asserted).
 Ids mean nothing outside the Dag that made them, and no id leaves the
 call that made it: computations take words and return words, bools and
 ints.  `shared` keeps one long-lived table per role, and a call on it
-leaves its nodes and words interned for the next.  There are four roles:
-"decide", for the word API (`decide.is_trivial`, `are_equal`, `order`,
-`tree.act`, `first_active_level`) and the Engel replays, whose towers of
-x-independent elements repeat from call to call; "verify", for the
-refutation verifiers; and "probe" and "probe-verify", for Engel probes
-and their verifiers, whose towers share the near-nucleus elements.  A
+leaves its nodes, words and walked towers interned for the next: a
+table memoizes each tower [x,_m g] as far as it has been walked, so a
+recurring (x, g) is read back entry by entry, never recomputed.  There
+are four roles: "decide", for the word API (`decide.is_trivial`,
+`are_equal`, `order`, `tree.act`, `first_active_level`) and the Engel
+replays, whose towers of x-independent elements repeat from call to
+call; "verify", for the refutation verifiers; and "probe" and
+"probe-verify", for Engel probes and their verifiers, whose towers
+share the near-nucleus elements.  A
 verifier decides every check on its own role's table, and so never reads
 a table an issuer filled.  A table is dropped at call entry once its
 entries (`Dag.size`) reach NODE_CAP // 2, or PROBE_TABLE_ENTRIES for the
@@ -38,7 +41,7 @@ The pair search and the lemma checks make a fresh Dag per call.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from itertools import islice
+from itertools import count, islice
 from typing import TypeVar
 
 from . import config
@@ -61,7 +64,8 @@ class Dag:
     `node` interns them first, so first active levels fill in id order.
     Interning a node past config.NODE_CAP raises CapExceeded.  `size`
     counts every entry the table holds -- nodes, memoized products,
-    inverses, order exponents and words -- which `shared` bounds.
+    inverses, order exponents, words and tower entries -- which `shared`
+    bounds.
     """
 
     def __init__(self) -> None:
@@ -73,12 +77,15 @@ class Dag:
         self._levels: list[int | None] = [None, 0, 1, 1, 2]
         self._exponent = {IDENTITY: 0, A: 1, B: 1, C: 1, D: 1}
         self._words = {"": IDENTITY, "a": A, "b": B, "c": C, "d": D}
+        # (x, g) -> the entries of the tower [x,_m g] walked so far.
+        self._towers: dict[tuple[int, int], list[int]] = {}
+        self._tower_entries = 0
 
     @property
     def size(self) -> int:
         return (
             len(self.nodes) + len(self._mul) + len(self._inv)
-            + len(self._exponent) + len(self._words)
+            + len(self._exponent) + len(self._words) + self._tower_entries
         )
 
     def node(self, active: int, left: int, right: int) -> int:
@@ -167,14 +174,25 @@ class Dag:
         never sinks never repeats an element (the group is a residually
         finite 2-group), so each step interns a node and the node cap
         ends it.
+
+        The entries walked so far are memoized per (x, g), in a list that
+        a walk reads by index and extends only past its end, so a second
+        walk of the same tower reads the entries of the first, walks of
+        one key may interleave, and a walk stopped early is resumed by the
+        next one.  They count in `size`.
         """
         involution = self.mul(g, g) == IDENTITY
-        x = self.commutator(x, g)
-        while True:
-            yield x
-            if x == IDENTITY:
+        entries = self._towers.setdefault((x, g), [])
+        t = x
+        for m in count():
+            if m == len(entries):
+                t = self.inv(self.mul(t, t)) if m and involution else self.commutator(t, g)
+                entries.append(t)
+                self._tower_entries += 1
+            t = entries[m]
+            yield t
+            if t == IDENTITY:
                 return
-            x = self.inv(self.mul(x, x)) if involution else self.commutator(x, g)
 
     def iterated_commutator(self, x: int, g: int, m: int) -> int:
         """[x,_m g] for m >= 1; the identity past the tower's sink."""
@@ -206,14 +224,24 @@ class Dag:
         return self._exponent[g]
 
     def act(self, g: int, v: str) -> str:
-        """Image of vertex v under g; same depth, prefix-compatible."""
-        out: list[str] = []
+        """Image of vertex v under g; same depth, prefix-compatible.
+
+        v is checked once, before the walk: a ValueError names its first
+        symbol that is not a bit.
+        """
+        invalid = v.strip("01")  # starts with the first symbol that is not a bit
+        if invalid:
+            raise ValueError(f"invalid vertex symbol {invalid[0]!r}")
+        nodes = self.nodes
+        out = []
         for bit in v:
-            if bit not in "01":
-                raise ValueError(f"invalid vertex symbol {bit!r}")
-            active, left, right = self.nodes[g]
-            out.append(str(int(bit) ^ active))
-            g = right if bit == "1" else left
+            active, left, right = nodes[g]
+            if bit == "1":
+                g = right
+                out.append("0" if active else "1")
+            else:
+                g = left
+                out.append("1" if active else "0")
         return "".join(out)
 
 

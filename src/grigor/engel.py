@@ -5,8 +5,10 @@ The left-normed tower is [x,_1 g] = x^-1 g^-1 x g and
 verifiers ask two questions of a tower entry -- is it the identity, and
 which vertex does it move -- and answer both on section-DAG ids, whose
 elements do not double in size with each step.  `Dag.tower` is the one
-walk of a DAG tower.  For an involution g, as in every `survey` probe and
-in the bounded-left tower [y,_N x_active], it squares:
+walk of a DAG tower, and each table memoizes the entries it has walked
+per (x, g), so a replay or probe on a long-lived table reads a recurring
+tower back instead of stepping it.  For an involution g, as in every
+`survey` probe and in the bounded-left tower [y,_N x_active], it squares:
 [x,_{n+1} g] = [x,_n g]^-2, so the tower sinks at depth 1 + e([x, g]),
 where 2^e is the order of [x, g].  A probe of an involution reads its
 sink depth off that order and walks no DAG tower to find it; it builds

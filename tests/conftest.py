@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from grigor import dag, engel, leafperm
+from grigor import certificates, dag, engel, leafperm
 from grigor.branch import emb_pair, search_high_order
 from grigor.engel import search_nonengel_pair
 from grigor.words import reduce_word
@@ -37,16 +37,16 @@ def rng():
 # across tests name every lru_cache wrapper of grigor.
 COLD_MEMOS = (
     search_high_order, search_nonengel_pair, emb_pair, engel._bracket,
-    leafperm._tower_witnesses,
+    leafperm._tower_witnesses, certificates.flatten,
 )
 
 
 @pytest.fixture(autouse=True)
 def cold_search_caches():
-    """Start every test with empty search, embedding and tower-witness
-    memos and no shared section-DAG tables, as in a fresh process, so a
-    test that lowers a cap runs its search instead of reading a result
-    memoized under the default cap."""
+    """Start every test with empty search, embedding, tower-witness and
+    flatten memos and no shared section-DAG tables, as in a fresh process,
+    so a test that lowers a cap runs its search instead of reading a
+    result memoized under the default cap."""
     for memo in COLD_MEMOS:
         memo.cache_clear()
     dag.TABLES.clear()

@@ -9,7 +9,7 @@ import pytest
 
 import grigor
 from grigor import certificates, config, leafperm
-from grigor.dag import A, B, IDENTITY, Dag
+from grigor.dag import A, B, IDENTITY, TABLES, Dag, shared
 from grigor.branch import search_high_order
 from grigor.certificates import flatten, probe, tower
 from grigor.decide import witness_vertex
@@ -131,6 +131,119 @@ def test_dag_tower_ends_at_its_first_trivial_entry():
     assert len(entries) == 4 and entries[-1] == IDENTITY
     assert IDENTITY not in entries[:-1]
     assert dag.iterated_commutator(B, A, 10**9) == IDENTITY
+
+
+def _definitional(dag, x, g, depth):
+    """[x,_m g] for m <= depth, one commutator at a time, as defined."""
+    entries, t = [], x
+    for _ in range(depth):
+        t = dag.commutator(t, g)
+        entries.append(t)
+    return entries
+
+
+def test_tower_memo_holds_the_definitional_tower():
+    # A walk memoizes exactly the entries it yields, and a second walk
+    # reads them back; both equal the commutator chain, id for id on the
+    # one Dag, for involution g (which the walk squares) and other g.
+    rng = random.Random(13)
+    for i in range(80):
+        dag = Dag()
+        x = dag.from_word(make_word(rng, rng.randint(1, 12)))
+        g = dag.from_word(random_involution(rng, 12))
+        while i % 2 and dag.mul(g, g) == IDENTITY:
+            g = dag.from_word(make_word(rng, rng.randint(1, 12)))
+        walked = list(islice(dag.tower(x, g), 8))
+        assert dag._towers[x, g] == walked
+        assert list(islice(dag.tower(x, g), 8)) == walked
+        definitional = _definitional(dag, x, g, 8)
+        assert walked == definitional[: len(walked)]
+        assert len(walked) == 8 or walked[-1] == IDENTITY == definitional[-1]
+
+
+def test_interleaved_and_resumed_walks_read_one_memo():
+    # Walks of one key advance in a seeded random order, each extending
+    # the memo or reading it; a later walk resumes past an earlier stop.
+    rng = random.Random(19)
+    for i in range(30):
+        dag = Dag()
+        g = random_involution(rng, 12) if i % 2 else make_word(rng, rng.randint(1, 12))
+        x, g = dag.from_word(make_word(rng, rng.randint(1, 12))), dag.from_word(g)
+        list(islice(dag.tower(x, g), rng.randint(0, 3)))  # an earlier stop
+        walks = [dag.tower(x, g) for _ in range(3)]
+        seen = [[] for _ in walks]
+        for _ in range(24):
+            k = rng.randrange(len(walks))
+            t = next(walks[k], None)
+            if t is not None:
+                seen[k].append(t)
+        resumed = list(islice(dag.tower(x, g), 30))  # past every walk above
+        definitional = _definitional(dag, x, g, 30)
+        assert resumed == definitional[: len(resumed)]
+        for entries in seen:
+            assert entries == resumed[: len(entries)], (i, entries)
+
+
+def test_tower_entries_count_in_the_size_that_shared_bounds(monkeypatch):
+    # Once the commutator chain has made every product, a tower walk
+    # adds exactly its new entries to `size` and a second walk adds none;
+    # those entries alone then take the table to the bound `shared` drops
+    # it at.
+    def walk(dag):
+        x, g = dag.from_word("ba"), dag.from_word("dababa")
+        assert dag.mul(g, g) != IDENTITY
+        last = _definitional(dag, x, g, 40)[-1]
+        before = dag.size
+        for _ in range(2):
+            entries = list(islice(dag.tower(x, g), 40))
+            assert entries[-1] == last and IDENTITY not in entries
+            assert dag.size == before + 40
+        return before
+
+    before = shared("decide", walk)
+    table = TABLES["decide"]
+    monkeypatch.setattr(config, "NODE_CAP", 2 * table.size)
+    assert before < config.NODE_CAP // 2  # the table would be kept without them
+    shared("decide", lambda dag: None)
+    assert TABLES["decide"] is not table
+
+
+def test_act_agrees_with_the_bit_by_bit_action():
+    # Every vertex to depth 6 under 200 seeded elements, against the walk
+    # that checks and converts one bit at a time.
+    rng = random.Random(23)
+    dag = Dag()
+    vertices = ["".join(bits) for n in range(7) for bits in product("01", repeat=n)]
+    moved = 0
+    for _ in range(200):
+        g = dag.from_word(make_word(rng, rng.randint(0, 40)))
+        for v in vertices:
+            image = dag.act(g, v)
+            assert image == ref.bit_act(dag, g, v), (g, v)
+            moved += image != v
+    assert moved
+
+
+@pytest.mark.parametrize("symbol", ["x", "2", " ", "\n", "\u0660"])
+def test_act_names_the_first_invalid_symbol_wherever_it_sits(symbol):
+    # Before, inside and after the bits a moved vertex is made of, and
+    # ahead of a second invalid symbol: the message of the bit-by-bit walk.
+    rng = random.Random(29)
+    dag = Dag()
+    after_moved = 0
+    for _ in range(40):
+        g = dag.from_word(make_word(rng, rng.randint(1, 24)))
+        bits = "".join(rng.choice("01") for _ in range(rng.randint(0, 8)))
+        for i in range(len(bits) + 1):
+            after_moved += dag.act(g, bits[:i]) != bits[:i]
+            for v in (bits[:i] + symbol + bits[i:], bits[:i] + symbol + bits[i:] + "y"):
+                with pytest.raises(ValueError) as reference:
+                    ref.bit_act(dag, g, v)
+                with pytest.raises(ValueError) as raised:
+                    dag.act(g, v)
+                assert str(raised.value) == str(reference.value)
+                assert str(raised.value) == f"invalid vertex symbol {symbol!r}"
+    assert after_moved
 
 
 def test_first_active_levels_of_a_deep_tower():

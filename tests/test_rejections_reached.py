@@ -145,6 +145,22 @@ def test_forged_verdicts_are_pinned():
     assert not any(ok for ok, _ in expected.values())
 
 
+def test_verdicts_on_warm_memos_are_the_pinned_ones():
+    # The verifier keeps memos across certificates: its tables' towers,
+    # and flattened TWords.  With them warmed by the honest golden files,
+    # two passes over each pinned table in one process still give its
+    # verdicts, so no memo carries an honest answer over to a forgery.
+    for path in sorted(corrupted_table.GOLDEN.glob("*.json")):
+        ok, detail = certificates.verify(json.loads(path.read_text(encoding="utf-8")))
+        assert ok, (path.name, detail)
+    assert dag.TABLES["verify"]._towers and certificates.flatten.cache_info().currsize
+    corrupted = json.loads(corrupted_table.VERDICTS.read_text(encoding="utf-8"))
+    forged = json.loads(FORGED.read_text(encoding="utf-8"))
+    for _ in range(2):
+        assert corrupted_table.verdicts() == corrupted
+        assert forged_verdicts() == forged
+
+
 def test_rejection_returns_are_found():
     sources = rejection_returns().values()
     assert len(sources) >= 20

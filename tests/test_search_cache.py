@@ -4,7 +4,9 @@
 being certified, so the replays find them once per process.  These tests
 hold the memoized results to fresh runs of the undecorated searches and pin
 that a run of replays costs one search, not one per element, and that
-every memo of grigor is emptied before each test or named as kept.
+every memo of grigor is emptied before each test or named as kept.  The
+emptied memos are bounded: each has a finite maxsize, and the flatten
+memo, which the verifier fills from certificate bytes, keeps no more.
 """
 
 import ast
@@ -18,6 +20,7 @@ import grigor
 from conftest import COLD_MEMOS
 
 from grigor.branch import search_high_order
+from grigor.certificates import TWord, flatten
 from grigor.engel import replay_bounded_left, replay_right, search_nonengel_pair
 from grigor.errors import SearchExhausted
 
@@ -104,3 +107,22 @@ def test_every_memo_is_cleared_before_each_test_or_named_as_kept():
     assert len(cold) == len(COLD_MEMOS)
     assert set(memos) - cold == KEPT_MEMOS, "a new memo leaks between tests"
     assert all(memo.cache_info().currsize == 0 for memo in COLD_MEMOS)
+
+
+def test_every_cold_memo_is_bounded():
+    assert all(memo.cache_info().maxsize is not None for memo in COLD_MEMOS)
+
+
+def test_flatten_memo_keeps_at_most_its_bound():
+    bound = flatten.cache_info().maxsize
+    # Distinct reduced conjugators, spelled in "ab" and "ac" by binary digits.
+    conjugators = (
+        format(i, "b").replace("0", "x").replace("1", "ac").replace("x", "ab")
+        for i in range(bound + 200)
+    )
+    for w in conjugators:
+        k = TWord(((w, 1),))
+        assert flatten(k) == flatten.__wrapped__(k)
+    info = flatten.cache_info()
+    assert info.misses == bound + 200
+    assert info.currsize == bound

@@ -18,7 +18,9 @@ step at a time, against which the one expression in
 that `leafperm.word_perm` and `leafperm.moved_vertex` must agree with.
 `k_image_table` and `level3_membership` decide K membership from the
 level-3 permutation, by St(3) <= K, against which the letter counts of
-`certificates.reduced_membership_in_K` are compared.
+`certificates.reduced_membership_in_K` are compared.  `bit_act` is the
+bit-by-bit vertex action, validating each symbol as it is read, that
+`dag.Dag.act` must agree with, error messages included.
 """
 
 from functools import lru_cache
@@ -211,3 +213,17 @@ def depth_moved_vertex(perm: np.ndarray, n: int) -> str | None:
         if mismatch.size:
             return format(int(mismatch[0]), f"0{k}b")
     return None
+
+
+def bit_act(dag, g: int, v: str) -> str:
+    """Image of vertex v under the element g of dag, one bit at a time:
+    each symbol is checked as it is read, and each image bit is the bit
+    XOR the activity of the section reached so far."""
+    out: list[str] = []
+    for bit in v:
+        if bit not in "01":
+            raise ValueError(f"invalid vertex symbol {bit!r}")
+        active, left, right = dag.nodes[g]
+        out.append(str(int(bit) ^ active))
+        g = right if bit == "1" else left
+    return "".join(out)
