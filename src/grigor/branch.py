@@ -7,9 +7,10 @@ Two complementary mechanisms:
   and to search for them in `first_qualifying`, the one seeded search loop;
 * decisional: membership is read off the word's image in
   Gamma/K = D8 x Z/2, by counting letters.  As St(3) <= K, that is also the
-  level-3 verdict.  The sympy level quotients, imported only when built,
-  serve the `quotient` command and cross-check that the index of K's image
-  plateaus from level 3 on; sympy is the optional `quotients` extra.
+  level-3 verdict.  The same facts give the level quotients of the
+  `quotient` command: G_1..G_3 are closed element by element from the
+  generators' level permutations, in plain Python, and deeper levels
+  follow from St(3) <= K, [Gamma : K] = 16 and [psi(K) : K x K] = 4.
 
 TWords and K membership live in the verifier kernel `certificates`; the
 facts above are checked in tests/test_k_facts.py.
@@ -18,17 +19,16 @@ facts above are checked in tests/test_k_facts.py.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, islice
 from typing import TypeVar
 
 from . import config
-from .certificates import T, KMembershipResult, TWord, flatten, reduced_membership_in_K
+from .certificates import K_LEVEL, T, KMembershipResult, TWord, flatten, reduced_membership_in_K
 from .dag import shared
-from .errors import CapExceeded, SearchExhausted
-from .leafperm import word_perm
+from .errors import SearchExhausted
 from .words import IDENTITY, invert, reduce_word
 
 U = reduce_word("badabada")  # u = (bada)^2, psi(u) = (t, 1)
@@ -85,34 +85,70 @@ class LevelQuotient:
     n: int
     group_order: int
     k_image_index: int
-    base: list[int]
+
+
+_Perm = tuple[int, ...]
+
+
+def _compose(g: _Perm, h: _Perm) -> _Perm:
+    """g, then h; p[i] is the image of vertex i."""
+    return tuple(h[i] for i in g)
+
+
+def _inverse(g: _Perm) -> _Perm:
+    return tuple(sorted(range(len(g)), key=g.__getitem__))
+
+
+def _closure(gens: Collection[_Perm], identity: _Perm) -> set[_Perm]:
+    """The group the permutations gens generate, element by element."""
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        frontier = list({_compose(g, x) for g in frontier for x in gens} - group)
+        group.update(frontier)
+    return group
+
+
+def _generator_perms(n: int) -> dict[str, _Perm]:
+    """Level-n permutations of a, b, c, d, vertices big-endian as in
+    leafperm: a swaps the two halves; b, c, d act blockwise by their
+    defining sections b = (a, c), c = (a, d), d = (1, b)."""
+    a = b = c = d = (0,)
+    for level in range(n):
+        ident = tuple(range(1 << level))
+        swap = tuple(len(ident) + i for i in ident) + ident
+        a, b, c, d = swap, _block(a, c), _block(a, d), _block(ident, b)
+    return dict(zip("abcd", (a, b, c, d)))
+
+
+def _block(left: _Perm, right: _Perm) -> _Perm:
+    """The permutation with sections left and right at vertices 0 and 1."""
+    return left + tuple(len(left) + i for i in right)
 
 
 @lru_cache(maxsize=None)
 def build_level_quotient(n: int) -> LevelQuotient:
-    """Deterministic stabilizer-chain data for G_n and the image of K.
+    """|G_n| and the index of K's image in it, the level-n quotient of Gamma.
 
-    G_n is generated by the level-n permutations of a, b, c, d; the image
-    of K is the normal closure of the image of t.  sympy comes with the
-    optional `quotients` extra; without it this raises CapExceeded.
+    Up to level 3, G_n is the closure of the level-n permutations of a, b,
+    c, d, at most 128 elements, and the image K_n of K the closure of the
+    conjugates of t's image.  Past it the branch structure fixes both
+    (tests/test_k_facts.py): St(3) <= K gives [G_n : K_n] = [Gamma : K] =
+    16, and K x K <= psi(K) with index 4 gives |K_n| = 4 |K_(n-1)|^2.
     """
     if not 1 <= n <= config.QUOTIENT_MAX_LEVEL:
         raise ValueError(f"level must be in 1..{config.QUOTIENT_MAX_LEVEL}")
-    try:
-        from sympy.combinatorics import Permutation, PermutationGroup
-    except ImportError as exc:
-        message = "level quotients need sympy: pip install 'grigor[quotients]'"
-        raise CapExceeded(message) from exc
-
-    degree = 1 << n
-    gens = [
-        Permutation(list(word_perm(letter, n)), size=degree) for letter in "abcd"
-    ]
-    group = PermutationGroup(gens)
-    t_image = Permutation(list(word_perm(T, n)), size=degree)
-    k_image = group.normal_closure([t_image])
-    g_order = group.order()
-    return LevelQuotient(n, g_order, g_order // k_image.order(), group.base)
+    level = min(n, K_LEVEL)
+    gens = _generator_perms(level)
+    identity = tuple(range(1 << level))
+    group = _closure(gens.values(), identity)
+    t = reduce(_compose, map(gens.get, T), identity)
+    conjugates = {_compose(_compose(_inverse(g), t), g) for g in group}
+    k_order = len(_closure(conjugates, identity))
+    index = len(group) // k_order
+    for _ in range(level, n):
+        k_order = 4 * k_order**2
+    return LevelQuotient(n, index * k_order, index)
 
 
 @lru_cache(maxsize=None)

@@ -121,7 +121,6 @@ def _cmd_quotient(args) -> int:
         "level": q.n,
         "group_order": q.group_order,
         "k_image_index": q.k_image_index,
-        "base": list(q.base),
     }
     _emit(
         args,

@@ -4,8 +4,8 @@ This is the independent route to the action: permutations of the 2**n
 level-n vertices are assembled from the defining recursion of a, b, c, d
 and composed along a word, with no use of word reduction, of the `tree`
 module or of section DAGs.  The `decide` and `engel` modules use it as a
-cross-validating oracle and `branch` to generate finite level quotients;
-the verifier kernel `certificates` does not use it.  `tower_perms` walks a
+cross-validating oracle; the verifier kernel `certificates` and the level
+quotients of `branch` do not use it.  `tower_perms` walks a
 whole commutator tower at one level: one permutation per input word, then
 one commutator per entry.  Levels past 2 * config.MAX_DEPTH raise
 CapExceeded before any array is built.

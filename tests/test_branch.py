@@ -17,6 +17,7 @@ from grigor.branch import (
 from grigor.certificates import (
     K_LEVEL, T, TWord, flatten, format_tword, parse_tword, reduced_membership_in_K
 )
+from grigor.config import QUOTIENT_MAX_LEVEL
 from grigor.decide import are_equal, is_trivial, order
 from grigor.errors import SearchExhausted
 from grigor.leafperm import word_perm
@@ -125,7 +126,25 @@ def test_emb_pair_correctness(rng):
 def test_level_quotient_orders():
     assert build_level_quotient(1).group_order == 2
     assert build_level_quotient(2).group_order == 8
-    assert build_level_quotient(3).group_order == 128
+    # Grigorchuk's closed form, to the top level.
+    for n in range(3, QUOTIENT_MAX_LEVEL + 1):
+        assert build_level_quotient(n).group_order == 2 ** (5 * 2 ** (n - 3) + 2), n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_level_quotient_matches_sympy(n):
+    # Schreier-Sims and a normal closure on leafperm's generators, against
+    # the closure to level 3 and the branch recursion past it.
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    def perm(g):
+        return Permutation(word_perm(g, n).tolist(), size=1 << n)
+
+    group = PermutationGroup([perm(x) for x in "abcd"])
+    k_image = group.normal_closure([perm(T)])
+    quotient = build_level_quotient(n)
+    assert quotient.group_order == group.order()
+    assert quotient.k_image_index == group.order() // k_image.order()
 
 
 def test_index_monotone_and_plateaus():

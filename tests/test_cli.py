@@ -203,8 +203,9 @@ def test_lift(capsys):
 
 def test_quotient(capsys):
     code, data = run_json(capsys, "quotient", "3")
-    assert data["group_order"] == 128
-    assert data["k_image_index"] == 16
+    assert (code, data) == (
+        0, {"schema": 1, "level": 3, "group_order": 128, "k_image_index": 16}
+    )
 
 
 def test_engel_probe_exit_codes(capsys):
@@ -567,25 +568,31 @@ def test_sections_depth_cap():
     assert proc.stderr.startswith("resource cap: sections at level 21")
 
 
-def test_quotient_without_sympy_exits_3():
-    # sympy is the optional `quotients` extra.
+def test_quotient_runs_without_sympy_or_numpy():
+    # The top level, with neither importable; the line sympy's
+    # Schreier-Sims printed for it.
     proc = run_child(
         "-c",
-        "import sys; sys.modules['sympy'] = None\n"
+        "import sys; sys.modules['sympy'] = sys.modules['numpy'] = None\n"
         "import grigor.cli\n"
-        "sys.exit(grigor.cli.main(['quotient', '3']))",
+        "sys.exit(grigor.cli.main(['quotient', '8']))",
     )
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == (
-        "resource cap: level quotients need sympy: pip install 'grigor[quotients]'\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0,
+        "level 8: |G| = 5846006549323611672814739330865132078623730171904, "
+        "[G : image(K)] = 16\n",
+        "",
     )
 
 
 def test_cli_import_leaves_out_sympy():
-    # Membership counts letters; only the quotients need sympy.
+    # Membership counts letters, and the level quotients close at most
+    # 128 permutations in plain Python.
     proc = run_child(
         "-c",
         "import grigor.cli, sys; assert 'sympy' not in sys.modules; "
-        "grigor.cli.main(['k-test', 'abab']); assert 'sympy' not in sys.modules",
+        "grigor.cli.main(['k-test', 'abab']); assert 'sympy' not in sys.modules; "
+        "from grigor import branch; assert branch.certified_plateau() == 3; "
+        "assert not {'sympy', 'numpy'} & set(sys.modules)",
     )
     assert (proc.returncode, proc.stdout) == (0, "inside\n"), proc.stderr

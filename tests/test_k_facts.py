@@ -39,6 +39,28 @@ Gamma/K = D8 x Z/2, from one more:
    image there is 1, which `certificates.reduced_membership_in_K` reads
    off the word's letter counts; its verdict is also the level-3 one, by
    St(3) <= K.
+
+[psi(K) : K x K] = 4, from one more:
+
+8. K x K <= psi(K) and K x K is normal in Gamma x Gamma, so
+   psi(K) / (K x K) is the image of psi(K) in (Gamma/K)^2, read through
+   the letter map of check 7.  psi(K) is generated by the psi(t^w),
+   w in Gamma.  For s in St(4), psi(t^(ws)) = psi(t^w)^psi(s) with
+   psi(s) in St(3) x St(3) <= K x K, the same element mod K x K; so w
+   over representatives of G_4 suffices, and the image has 4 elements.
+
+The level quotients follow (`branch.build_level_quotient`).  Write G_n
+and K_n for the images of Gamma and K on level n.  For n >= 3, St(n) <= K,
+so K_n = K/St(n) and |G_n| = [Gamma : K].|K_n| = 16.|K_n|.  For n >= 4,
+psi is injective on K <= St(1) and sends St(n) onto St(n-1) x St(n-1):
+an element of St(1) lies in St(n) exactly when both its sections lie in
+St(n-1), and St(n-1) x St(n-1) <= K x K <= psi(K) as n - 1 >= 3.  So
+
+    |K_n| = [psi(K) : St(n-1)^2]
+          = [psi(K) : K x K].[K x K : St(n-1)^2] = 4.|K_(n-1)|^2,
+
+hence |G_n| = |G_(n-1)|^2 / 4, and from |G_3| = 2^7,
+|G_n| = 2^(5.2^(n-3) + 2), Grigorchuk's closed form.
 """
 
 from math import prod
@@ -52,6 +74,7 @@ from grigor.certificates import K_LEVEL, T, reduced_membership_in_K
 from grigor.dag import IDENTITY, Dag
 from grigor.decide import is_trivial
 from grigor.leafperm import word_perm
+from grigor.words import decompose, invert
 
 from word_reference import k_image_table
 
@@ -112,6 +135,37 @@ def test_gamma_mod_k_is_d8_times_z2():
 def test_k_image_table_is_also_generated_by_t_u_v():
     # t, u and v lie in K, and their level-3 images generate the same 8.
     assert _elements(PermutationGroup([_level3(w) for w in (T, U, V)])) == k_image_table()
+
+
+def _level4_representatives() -> list[str]:
+    """One word per element of G_4, by breadth-first search."""
+    perms = {x: tuple(word_perm(x, 4).tolist()) for x in "abcd"}
+    seen = {tuple(range(16)): ""}
+    frontier = list(seen.items())
+    while frontier:
+        grown = []
+        for p, w in frontier:
+            for x, g in perms.items():
+                q = tuple(g[i] for i in p)
+                if q not in seen:
+                    seen[q] = w + x
+                    grown.append((q, w + x))
+        frontier = grown
+    return list(seen.values())
+
+
+def test_psi_k_has_index_4_over_k_times_k():
+    # Check 8: the image of psi(K) in (D8 x Z/2)^2, the second factor on
+    # points 6-11.
+    representatives = _level4_representatives()
+    assert len(representatives) == 4096
+    pairs = set()
+    for w in representatives:
+        d = decompose(invert(w) + T + w)
+        assert d.active == 0
+        left, right = _image(d.left), _image(d.right)
+        pairs.add(Permutation(left.array_form + [6 + i for i in right.array_form]))
+    assert PermutationGroup(list(pairs)).order() == 4
 
 
 def test_u_and_v_lie_in_k_and_embed_t():
