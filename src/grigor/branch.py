@@ -9,7 +9,7 @@ Two complementary mechanisms:
   Gamma/K = D8 x Z/2, by counting letters.  As St(3) <= K, that is also the
   level-3 verdict.  The same facts give the level quotients of the
   `quotient` command: G_1..G_3 are closed element by element from the
-  generators' level permutations, in plain Python, and deeper levels
+  generators' level permutations (`leafperm.word_perm`), and deeper levels
   follow from St(3) <= K, [Gamma : K] = 16 and [psi(K) : K x K] = 4.
 
 TWords and K membership live in the verifier kernel `certificates`; the
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, islice
 from typing import TypeVar
 
@@ -29,6 +29,7 @@ from . import config
 from .certificates import K_LEVEL, T, KMembershipResult, TWord, flatten, reduced_membership_in_K
 from .dag import shared
 from .errors import SearchExhausted
+from .leafperm import word_perm
 from .words import IDENTITY, invert, reduce_word
 
 U = reduce_word("badabada")  # u = (bada)^2, psi(u) = (t, 1)
@@ -109,23 +110,6 @@ def _closure(gens: Collection[_Perm], identity: _Perm) -> set[_Perm]:
     return group
 
 
-def _generator_perms(n: int) -> dict[str, _Perm]:
-    """Level-n permutations of a, b, c, d, vertices big-endian as in
-    leafperm: a swaps the two halves; b, c, d act blockwise by their
-    defining sections b = (a, c), c = (a, d), d = (1, b)."""
-    a = b = c = d = (0,)
-    for level in range(n):
-        ident = tuple(range(1 << level))
-        swap = tuple(len(ident) + i for i in ident) + ident
-        a, b, c, d = swap, _block(a, c), _block(a, d), _block(ident, b)
-    return dict(zip("abcd", (a, b, c, d)))
-
-
-def _block(left: _Perm, right: _Perm) -> _Perm:
-    """The permutation with sections left and right at vertices 0 and 1."""
-    return left + tuple(len(left) + i for i in right)
-
-
 @lru_cache(maxsize=None)
 def build_level_quotient(n: int) -> LevelQuotient:
     """|G_n| and the index of K's image in it, the level-n quotient of Gamma.
@@ -139,10 +123,9 @@ def build_level_quotient(n: int) -> LevelQuotient:
     if not 1 <= n <= config.QUOTIENT_MAX_LEVEL:
         raise ValueError(f"level must be in 1..{config.QUOTIENT_MAX_LEVEL}")
     level = min(n, K_LEVEL)
-    gens = _generator_perms(level)
     identity = tuple(range(1 << level))
-    group = _closure(gens.values(), identity)
-    t = reduce(_compose, map(gens.get, T), identity)
+    group = _closure([tuple(word_perm(x, level)) for x in "abcd"], identity)
+    t = tuple(word_perm(T, level))
     conjugates = {_compose(_compose(_inverse(g), t), g) for g in group}
     k_order = len(_closure(conjugates, identity))
     index = len(group) // k_order

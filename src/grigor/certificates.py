@@ -4,7 +4,7 @@ A certificate is as trustworthy as its checker, so all that `verify` reads
 is here or in `dag`, `words`, `config` and `errors`, its only grigor
 imports: the records, the word `tower` and `probe`, `right_towers`
 (Lemma 2, stated once), TWords and K membership.  The issuers `engel` and
-`branch` import from here; nothing here loads `leafperm` or numpy.
+`branch` import from here; nothing here loads `leafperm`.
 
 Every certificate is a self-contained transcript, re-checked from its
 serialized inputs alone.  Each kind is declared once, in `_KINDS`, keyed

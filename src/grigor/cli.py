@@ -74,7 +74,7 @@ def _cmd_sections(args) -> int:
     from . import leafperm, tree
     g = words.parse_word(args.word)
     secs = [words.format_word(s) for s in tree.sections_at(g, args.level)]
-    perm = leafperm.word_perm(g, args.level).tolist()
+    perm = leafperm.word_perm(g, args.level)
     data = {"level": args.level, "perm": perm, "sections": secs}
     _emit(args, data, f"perm {perm}\nsections {' '.join(secs)}")
     return 0

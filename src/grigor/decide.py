@@ -8,9 +8,9 @@ letters, asserted at runtime -- so a word is trivial iff its id is 0, two
 words are equal iff their ids are, and the order is `Dag.order_exponent`.
 No id leaves a call: these take words and return bools and orders.
 
-witness_vertex is the independent semi-oracle: it composes generator leaf
-permutations (module `leafperm`) and never touches the section DAG, so
-agreement between the two is meaningful evidence.
+witness_vertex is the independent semi-oracle: it reads the word's
+truncated portrait (module `leafperm`) and never touches the section DAG,
+so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import config
 from .dag import IDENTITY, shared
-from .leafperm import moved_vertex, word_perm
+from .leafperm import word_witness
 
 
 def is_trivial(g: str) -> bool:
@@ -40,7 +40,7 @@ def witness_vertex(g: str, max_depth: int = config.MAX_DEPTH) -> str | None:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    return moved_vertex(word_perm(g, max_depth), max_depth)
+    return word_witness(g, max_depth)
 
 
 @dataclass(frozen=True)

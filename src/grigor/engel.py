@@ -18,11 +18,10 @@ definition instead, so that it still checks a closed form against the
 commutators.  `exact_witness` is the one witness routine: it takes any
 entries of one tower and cross-checks them all in one leafperm pass, at
 the level the deepest of them needs; leafperm memoizes that pass's
-moved vertices, and none of its arrays, per (x, g, level, depths), and
-the check runs on every call.  The records
-issued here, the word tower (for probe transcripts only) and `probe`,
-the one probe walk, live in the verifier kernel `certificates`, which
-imports nothing from this module.
+moved vertices per (x, g, level, depths), and the check runs on every
+call.  The records issued here, the word tower (for probe transcripts
+only) and `probe`, the one probe walk, live in the verifier kernel
+`certificates`, which imports nothing from this module.
 `left_engel_probe` issues on the small long-lived "probe" table of
 `dag.shared`, and the probe verifiers check on "probe-verify": probe
 towers of different words share their near-nucleus elements.  The lemma
@@ -90,10 +89,10 @@ def exact_witness(dag: Dag, entries: dict[int, int], x: str, g: str) -> dict[int
     entries maps m to the id in dag of t = [x,_m g]; m = 0 means t is the
     plain word x.  Each depth comes from t's sections.  leafperm walks the
     tower of the words x and g once, at the level n one below the deepest
-    entry, and every entry's permutation must move a vertex of exactly its
+    entry, and every entry's portrait must move a vertex of exactly its
     depth.  A vertex moved at depth k moves all its descendants, so the
     least moved vertex read at level n is the one read at level k.  The
-    oracle builds 2**n-entry arrays, so n past 2 * MAX_DEPTH raises
+    oracle's portraits stop at level 2 * MAX_DEPTH, so n past it raises
     CapExceeded.  It memoizes the moved vertices of the 1,024 most recent
     (x, g, n, depths), so a tower that recurs, as a shared x_active does,
     is not walked again.  The depth check runs on every call, hit or miss.

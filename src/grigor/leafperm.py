@@ -1,202 +1,214 @@
-"""Leaf permutations of the generators, built directly from their recursions.
+"""Leaf permutations and least moved vertices, from truncated portraits.
 
-This is the independent route to the action: permutations of the 2**n
-level-n vertices are assembled from the defining recursion of a, b, c, d
-and composed along a word, with no use of word reduction, of the `tree`
-module or of section DAGs.  The `decide` and `engel` modules use it as a
-cross-validating oracle; the verifier kernel `certificates` and the level
-quotients of `branch` do not use it.  `tower_perms` walks a
-whole commutator tower at one level: one permutation per input word, then
-one commutator per entry.  Levels past 2 * config.MAX_DEPTH raise
-CapExceeded before any array is built.
+This is the independent route to the action, and the oracle that `decide`
+and `engel.exact_witness` cross-check the section DAG against.  An
+element of G_n, the quotient induced on the 2**n vertices of level n, is
+its portrait truncated at depth n: its root activity bit and its
+sections at vertices 0 and 1, elements of G_(n-1).  Portraits are
+interned per level, so an element is an id (0 is the identity), and
+products and inverses are memoized on ids.  A word's portrait is read off
+its letters by the recursions a = swap, b = (a, c), c = (a, d), d = (1, b),
+after a pass of its own that cancels aa and multiplies runs over b, c, d
+in the Klein group, so sections shrink; no `words`, `tree` or section DAG
+is used.  Each node carries its least moved vertex (least depth, ties
+toward 0), combined from its sections' as it is interned, so no 2**n
+leaves are scanned.  `word_perm` spells a portrait out as its leaf
+images.  Levels past 2 * config.MAX_DEPTH raise CapExceeded.
 
-`word_perm` applies a word _CHUNK = 4 letters at a time, one gather per
-chunk.  A chunk's permutation is composed from the generators the first
-time its level meets it and is stored beside them, in the level's dict
-of `generator_perms`; `word_perm` keeps no longer word.  A kept level
-holds at most 340 keys (the 4 + 16 + 64 + 256 strings of 1 to 4 letters)
-of 2**n entries each: about 22 MB over levels 0-12 for adversarial raw
-words.  Reduced words alternate `a` with b, c, d and so produce at most
-40 chunks, about 2.6 MB.  A deeper level drops its chunks with the call.
-
-The towers recur: a refutation depends on x only through its active
-section, and many x share one.  So `tower_witnesses`, what the witness
-routine asks of a tower (the `moved_vertex` of some of its entries at one
-level), is memoized per process in an LRU cache of the _WITNESS_KEYS most
-recent keys; no array of a tower is kept.  A key is (word x, word g,
-level, tuple of depths) and a value a tuple of vertex strings of at most
-2 * MAX_DEPTH bits (None for an entry that moves no vertex).  Over
-30,000 operations of perfbench's certify workload the keys averaged 111
-letters and an entry, key and value, 1.2 KB.  So the bound of 1,024 keys
-holds about 1.2 MB, the size of 38 level-12 arrays, and takes in that
-workload's whole working set of about 500 keys.  Levels past
-2 * MAX_DEPTH raise CapExceeded before the memo is read and leave no
-entry.
-
-Permutations are numpy index arrays; p[i] is the image of vertex i
-(vertices encoded as big-endian binary integers).  numpy is imported
-inside the functions, so importing this module (and the CLI) does not
-load it.
+The tables are kept between calls, and a call that finds them holding
+_KEPT = 2**14 entries or more (nodes and memo entries) starts from empty
+ones: filled by the witness checks of perfbench's queries workload
+(words of about 400 letters at level 8), 2**14 entries took about 2.8 MB
+(tracemalloc).  A call that interns more than config.NODE_CAP nodes
+raises CapExceeded and drops them.  `tower_witnesses` memoizes its
+answers for the 1,024 most recent (x, g, level, depths) keys, since a
+refutation depends on x only through its active section: over 30,000
+operations of perfbench's certify workload an entry took 1.2 KB, and the
+cache held that workload's whole working set of about 500 keys.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
-from itertools import islice
-from typing import TYPE_CHECKING
+from operator import xor
 
-from .config import MAX_DEPTH
+from . import config
 from .errors import CapExceeded
 
-if TYPE_CHECKING:
-    import numpy as np
+_KEPT = 1 << 14
 
-# Levels up to MAX_DEPTH keep their arrays, 0.25 MB of generators in all
-# plus the chunks above; a deeper one, up to 2**24 entries per array, is
-# rebuilt on each call from the deepest kept level.
-_CHUNK = 4
-_WITNESS_KEYS = 1024
-_kept: dict[int, dict[str, np.ndarray]] = {}
+# Byte translations to a letter's sections at vertices 0 and 1, with the
+# letters whose section is 1 deleted.  A letter after an odd number of a's
+# is uppercased first, as its pair is swapped.
+_SECTIONS = (
+    (bytes.maketrans(b"bcBCD", b"aacdb"), b"d"),
+    (bytes.maketrans(b"bcdBC", b"cdbaa"), b"D"),
+)
 
 
-def generator_perms(n: int) -> dict[str, np.ndarray]:
-    """Level-n permutations of a, b, c, d, and of the chunks word_perm met.
+def _klein(run: bytes) -> bytes:
+    """The product of a run over b, c, d: they are 1, 2, 3 under XOR."""
+    v = 0
+    for x in run:
+        v ^= x - 97
+    return b"bcd"[v - 1 : v]
 
-    a swaps the two halves; b, c, d act blockwise by their defining
-    sections b = (a, c), c = (a, d), d = (1, b).
+
+class _Portraits:
+    """Interned portraits of levels 0 to 2 * MAX_DEPTH, with their memos.
+
+    nodes[n][i] is (active, left, right, moved): the root activity bit, the
+    ids at level n - 1 of the sections at vertices 0 and 1, and the least
+    moved vertex, None for the identity.  memo[n] maps a node's triple to
+    its id, a pair of ids to their product, an id to its inverse and a word
+    to its portrait.  `room` counts the nodes the current call may intern.
     """
-    if n in _kept:
-        return _kept[n]
+
+    def __init__(self) -> None:
+        levels = range(2 * config.MAX_DEPTH + 1)
+        self.nodes = [[(0, 0, 0, None)] for _ in levels]
+        self.memo: list[dict] = [{(0, 0, 0): 0} for _ in levels]
+        self.room = config.NODE_CAP
+
+    def node(self, n: int, active: int, left: int, right: int) -> int:
+        memo = self.memo[n]
+        g = memo.get((active, left, right))
+        if g is None:
+            if not self.room:
+                _tables.clear()
+                raise CapExceeded(f"portraits grew past {config.NODE_CAP} nodes")
+            self.room -= 1
+            below = self.nodes[n - 1]
+            moved = [s + m for s, m in (("0", below[left][3]), ("1", below[right][3])) if m]
+            moved = "0" if active else min(moved, key=len, default=None)
+            g = memo[active, left, right] = len(self.nodes[n])
+            self.nodes[n].append((active, left, right, moved))
+        return g
+
+    def mul(self, n: int, g: int, h: int) -> int:
+        """The product of g and h, g acting first."""
+        if not g or not h:
+            return g or h
+        gh = self.memo[n].get((g, h))
+        if gh is None:
+            active, g0, g1, _ = self.nodes[n][g]
+            bit, h0, h1, _ = self.nodes[n][h]
+            if active:
+                h0, h1 = h1, h0
+            gh = self.node(n, active ^ bit, self.mul(n - 1, g0, h0), self.mul(n - 1, g1, h1))
+            self.memo[n][g, h] = gh
+        return gh
+
+    def inv(self, n: int, g: int) -> int:
+        gi = self.memo[n].get(g) if g else g
+        if gi is None:
+            active, g0, g1, _ = self.nodes[n][g]
+            if active:
+                g0, g1 = g1, g0
+            gi = self.memo[n][g] = self.node(n, active, self.inv(n - 1, g0), self.inv(n - 1, g1))
+        return gi
+
+    def word(self, n: int, w: bytes) -> int:
+        """The portrait of the word w over abcd: split on `a`, a run's parity
+        is its index's, and an empty run between two a's cancels them and
+        joins its neighbours; each section is one translation of the runs."""
+        if not n or not w:
+            return 0
+        g = self.memo[n].get(w)
+        if g is None:
+            runs: list[bytes] = []
+            for run in w.split(b"a"):
+                run = _klein(run) if len(run) > 1 else run
+                if len(runs) > 1 and not runs[-1]:
+                    runs.pop()
+                    runs[-1] = _klein(runs[-1] + run)
+                else:
+                    runs.append(run)
+            active = len(runs) - 1 & 1
+            runs[1::2] = map(bytes.upper, runs[1::2])
+            marked = b"".join(runs)
+            left, right = [self.word(n - 1, marked.translate(*side)) for side in _SECTIONS]
+            g = self.memo[n][w] = self.node(n, active, left, right)
+        return g
+
+    def perm(self, n: int, g: int) -> list[int]:
+        """The image of each level-n vertex under g, vertices big-endian."""
+        if not g:
+            return list(range(1 << n))
+        active, left, right, _ = self.nodes[n][g]
+        half = 1 << (n - 1)
+        shift = half if active else 0
+        below = self.perm(n - 1, left), self.perm(n - 1, right)
+        return [i + shift for i in below[0]] + [i + half - shift for i in below[1]]
+
+
+_tables: list[_Portraits] = []  # the tables kept between calls, at most one
+
+
+def _enter(n: int) -> _Portraits:
+    """The kept tables for a call at level n, or empty ones past _KEPT entries."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    if n > 2 * MAX_DEPTH:
-        raise CapExceeded(f"level {n} is past the oracle's cap {2 * MAX_DEPTH}")
-    import numpy as np
-
-    if n == 0:
-        ident = np.zeros(1, dtype=np.int64)
-        return {letter: ident for letter in "abcd"}
-    prev = generator_perms(n - 1)
-    half = 1 << (n - 1)
-    ident = np.arange(half, dtype=np.int64)
-
-    def block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return np.concatenate([left, right + half])
-
-    perms = {
-        "a": np.concatenate([ident + half, ident]),
-        "b": block(prev["a"], prev["c"]),
-        "c": block(prev["a"], prev["d"]),
-        "d": block(ident, prev["b"]),
-    }
-    for p in perms.values():
-        p.setflags(write=False)
-    if n <= MAX_DEPTH:
-        _kept[n] = perms
-    return perms
+    if n > 2 * config.MAX_DEPTH:
+        raise CapExceeded(f"level {n} is past the oracle's cap {2 * config.MAX_DEPTH}")
+    if not _tables or sum(map(len, _tables[0].memo)) >= _KEPT:
+        _tables[:] = [_Portraits()]
+    _tables[0].room = config.NODE_CAP
+    return _tables[0]
 
 
-def word_perm(w: str, n: int) -> np.ndarray:
-    """Permutation induced on level n by a raw word (leftmost letter first).
+def _letters(w: str) -> bytes:
+    """w as bytes; KeyError naming its first letter outside abcd."""
+    raw = w.encode()
+    if raw.translate(None, b"abcd"):
+        raise KeyError(next(ch for ch in w if ch not in "abcd"))
+    return raw
 
-    The word is applied _CHUNK letters at a time, one gather per chunk.
+
+def word_perm(w: str, n: int) -> list[int]:
+    """Permutation induced on level n by a raw word (leftmost letter first):
+    p[i] is the image of vertex i, vertices as big-endian integers."""
+    tables = _enter(n)
+    return tables.perm(n, tables.word(n, _letters(w)))
+
+
+def word_witness(w: str, n: int) -> str | None:
+    """Least-depth, lexicographically least vertex within depth n that the
+    raw word w moves, read off its portrait; None if w fixes level n."""
+    tables = _enter(n)
+    return tables.nodes[n][tables.word(n, _letters(w))][3]
+
+
+def moved_vertex(perm: list[int], n: int) -> str | None:
+    """The vertex word_witness gives, read off a level-n permutation as
+    `word_perm` spells it: a depth-k vertex is moved iff some leaf below it
+    has an XOR with its image of at least 2**(n - k)."""
+    top = max(map(xor, perm, range(1 << n)))
+    if not top:
+        return None
+    s = top.bit_length() - 1
+    leaf = next(i for i, p in enumerate(perm) if (i ^ p) >> s)
+    return format(leaf >> s, f"0{n - s}b")
+
+
+def tower_witnesses(x: str, g: str, n: int, depths: tuple[int, ...]) -> tuple[str | None, ...]:
+    """The least moved vertex at level n of each [x,_m g], m in depths.
+
+    The tower is walked on the portraits of x and g, each step
+    [p, q] = p^-1 q^-1 p q.  A level past the cap raises CapExceeded on
+    every call, before the memo is read.
     """
-    import numpy as np
-
-    perms = generator_perms(n)
-    p = np.arange(1 << n, dtype=np.int64)
-    for i in range(0, len(w), _CHUNK):
-        chunk = w[i : i + _CHUNK]
-        q = perms.get(chunk)
-        if q is None:
-            q = _chunk_perm(chunk, perms)
-        p = q[p]
-    return p
-
-
-def _chunk_perm(chunk: str, perms: dict[str, np.ndarray]) -> np.ndarray:
-    """Compose a chunk's permutation from the generators and store it in perms.
-
-    An invalid letter raises KeyError naming it before anything is stored.
-    """
-    q = perms[chunk[0]]
-    for ch in chunk[1:]:
-        q = perms[ch][q]
-    q.setflags(write=False)
-    perms[chunk] = q
-    return q
-
-
-def tower_perms(x: str, g: str, n: int) -> Iterator[np.ndarray]:
-    """Level-n permutations of x, [x,_1 g], [x,_2 g], ..., from x and g alone.
-
-    The level action is a homomorphism, so each step forms the commutator
-    [p, q] = p^-1 q^-1 p q of permutations in the level-n quotient, as
-    c[p] = q[p[q^-1]]: one scatter and two gathers.  No word of the tower
-    is built, each input word's permutation is built once per call, and
-    nothing of the tower is kept; `tower_witnesses` keeps what the witness
-    routine reads of it.
-    """
-    import numpy as np
-
-    p, q = word_perm(x, n), word_perm(g, n)
-    q_inv = _inverse(q)
-    while True:
-        yield p
-        c = np.empty_like(p)
-        c[p] = q[p[q_inv]]
-        p = c
-
-
-def tower_witnesses(
-    x: str, g: str, n: int, depths: tuple[int, ...]
-) -> tuple[str | None, ...]:
-    """`moved_vertex` at level n of each [x,_m g], m in depths, in that order.
-
-    Memoized per process for the _WITNESS_KEYS most recent (x, g, n,
-    depths) keys, so a tower that recurs is not walked again.  A level past
-    2 * MAX_DEPTH raises CapExceeded before the memo is read, on every call.
-    """
-    if n > 2 * MAX_DEPTH:
-        raise CapExceeded(f"level {n} is past the oracle's cap {2 * MAX_DEPTH}")
+    _enter(n)
     return _tower_witnesses(x, g, n, depths)
 
 
-@lru_cache(maxsize=_WITNESS_KEYS)
-def _tower_witnesses(
-    x: str, g: str, n: int, depths: tuple[int, ...]
-) -> tuple[str | None, ...]:
-    wanted = set(depths)
-    found = {
-        m: moved_vertex(perm, n)
-        for m, perm in enumerate(islice(tower_perms(x, g, n), max(depths) + 1))
-        if m in wanted
-    }
+@lru_cache(maxsize=1024)
+def _tower_witnesses(x: str, g: str, n: int, depths: tuple[int, ...]) -> tuple[str | None, ...]:
+    tables = _enter(n)
+    p, q = tables.word(n, _letters(x)), tables.word(n, _letters(g))
+    q_inv = tables.inv(n, q)
+    found = [tables.nodes[n][p][3]]
+    for _ in range(max(depths)):
+        p = tables.mul(n, tables.mul(n, tables.inv(n, p), q_inv), tables.mul(n, p, q))
+        found.append(tables.nodes[n][p][3])
     return tuple(found[m] for m in depths)
-
-
-def _inverse(p: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p), dtype=p.dtype)
-    return inv
-
-
-def moved_vertex(perm: np.ndarray, n: int) -> str | None:
-    """Least-depth, lexicographically least vertex moved within depth n.
-
-    A depth-k vertex is moved iff a leaf below it maps to a leaf whose top
-    k bits differ, that is, iff the leaf's XOR with its image is at least
-    2**(n - k).  So the highest set bit s of the largest XOR gives the
-    least depth n - s, and the first leaf reaching 2**s gives the vertex.
-    """
-    import numpy as np
-
-    diff = perm ^ np.arange(1 << n, dtype=perm.dtype)
-    top = int(diff.max())
-    if top == 0:
-        return None
-    s = top.bit_length() - 1
-    return format(int((diff >> s).argmax()) >> s, f"0{n - s}b")

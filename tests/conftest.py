@@ -44,9 +44,10 @@ COLD_MEMOS = (
 @pytest.fixture(autouse=True)
 def cold_search_caches():
     """Start every test with empty search, embedding, tower-witness and
-    flatten memos and no shared section-DAG tables, as in a fresh process,
-    so a test that lowers a cap runs its search instead of reading a
-    result memoized under the default cap."""
+    flatten memos, no shared section-DAG tables and no kept portraits, as
+    in a fresh process, so a test that lowers a cap runs its search
+    instead of reading a result memoized under the default cap."""
     for memo in COLD_MEMOS:
         memo.cache_clear()
     dag.TABLES.clear()
+    leafperm._tables.clear()

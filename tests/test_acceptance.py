@@ -64,7 +64,7 @@ def test_a2_classical_orders_two_ways():
         assert order(w).value == value, w
         # level-perm orders are monotone in the level and settle at the
         # true order within levels 4..6
-        perm_orders = [Permutation(word_perm(w, n).tolist()).order() for n in (4, 5, 6)]
+        perm_orders = [Permutation(word_perm(w, n)).order() for n in (4, 5, 6)]
         assert perm_orders[-2] == perm_orders[-1] == value, w
     report("A2", f"{len(expected)} orders confirmed by squaring and level perms")
 

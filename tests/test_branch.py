@@ -138,7 +138,7 @@ def test_level_quotient_matches_sympy(n):
     from sympy.combinatorics import Permutation, PermutationGroup
 
     def perm(g):
-        return Permutation(word_perm(g, n).tolist(), size=1 << n)
+        return Permutation(word_perm(g, n), size=1 << n)
 
     group = PermutationGroup([perm(x) for x in "abcd"])
     k_image = group.normal_closure([perm(T)])

@@ -44,8 +44,8 @@ def run_child(*argv, timeout=30):
 
 
 def test_import_and_refutation_verify_leave_numpy_unloaded():
-    # Only leafperm uses numpy, and it imports numpy on first use: the CLI
-    # import and the verifiers of every kind never reach it.
+    # No module of grigor imports numpy, so neither the CLI import nor the
+    # verifiers of any kind load it.
     files = [str(path) for path in sorted(GOLDEN.glob("*.json"))]
     script = (
         "import sys\n"
@@ -140,7 +140,7 @@ def test_order_of_long_word():
     assert proc.returncode == 0, proc.stderr
     value = int(proc.stdout)
     assert value & (value - 1) == 0, value
-    assert value % Permutation(word_perm(w, 12).tolist()).order() == 0, value
+    assert value % Permutation(word_perm(w, 12)).order() == 0, value
 
 
 def test_act_and_sections(capsys):
@@ -583,6 +583,32 @@ def test_quotient_runs_without_sympy_or_numpy():
         "[G : image(K)] = 16\n",
         "",
     )
+
+
+# Commands that reach leafperm's oracle or its word_perm.
+WITHOUT_NUMPY = (
+    ("replay-right", "a", "-N", "8"),
+    ("replay-left", "a", "-N", "6"),
+    ("engel-probe", "--g", "ad", "--x", "daca", "--bound", "6"),  # no sink: exit 1
+    ("sections", "abcda", "5"),
+    ("--json", "sections", "abcda", "5"),
+    ("quotient", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=" ".join)
+def test_commands_run_without_numpy(capsys, argv):
+    # The same exit code and stdout in this process and in a child where
+    # numpy cannot be imported.
+    code, out, _ = run(capsys, *argv)
+    proc = run_child(
+        "-c",
+        "import sys; sys.modules['numpy'] = None\n"
+        "import grigor.cli\n"
+        "sys.exit(grigor.cli.main(sys.argv[1:]))",
+        *argv,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (code, out), proc.stderr
 
 
 def test_cli_import_leaves_out_sympy():

@@ -15,7 +15,7 @@ from grigor.certificates import flatten, probe, tower
 from grigor.decide import witness_vertex
 from grigor.engel import random_involution, random_word, replay_right, search_nonengel_pair
 from grigor.errors import CapExceeded
-from grigor.leafperm import tower_perms, word_perm
+from grigor.leafperm import tower_witnesses, word_perm, word_witness
 from grigor.tree import act
 from grigor.words import a_parity, reduce_word
 
@@ -86,9 +86,11 @@ def test_leaf_products_use_the_klein_table():
 
 
 def test_dag_tower_matches_word_tower():
-    # DAG entries against the word tower, and leafperm's one-pass quotient
-    # tower against the permutation of each word entry (x itself first),
-    # for depths <= 5.  The involution pairs take the squaring step.
+    # DAG entries against the word tower, the one-pass array tower against
+    # leafperm's permutation of each word entry (x itself first), and the
+    # witnesses of leafperm's portrait tower against those of each entry's
+    # own portrait, for depths <= 5.  The involution pairs take the
+    # squaring step.
     rng = random.Random(7)
     pairs = [(make_word(rng, rng.randint(1, 12)), make_word(rng, rng.randint(1, 12)))
              for _ in range(40)]
@@ -97,12 +99,16 @@ def test_dag_tower_matches_word_tower():
     cert = replay_right("a", 3)
     for x, g in pairs + involution_pairs + [(cert.x_active, cert.y)]:
         dag = Dag()
-        perms = tower_perms(x, g, 6)
-        assert (next(perms) == word_perm(x, 6)).all(), (x, g)
-        entries = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)), perms)
-        for m, (word, t, perm) in enumerate(islice(entries, 5), 1):
+        perms = ref.array_tower(x, g, 6)
+        witnesses = tower_witnesses(x, g, 6, tuple(range(6)))
+        assert next(perms).tolist() == word_perm(x, 6), (x, g)
+        assert witnesses[0] == word_witness(x, 6), (x, g)
+        entries = zip(tower(x, g), dag.tower(dag.from_word(x), dag.from_word(g)), perms,
+                      witnesses[1:])
+        for m, (word, t, perm, witness) in enumerate(islice(entries, 5), 1):
             assert t == dag.from_word(word), (x, g, m)
-            assert (perm == word_perm(word, 6)).all(), (x, g, m)
+            assert perm.tolist() == word_perm(word, 6), (x, g, m)
+            assert witness == word_witness(word, 6), (x, g, m)
 
 
 def test_dag_tower_of_a_non_involution_is_the_commutator_chain():
@@ -262,8 +268,10 @@ def _imported(module: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            imported += ["." * node.level + alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
+            imported.append("." * node.level + node.module)
     return imported
 
 
@@ -272,7 +280,6 @@ def test_leafperm_imports_no_grigor_module():
     # grigor it reads only its level cap and the cap's exception, and
     # those two modules import nothing of grigor.
     imported = _imported("leafperm")
-    assert "numpy" in imported
     own = [name for name in imported if name.startswith((".", "grigor"))]
     assert sorted(own) == [".config", ".errors"], imported
     for module in ("config", "errors"):
@@ -297,12 +304,11 @@ def test_certificates_imports_only_the_kernel():
     assert local == []
 
 
-def test_leafperm_keeps_no_level_past_max_depth():
-    # Kept, the generator arrays of level 20 alone took 64 MB.
+def test_leafperm_levels_agree_on_ancestors():
+    # Past MAX_DEPTH too, a level-16 vertex's level-12 ancestor is its top
+    # 12 bits.
     deep = word_perm("d", 16)
-    assert max(leafperm._kept) == config.MAX_DEPTH
-    # A level-16 vertex's level-12 ancestor is its top 12 bits.
-    assert ((deep >> 4)[::16] == word_perm("d", config.MAX_DEPTH)).all()
+    assert [v >> 4 for v in deep[::16]] == word_perm("d", config.MAX_DEPTH)
 
 
 def test_probe_towers_agree_with_is_trivial():

@@ -80,7 +80,7 @@ def test_order_via_level_perm_stabilization():
     # the level-perm order is monotone in the level and settles at the true
     # order; ab only reaches 16 at level 5
     for w, expected in [("ab", 16), ("ac", 8), ("ad", 4), ("abab", 8), ("d", 2)]:
-        perm_orders = [Permutation(word_perm(w, n).tolist()).order() for n in (4, 5, 6)]
+        perm_orders = [Permutation(word_perm(w, n)).order() for n in (4, 5, 6)]
         assert perm_orders[-2] == perm_orders[-1] == expected
 
 

@@ -89,7 +89,7 @@ _D8_Z2 = {"a": _S, "b": _Z, "c": _S * _R * _Z, "d": _S * _R}
 
 
 def _level3(word: str) -> Permutation:
-    return Permutation(word_perm(word, K_LEVEL).tolist())
+    return Permutation(word_perm(word, K_LEVEL))
 
 
 def _elements(group: PermutationGroup) -> set[tuple[int, ...]]:
@@ -139,7 +139,7 @@ def test_k_image_table_is_also_generated_by_t_u_v():
 
 def _level4_representatives() -> list[str]:
     """One word per element of G_4, by breadth-first search."""
-    perms = {x: tuple(word_perm(x, 4).tolist()) for x in "abcd"}
+    perms = {x: tuple(word_perm(x, 4)) for x in "abcd"}
     seen = {tuple(range(16)): ""}
     frontier = list(seen.items())
     while frontier:

@@ -13,9 +13,14 @@ joined pieces there, and the y that `engel.replay_right` assembles from
 two memoized halves, must agree with.  `right_y2` builds the factors of
 y2 = [y1, h]^(g1^-1) by TWord inversion, conjugation and product, one
 step at a time, against which the one expression in
-`engel.replay_right` is compared.  `letter_word_perm` and
-`depth_moved_vertex` are the letter-by-letter and depth-by-depth kernels
-that `leafperm.word_perm` and `leafperm.moved_vertex` must agree with.
+`engel.replay_right` is compared.  The array kernels are the numpy
+oracle that leafperm's portraits replaced: `generator_perms` builds the
+2**n-entry leaf permutations of a, b, c, d from their recursions,
+`letter_word_perm` composes a word's one gather per letter,
+`array_tower` steps a commutator tower with one scatter and two gathers,
+and `array_moved_vertex` and `depth_moved_vertex` read the least moved
+vertex in closed form and depth by depth.  `leafperm.word_perm`,
+`moved_vertex`, `word_witness` and `tower_witnesses` must agree with them.
 `k_image_table` and `level3_membership` decide K membership from the
 level-3 permutation, by St(3) <= K, against which the letter counts of
 `certificates.reduced_membership_in_K` are compared.  `bit_act` is the
@@ -29,7 +34,7 @@ import numpy as np
 
 from grigor.branch import U, V, lift_first, lift_second
 from grigor.certificates import K_LEVEL, T, TWord
-from grigor.leafperm import generator_perms, word_perm
+from grigor.leafperm import word_perm
 from grigor.words import (
     LETTERS, Decomposition, conjugate, decompose, invert, multiply, reduce_word
 )
@@ -172,7 +177,7 @@ def right_y2(y1, h, g1: str) -> tuple[tuple[str, int], ...]:
 def k_image_table() -> frozenset[tuple[int, ...]]:
     """The level-3 permutations of K: the normal closure of t's, built as
     the closure of 1 under p -> p.t and p -> p^x, x a generator, so p -> p.t^w."""
-    t, *gens = (word_perm(w, K_LEVEL).tolist() for w in (T, *"abcd"))
+    t, *gens = (word_perm(w, K_LEVEL) for w in (T, *"abcd"))
     image = {tuple(range(1 << K_LEVEL))}
     while True:
         grown = image | {tuple(t[i] for i in p) for p in image}
@@ -187,8 +192,29 @@ def level3_membership(g: str) -> tuple[str, int]:
     `a`-parity is odd, else by its level-3 permutation."""
     if g.count("a") & 1:
         return "outside", 1
-    inside = tuple(word_perm(g, K_LEVEL).tolist()) in k_image_table()
+    inside = tuple(word_perm(g, K_LEVEL)) in k_image_table()
     return ("inside" if inside else "outside"), K_LEVEL
+
+
+def generator_perms(n: int) -> dict[str, np.ndarray]:
+    """Level-n permutations of a, b, c, d as index arrays, p[i] the image
+    of vertex i: a swaps the two halves; b, c, d act blockwise by their
+    defining sections b = (a, c), c = (a, d), d = (1, b)."""
+    if n == 0:
+        return dict.fromkeys("abcd", np.zeros(1, dtype=np.int64))
+    prev = generator_perms(n - 1)
+    half = 1 << (n - 1)
+    ident = np.arange(half, dtype=np.int64)
+
+    def block(left, right):
+        return np.concatenate([left, right + half])
+
+    return {
+        "a": np.concatenate([ident + half, ident]),
+        "b": block(prev["a"], prev["c"]),
+        "c": block(prev["a"], prev["d"]),
+        "d": block(ident, prev["b"]),
+    }
 
 
 def letter_word_perm(w: str, n: int) -> np.ndarray:
@@ -198,6 +224,29 @@ def letter_word_perm(w: str, n: int) -> np.ndarray:
     for ch in w:
         p = gens[ch][p]
     return p
+
+
+def array_tower(x: str, g: str, n: int):
+    """Level-n permutations of x, [x,_1 g], [x,_2 g], ...: each step forms
+    [p, q] = p^-1 q^-1 p q as c[p] = q[p[q^-1]], one scatter and two gathers."""
+    p, q = letter_word_perm(x, n), letter_word_perm(g, n)
+    q_inv = np.argsort(q)
+    while True:
+        yield p
+        c = np.empty_like(p)
+        c[p] = q[p[q_inv]]
+        p = c
+
+
+def array_moved_vertex(perm: np.ndarray, n: int) -> str | None:
+    """Least-depth, lexicographically least vertex moved within depth n,
+    from the highest set bit of the largest XOR of a leaf with its image."""
+    diff = perm ^ np.arange(1 << n, dtype=perm.dtype)
+    top = int(diff.max())
+    if top == 0:
+        return None
+    s = top.bit_length() - 1
+    return format(int((diff >> s).argmax()) >> s, f"0{n - s}b")
 
 
 def depth_moved_vertex(perm: np.ndarray, n: int) -> str | None:
