@@ -145,12 +145,17 @@ class _Portraits:
 _tables: list[_Portraits] = []  # the tables kept between calls, at most one
 
 
-def _enter(n: int) -> _Portraits:
-    """The kept tables for a call at level n, or empty ones past _KEPT entries."""
+def _check_level(n: int) -> None:
+    """ValueError for a negative level, CapExceeded for one past the cap."""
     if n < 0:
         raise ValueError("level must be >= 0")
     if n > 2 * config.MAX_DEPTH:
         raise CapExceeded(f"level {n} is past the oracle's cap {2 * config.MAX_DEPTH}")
+
+
+def _enter(n: int) -> _Portraits:
+    """The kept tables for a call at level n, or empty ones past _KEPT entries."""
+    _check_level(n)
     if not _tables or sum(map(len, _tables[0].memo)) >= _KEPT:
         _tables[:] = [_Portraits()]
     _tables[0].room = config.NODE_CAP
@@ -196,9 +201,10 @@ def tower_witnesses(x: str, g: str, n: int, depths: tuple[int, ...]) -> tuple[st
 
     The tower is walked on the portraits of x and g, each step
     [p, q] = p^-1 q^-1 p q.  A level past the cap raises CapExceeded on
-    every call, before the memo is read.
+    every call, before the memo is read; a memo hit leaves the kept
+    tables as they are.
     """
-    _enter(n)
+    _check_level(n)
     return _tower_witnesses(x, g, n, depths)
 
 

@@ -150,6 +150,18 @@ def test_tower_witnesses_past_the_cap_raise_on_every_call(fresh_kept):
     assert leafperm._tables == []
 
 
+def test_tower_witness_hit_leaves_the_kept_tables(fresh_kept, monkeypatch):
+    # A hit checks the level only: tables holding _KEPT entries or more
+    # are dropped by the next computed call, not by a read of the memo.
+    monkeypatch.setattr(leafperm, "_KEPT", 10)
+    first = tower_witnesses("ba", "dababa", 10, (1, 2, 3))
+    kept = leafperm._tables[0]
+    assert _entries() >= 10
+    assert tower_witnesses("ba", "dababa", 10, (1, 2, 3)) == first
+    assert leafperm._tower_witnesses.cache_info().hits == 1
+    assert leafperm._tables[0] is kept
+
+
 def test_tower_witness_memo_keeps_at_most_its_bound(fresh_kept):
     memo = leafperm._tower_witnesses
     bound = memo.cache_info().maxsize

@@ -17,13 +17,15 @@ step at a time, against which the one expression in
 oracle that leafperm's portraits replaced: `generator_perms` builds the
 2**n-entry leaf permutations of a, b, c, d from their recursions,
 `letter_word_perm` composes a word's one gather per letter,
-`array_tower` steps a commutator tower with one scatter and two gathers,
-and `array_moved_vertex` and `depth_moved_vertex` read the least moved
+`perm_tower` steps a commutator tower of two permutations with one
+scatter and two gathers and `array_tower` that of two words, and
+`array_moved_vertex` and `depth_moved_vertex` read the least moved
 vertex in closed form and depth by depth.  `leafperm.word_perm`,
 `moved_vertex`, `word_witness` and `tower_witnesses` must agree with them.
 `k_image_table` and `level3_membership` decide K membership from the
 level-3 permutation, by St(3) <= K, against which the letter counts of
-`certificates.reduced_membership_in_K` are compared.  `bit_act` is the
+`certificates.reduced_membership_in_K` are compared; they read it off
+`letter_word_perm`, so no kernel here calls leafperm.  `bit_act` is the
 bit-by-bit vertex action, validating each symbol as it is read, that
 `dag.Dag.act` must agree with, error messages included.
 """
@@ -34,7 +36,6 @@ import numpy as np
 
 from grigor.branch import U, V, lift_first, lift_second
 from grigor.certificates import K_LEVEL, T, TWord
-from grigor.leafperm import word_perm
 from grigor.words import (
     LETTERS, Decomposition, conjugate, decompose, invert, multiply, reduce_word
 )
@@ -177,7 +178,7 @@ def right_y2(y1, h, g1: str) -> tuple[tuple[str, int], ...]:
 def k_image_table() -> frozenset[tuple[int, ...]]:
     """The level-3 permutations of K: the normal closure of t's, built as
     the closure of 1 under p -> p.t and p -> p^x, x a generator, so p -> p.t^w."""
-    t, *gens = (word_perm(w, K_LEVEL) for w in (T, *"abcd"))
+    t, *gens = (letter_word_perm(w, K_LEVEL).tolist() for w in (T, *"abcd"))
     image = {tuple(range(1 << K_LEVEL))}
     while True:
         grown = image | {tuple(t[i] for i in p) for p in image}
@@ -192,7 +193,7 @@ def level3_membership(g: str) -> tuple[str, int]:
     `a`-parity is odd, else by its level-3 permutation."""
     if g.count("a") & 1:
         return "outside", 1
-    inside = tuple(word_perm(g, K_LEVEL)) in k_image_table()
+    inside = tuple(letter_word_perm(g, K_LEVEL).tolist()) in k_image_table()
     return ("inside" if inside else "outside"), K_LEVEL
 
 
@@ -227,9 +228,14 @@ def letter_word_perm(w: str, n: int) -> np.ndarray:
 
 
 def array_tower(x: str, g: str, n: int):
-    """Level-n permutations of x, [x,_1 g], [x,_2 g], ...: each step forms
-    [p, q] = p^-1 q^-1 p q as c[p] = q[p[q^-1]], one scatter and two gathers."""
-    p, q = letter_word_perm(x, n), letter_word_perm(g, n)
+    """Level-n permutations of x, [x,_1 g], [x,_2 g], ..."""
+    return perm_tower(letter_word_perm(x, n), letter_word_perm(g, n))
+
+
+def perm_tower(p: np.ndarray, q: np.ndarray):
+    """p, [p,_1 q], [p,_2 q], ... for permutations of one level: each step
+    forms [p, q] = p^-1 q^-1 p q as c[p] = q[p[q^-1]], one scatter and two
+    gathers."""
     q_inv = np.argsort(q)
     while True:
         yield p
