@@ -8,9 +8,9 @@ Two complementary mechanisms:
 * decisional: membership is read off the word's image in
   Gamma/K = D8 x Z/2, by counting letters.  As St(3) <= K, that is also the
   level-3 verdict.  The same facts give the level quotients of the
-  `quotient` command: G_1..G_3 are closed element by element from the
-  generators' level permutations (`leafperm.word_perm`), and deeper levels
-  follow from St(3) <= K, [Gamma : K] = 16 and [psi(K) : K x K] = 4.
+  `quotient` command, with no group closed: G_1..G_3 are the whole
+  automorphism groups of the finite trees, and deeper levels follow from
+  St(3) <= K, [Gamma : K] = 16 and [psi(K) : K x K] = 4.
 
 TWords and K membership live in the verifier kernel `certificates`; the
 facts above are checked in tests/test_k_facts.py.
@@ -19,17 +19,16 @@ facts above are checked in tests/test_k_facts.py.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 from typing import TypeVar
 
 from . import config
-from .certificates import K_LEVEL, T, KMembershipResult, TWord, flatten, reduced_membership_in_K
+from .certificates import K_LEVEL, KMembershipResult, TWord, flatten, reduced_membership_in_K
 from .dag import shared
 from .errors import SearchExhausted
-from .leafperm import word_perm
 from .words import IDENTITY, invert, reduce_word
 
 U = reduce_word("badabada")  # u = (bada)^2, psi(u) = (t, 1)
@@ -88,47 +87,24 @@ class LevelQuotient:
     k_image_index: int
 
 
-_Perm = tuple[int, ...]
-
-
-def _compose(g: _Perm, h: _Perm) -> _Perm:
-    """g, then h; p[i] is the image of vertex i."""
-    return tuple(h[i] for i in g)
-
-
-def _inverse(g: _Perm) -> _Perm:
-    return tuple(sorted(range(len(g)), key=g.__getitem__))
-
-
-def _closure(gens: Collection[_Perm], identity: _Perm) -> set[_Perm]:
-    """The group the permutations gens generate, element by element."""
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        frontier = list({_compose(g, x) for g in frontier for x in gens} - group)
-        group.update(frontier)
-    return group
+_LOW_K_ORDERS = (1, 2, 8)  # |K_n|, n <= 3: tests/test_k_facts.py checks 9, 9, 3
 
 
 @lru_cache(maxsize=None)
 def build_level_quotient(n: int) -> LevelQuotient:
-    """|G_n| and the index of K's image in it, the level-n quotient of Gamma.
+    """|G_n| and the index of K's image K_n in it, the level-n quotient of Gamma.
 
-    Up to level 3, G_n is the closure of the level-n permutations of a, b,
-    c, d, at most 128 elements, and the image K_n of K the closure of the
-    conjugates of t's image.  Past it the branch structure fixes both
-    (tests/test_k_facts.py): St(3) <= K gives [G_n : K_n] = [Gamma : K] =
-    16, and K x K <= psi(K) with index 4 gives |K_n| = 4 |K_(n-1)|^2.
+    Up to level 3, G_n is the whole automorphism group of the level-n tree,
+    |G_n| = 2^(2^n - 1) (tests/test_k_facts.py, checks 3 and 9), and |K_n|
+    is read from `_LOW_K_ORDERS`.  Past it the branch structure fixes both:
+    St(3) <= K gives [G_n : K_n] = [Gamma : K] = 16, and K x K <= psi(K)
+    with index 4 gives |K_n| = 4 |K_(n-1)|^2.
     """
     if not 1 <= n <= config.QUOTIENT_MAX_LEVEL:
         raise ValueError(f"level must be in 1..{config.QUOTIENT_MAX_LEVEL}")
     level = min(n, K_LEVEL)
-    identity = tuple(range(1 << level))
-    group = _closure([tuple(word_perm(x, level)) for x in "abcd"], identity)
-    t = tuple(word_perm(T, level))
-    conjugates = {_compose(_compose(_inverse(g), t), g) for g in group}
-    k_order = len(_closure(conjugates, identity))
-    index = len(group) // k_order
+    k_order = _LOW_K_ORDERS[level - 1]
+    index = 2 ** (2**level - 1) // k_order
     for _ in range(level, n):
         k_order = 4 * k_order**2
     return LevelQuotient(n, index * k_order, index)

@@ -34,6 +34,7 @@ from grigor.leafperm import word_perm
 from grigor.tree import decompose
 from grigor.words import conjugate, multiply, reduce_word
 
+import word_reference
 from conftest import make_even_word, make_word
 
 
@@ -156,6 +157,9 @@ def test_a7_k_index_certification():
     plateau_index = build_level_quotient(level).k_image_index
     for n in (level, level + 1, level + 2):
         assert build_level_quotient(n).k_image_index == plateau_index
+    # The plateau's index against an independent closure of K's level-3 image.
+    quotient = build_level_quotient(level)
+    assert len(word_reference.k_image_table()) == quotient.group_order // quotient.k_image_index
 
     assert membership_in_K("abab").verdict == "inside"
     assert membership_in_K("a").verdict == "outside"

@@ -134,7 +134,7 @@ def test_level_quotient_orders():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_level_quotient_matches_sympy(n):
     # Schreier-Sims and a normal closure on leafperm's generators, against
-    # the closure to level 3 and the branch recursion past it.
+    # the closed forms: Aut(T_n) to level 3 and the branch recursion past it.
     from sympy.combinatorics import Permutation, PermutationGroup
 
     def perm(g):

@@ -569,11 +569,12 @@ def test_sections_depth_cap():
 
 
 def test_quotient_runs_without_sympy_or_numpy():
-    # The top level, with neither importable; the line sympy's
-    # Schreier-Sims printed for it.
+    # The top level, with neither importable nor the oracle; the line
+    # sympy's Schreier-Sims printed for it.
     proc = run_child(
         "-c",
         "import sys; sys.modules['sympy'] = sys.modules['numpy'] = None\n"
+        "sys.modules['grigor.leafperm'] = None\n"
         "import grigor.cli\n"
         "sys.exit(grigor.cli.main(['quotient', '8']))",
     )
@@ -585,7 +586,8 @@ def test_quotient_runs_without_sympy_or_numpy():
     )
 
 
-# Commands that reach leafperm's oracle or its word_perm.
+# Commands that reach leafperm's oracle or its word_perm, and `quotient`,
+# which reaches neither.
 WITHOUT_NUMPY = (
     ("replay-right", "a", "-N", "8"),
     ("replay-left", "a", "-N", "6"),
@@ -612,13 +614,13 @@ def test_commands_run_without_numpy(capsys, argv):
 
 
 def test_cli_import_leaves_out_sympy():
-    # Membership counts letters, and the level quotients close at most
-    # 128 permutations in plain Python.
+    # Membership counts letters, and the level quotients are read off the
+    # branch structure, with no permutation and no oracle.
     proc = run_child(
         "-c",
         "import grigor.cli, sys; assert 'sympy' not in sys.modules; "
         "grigor.cli.main(['k-test', 'abab']); assert 'sympy' not in sys.modules; "
         "from grigor import branch; assert branch.certified_plateau() == 3; "
-        "assert not {'sympy', 'numpy'} & set(sys.modules)",
+        "assert not {'sympy', 'numpy', 'grigor.leafperm'} & set(sys.modules)",
     )
     assert (proc.returncode, proc.stdout) == (0, "inside\n"), proc.stderr

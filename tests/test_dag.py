@@ -288,6 +288,14 @@ def test_leafperm_imports_no_grigor_module():
         ], module
 
 
+def test_branch_imports_no_oracle():
+    # The level quotients come from the branch structure, so branch reads
+    # neither leafperm nor any other module past the kernel and config.
+    imported = _imported("branch")
+    own = [name for name in imported if name.startswith((".", "grigor"))]
+    assert sorted(own) == [".certificates", ".config", ".dag", ".errors", ".words"], imported
+
+
 def test_certificates_imports_only_the_kernel():
     # The verifier kernel reads dag, words, config and errors of grigor at
     # import, and no grigor module inside a function.

@@ -49,8 +49,21 @@ Gamma/K = D8 x Z/2, from one more:
    psi(s) in St(3) x St(3) <= K x K, the same element mod K x K; so w
    over representatives of G_4 suffices, and the image has 4 elements.
 
+|K_n| and |G_n| for n <= 3, from one more:
+
+9. t lies in St(1), which is normal, so K <= St(1) and |K_1| = 1.  G_2 has
+   8 elements, and t's image there is a nontrivial involution that
+   commutes with the generators' images, so it is central and its normal
+   closure K_2 has 2 elements.  The automorphism group Aut(T_n) of the
+   binary tree of depth n has 2^(2^n - 1) elements, as
+   Aut(T_n) = Aut(T_(n-1)) wr Z/2.  G_3 has 128 = 2^7 of them (check 3), so
+   G_3 = Aut(T_3), and its images G_1 and G_2 on the upper levels are
+   Aut(T_1) and Aut(T_2): |G_n| = 2^(2^n - 1) for n <= 3.
+
 The level quotients follow (`branch.build_level_quotient`).  Write G_n
-and K_n for the images of Gamma and K on level n.  For n >= 3, St(n) <= K,
+and K_n for the images of Gamma and K on level n.  For n <= 3, check 9
+gives |G_n| = 2, 8, 128 and |K_n| = 1, 2, 8 (|K_3| by check 3), so
+[G_n : K_n] = 2, 4, 16.  For n >= 3, St(n) <= K,
 so K_n = K/St(n) and |G_n| = [Gamma : K].|K_n| = 16.|K_n|.  For n >= 4,
 psi is injective on K <= St(1) and sends St(n) onto St(n-1) x St(n-1):
 an element of St(1) lies in St(n) exactly when both its sections lie in
@@ -186,3 +199,30 @@ def test_letter_lifts_have_the_letter_as_section():
         assert (active, left) == (0, dag.from_word(letter)), letter
         active, _, right = dag.nodes[dag.from_word(_LIFT_SECOND[letter])]
         assert (active, right) == (0, dag.from_word(letter)), letter
+
+
+def _level(word: str, n: int) -> Permutation:
+    return Permutation(word_perm(word, n), size=1 << n)
+
+
+def test_low_level_quotients():
+    # Check 9.  K_1: t fixes level 1.
+    assert _level(T, 1).is_Identity
+    # K_2: t's image is a nontrivial involution, central in G_2 of order 8.
+    t, gens = _level(T, 2), [_level(letter, 2) for letter in "abcd"]
+    assert PermutationGroup(gens).order() == 8
+    assert not t.is_Identity and (t * t).is_Identity
+    assert all(t * g == g * t for g in gens)
+    # G_1 and G_2 are the images of G_3: each generator's level-n
+    # permutation is its level-3 one read on ancestors.
+    for n in (1, 2):
+        shift = K_LEVEL - n
+        for letter in "abcd":
+            upper = word_perm(letter, K_LEVEL)[:: 1 << shift]
+            assert [v >> shift for v in upper] == word_perm(letter, n), (letter, n)
+    # |Aut(T_n)| = 2.|Aut(T_(n-1))|^2 = 2^(2^n - 1), and G_3 = Aut(T_3).
+    aut = [1]
+    for _ in range(K_LEVEL):
+        aut.append(2 * aut[-1] ** 2)
+    assert aut == [2 ** (2**n - 1) for n in range(K_LEVEL + 1)]
+    assert PermutationGroup([_level3(letter) for letter in "abcd"]).order() == aut[K_LEVEL]
