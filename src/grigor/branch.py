@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from . import config
 from .certificates import K_LEVEL, KMembershipResult, TWord, flatten, reduced_membership_in_K
@@ -78,8 +77,7 @@ def emb_pair(k1: TWord, k2: TWord) -> str:
     return reduce_word("".join(pieces))
 
 
-@dataclass(frozen=True)
-class LevelQuotient:
+class LevelQuotient(NamedTuple):
     """The finite group G_n induced on level n, with K-image data."""
 
     n: int

@@ -58,10 +58,9 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, zip_longest
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import __version__, config
 from .dag import A, IDENTITY, Dag, shared
@@ -69,8 +68,7 @@ from .errors import WordLengthCapExceeded
 from .words import a_parity, commutator, format_word, invert, parse_word, reduce_word
 
 
-@dataclass(frozen=True)
-class EngelSink:
+class EngelSink(NamedTuple):
     """Least n with [x,_n g] = 1, plus the reduced tower lengths on the way."""
 
     g: str
@@ -79,8 +77,7 @@ class EngelSink:
     transcript: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NoSinkUpTo:
+class NoSinkUpTo(NamedTuple):
     """All towers [x,_m g] for m <= bound are nontrivial; witness moves the last."""
 
     g: str
@@ -90,8 +87,7 @@ class NoSinkUpTo:
     witness: str
 
 
-@dataclass(frozen=True)
-class BoundedLeftRefutation:
+class BoundedLeftRefutation(NamedTuple):
     """Transcript refuting "x is left-N-Engel".
 
     The chain records the descent from x to an odd-parity section
@@ -108,8 +104,7 @@ class BoundedLeftRefutation:
     witness: str
 
 
-@dataclass(frozen=True)
-class RightRefutation:
+class RightRefutation(NamedTuple):
     """Transcript refuting "x is right Engel with sink <= N+1".
 
     y embeds the non-Engel pair data (y1, y2) with y2 = [y1, h]^(g1^-1);
@@ -130,8 +125,7 @@ class RightRefutation:
     witnesses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class KMembershipResult:
+class KMembershipResult(NamedTuple):
     """Inside/Outside for the reduced word, with the level that decided it."""
 
     word: str
@@ -204,8 +198,7 @@ def right_towers(dag: Dag, x: int, y: int, i: int = 0) -> Iterator[tuple[int, in
 T = "abab"  # t = (ab)^2
 
 
-@dataclass(frozen=True)
-class TWord:
+class TWord(NamedTuple):
     """Formal product of signed conjugates of t: prod (t^w_i)^(s_i).
 
     Lies in K by construction.  The conjugators w_i are reduced words.

@@ -10,16 +10,16 @@ No id leaves a call: these take words and return bools and orders.
 
 witness_vertex is the independent semi-oracle: it reads the word's
 truncated portrait (module `leafperm`) and never touches the section DAG,
-so agreement between the two is meaningful evidence.
+so agreement between the two is meaningful evidence.  It imports the
+oracle when first called, so `grigor eq` and `grigor order` never load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import config
 from .dag import IDENTITY, shared
-from .leafperm import word_witness
 
 
 def is_trivial(g: str) -> bool:
@@ -40,11 +40,11 @@ def witness_vertex(g: str, max_depth: int = config.MAX_DEPTH) -> str | None:
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    from .leafperm import word_witness
     return word_witness(g, max_depth)
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     """Either an exact order 2**exponent, or evidence it exceeds 2**cap."""
 
     exponent: int | None

@@ -56,9 +56,9 @@ interned from one call to the next.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from . import config
 from .branch import (
@@ -359,8 +359,7 @@ def random_involution(rng: random.Random, length: int = config.WALK_LENGTH) -> s
     )
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     """Outcome counts of left-Engel probes against random involutions."""
 
     samples: int

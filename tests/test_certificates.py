@@ -2,8 +2,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -211,8 +211,7 @@ def test_lemma2_self_check_fails_on_wrong_arithmetic(monkeypatch):
     assert dag.TABLES["verify"] is wrong
 
 
-@dataclass(frozen=True)
-class TranscriptFreeSink:
+class TranscriptFreeSink(NamedTuple):
     g: str
     x: str
     n: int
@@ -251,6 +250,35 @@ def test_a_schema_2_kind_round_trips(monkeypatch):
     # Schema-1 kinds are written and read as before.
     sink = certificates.to_dict(left_engel_probe("d", "abad", 10))
     assert sink["schema"] == 1 and certificates.verify(sink) == (True, "sink at depth 4 confirmed")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_a_record_is_its_kind_and_a_plain_tuple_is_no_certificate(path):
+    # Records are NamedTuples, so a record equals the plain tuple of its
+    # fields; `to_dict` dispatches on the exact type and refuses the tuple.
+    data = json.loads(path.read_text(encoding="utf-8"))
+    cert = certificates.from_dict(data)
+    assert type(cert) is certificates._KINDS[data["schema"], data["kind"]][0]
+    assert certificates.to_dict(cert) == data
+    assert tuple(cert) == cert
+    with pytest.raises(TypeError, match=r"^not a certificate: \("):
+        certificates.to_dict(tuple(cert))
+
+
+def test_tword_product_is_formal_and_equal_twords_share_the_flatten_memo():
+    h, y1 = certificates.parse_tword("ab^+1"), certificates.parse_tword("1^-1;dac^+1")
+    product = h * y1
+    assert type(product) is certificates.TWord
+    assert product.factors == (("ab", 1), ("", -1), ("dac", 1))
+    assert certificates.TWord() * h == h * certificates.TWord() == h
+    # Two equal TWords built separately hash alike, so the second is a hit.
+    first = certificates.TWord((("dabacada", 1), ("bad", -1)))
+    second = certificates.parse_tword("dabacada^+1;bad^-1")
+    assert first == second and first is not second and hash(first) == hash(second)
+    word = certificates.flatten(first)
+    hits = certificates.flatten.cache_info().hits
+    assert certificates.flatten(second) == word
+    assert certificates.flatten.cache_info().hits == hits + 1
 
 
 _FIXED_SET_SCRIPT = """

@@ -102,6 +102,59 @@ def test_verify_loads_only_the_kernel():
             assert not numpy, path
 
 
+_LOADED_BY_CALLS = (
+    "import contextlib, io, json, sys\n"
+    "before = set(sys.modules)\n"
+    "{imports}\n"
+    "def added():\n"
+    "    return sorted({watched!r} & (set(sys.modules) - before))\n"
+    "seen = {{'import': added()}}\n"
+    "for argv in {calls!r}:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = grigor.cli.main(argv)\n"
+    "    seen[' '.join(argv)] = [code, added()]\n"
+    "print(json.dumps(seen))\n"
+)
+
+
+def _loaded_by_calls(imports, calls, watched):
+    """What of watched a child process adds to sys.modules by the imports
+    and by each CLI call in turn, with the exit code of each call.  Only
+    modules the child adds count, so one that a site hook loaded first
+    does not."""
+    script = _LOADED_BY_CALLS.format(imports=imports, calls=calls, watched=set(watched))
+    proc = run_child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_calls_load_no_dataclasses():
+    # Every record is a NamedTuple, so neither the CLI, nor the modules
+    # perfbench/cold.py imports, nor a verify or an order call loads
+    # `dataclasses` or the `inspect` it pulls in.
+    calls = [["verify", str(path)] for path in sorted(GOLDEN.glob("*.json"))]
+    calls.append(["order", "abad"])
+    seen = _loaded_by_calls(
+        "import grigor.cli\nfrom grigor import branch, certificates, engel",
+        calls, ("dataclasses", "inspect"),
+    )
+    assert seen.pop("import") == []
+    assert len(seen) == len(calls)
+    for call, (code, added) in seen.items():
+        assert code == 0, call
+        assert added == [], call
+
+
+def test_eq_and_order_leave_the_oracle_unloaded():
+    # decide imports leafperm only inside witness_vertex, so `grigor eq`
+    # and `grigor order` decide on the section DAG without loading it.
+    seen = _loaded_by_calls(
+        "import grigor.cli", [["order", "abad"], ["eq", "bc", "d"]],
+        ("dataclasses", "inspect", "grigor.leafperm"),
+    )
+    assert seen == {"import": [], "order abad": [0, []], "eq bc d": [0, []]}
+
+
 def test_reduce(capsys):
     assert run(capsys, "reduce", "bc") == (0, "d", "")
     assert run(capsys, "reduce", "abba")[1] == "1"

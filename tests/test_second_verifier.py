@@ -15,7 +15,6 @@ kernel's checks poisoned keep the second verifier independent of them.
 import ast
 import json
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -147,33 +146,33 @@ def edit(draw, cert):
     """(the name of at most one semantic edit, the edited record)."""
     edits = {"none": lambda: cert}
     if isinstance(cert, (NoSinkUpTo, BoundedLeftRefutation)):
-        edits["witness"] = lambda: replace(cert, witness=_other_vertex(draw, cert.witness))
+        edits["witness"] = lambda: cert._replace(witness=_other_vertex(draw, cert.witness))
     if isinstance(cert, RightRefutation):
         def witnesses():
             i = draw(st.integers(0, cert.bound - 1))
             moved = list(cert.witnesses)
             moved[i] = _other_vertex(draw, moved[i])
-            return replace(cert, witnesses=tuple(moved))
+            return cert._replace(witnesses=tuple(moved))
         edits["witness"] = witnesses
     if isinstance(cert, (BoundedLeftRefutation, RightRefutation)):
-        edits["y"] = lambda: replace(cert, y=_k_element(draw, cert.y))
-        edits["x"] = lambda: replace(cert, x=_x_with_the_same_active_section(cert))
+        edits["y"] = lambda: cert._replace(y=_k_element(draw, cert.y))
+        edits["x"] = lambda: cert._replace(x=_x_with_the_same_active_section(cert))
     if isinstance(cert, BoundedLeftRefutation):
-        edits["k"] = lambda: replace(cert, k=_tword(draw, cert.k))
+        edits["k"] = lambda: cert._replace(k=_tword(draw, cert.k))
     if isinstance(cert, RightRefutation):
-        edits["y2"] = lambda: replace(cert, y2=_tword(draw, cert.y2))
+        edits["y2"] = lambda: cert._replace(y2=_tword(draw, cert.y2))
     if isinstance(cert, EngelSink):
-        edits["n"] = lambda: replace(cert, n=cert.n + draw(st.sampled_from((1, -1))))
+        edits["n"] = lambda: cert._replace(n=cert.n + draw(st.sampled_from((1, -1))))
     if isinstance(cert, (EngelSink, NoSinkUpTo)):
         def transcript():
             i = draw(st.integers(0, len(cert.transcript) - 1))
             lengths = list(cert.transcript)
             lengths[i] += draw(st.sampled_from((1, -1)))
-            return replace(cert, transcript=tuple(lengths))
+            return cert._replace(transcript=tuple(lengths))
         edits["transcript"] = transcript
     if isinstance(cert, KMembershipResult):
         flipped = {"inside": "outside", "outside": "inside"}[cert.verdict]
-        edits["verdict"] = lambda: replace(cert, verdict=flipped)
+        edits["verdict"] = lambda: cert._replace(verdict=flipped)
     name = draw(st.sampled_from(sorted(edits)))
     return name, edits[name]()
 
