@@ -45,7 +45,8 @@ answer fills.  The facts the checks rest on:
   path.  Probe transcripts are checked too: one reduced word length per
   tower depth.
 - Right refutations: Lemma 2 (`right_towers`) predicts every entry's
-  first section from y's sections.  Once y2 and psi(y) are checked the
+  first section from y's sections, as the tower [h^y1,_{m+1} y1], walked
+  once from its conjugated start.  Once y2 and psi(y) are checked the
   prediction cannot miss, so that check is a self-check of the DAG
   arithmetic, not of the certificate.
 
@@ -111,7 +112,7 @@ class RightRefutation(NamedTuple):
     for each m <= N the vertex witnesses[m-1] is moved by
     [x_active,_{m+1} y].  The verifier also checks Lemma 2 on every
     entry: its first section is the one `right_towers` predicts from y's
-    sections, [h,_{m+1} y1]^y1, once y2 is checked.
+    sections, [h,_{m+1} y1]^y1 = [h^y1,_{m+1} y1], once y2 is checked.
     """
 
     x: str
@@ -163,7 +164,10 @@ def probe(dag: Dag, x: str, g: str, depth: int) -> tuple[list[int], int, int]:
     after the words, so the word length cap raises at the same depth as
     in a walk.  For any other g the two towers are zipped, the word
     first, so its length cap raises before the DAG takes the step.
+    A depth below 1 raises ValueError.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     fx, fg = dag.from_word(x), dag.from_word(g)
     if dag.mul(fg, fg) == IDENTITY:
         sink = 1 + dag.order_exponent(dag.commutator(fx, fg))
@@ -185,14 +189,16 @@ def right_towers(dag: Dag, x: int, y: int, i: int = 0) -> Iterator[tuple[int, in
 
     For x = a.g with g and y in St(1), psi(g) = (g1, g2) and
     psi(y) = (y1, y2), the prediction [(y_{1-i}^-1)^{g_i},_m y_i]^{y_i}
-    is read off the sections of a.x and of y.  A tower that sinks stays
+    is read off the sections of a.x and of y.  Conjugating by y_i fixes
+    y_i, so [s,_m y_i]^{y_i} = [s^{y_i},_m y_i]: the start is conjugated
+    once, and the prediction is one tower walk.  A tower that sinks stays
     trivial, so the shorter one is filled with the identity.
     """
     _, *ys = dag.nodes[y]
-    start = dag.conjugate(dag.inv(ys[1 - i]), dag.nodes[dag.mul(A, x)][1 + i])
+    g_i = dag.nodes[dag.mul(A, x)][1 + i]
+    start = dag.conjugate(dag.inv(ys[1 - i]), dag.mul(g_i, ys[i]))
     entries = islice(dag.tower(x, y), 1, None)
-    for t, section in zip_longest(entries, dag.tower(start, ys[i]), fillvalue=IDENTITY):
-        yield t, dag.conjugate(section, ys[i])
+    return zip_longest(entries, dag.tower(start, ys[i]), fillvalue=IDENTITY)
 
 
 T = "abab"  # t = (ab)^2

@@ -34,8 +34,11 @@ two probe roles: one probe fills about 50-130 entries of a fresh table
 shared part warm without holding every tower.  A call that hits a cap on
 a warm table runs once more on a fresh one, so it raises exactly when it
 would in a fresh process; the word-length cap depends on the words
-alone, so it is raised at once and the table kept.
-The pair search and the lemma checks make a fresh Dag per call.
+alone, so it is raised at once and the table kept.  A call made inside
+another call on the same role joins the outer call's table, so the right
+replay runs the pair search on "decide" within its own call and reads
+the search's tower back as its own sections; only the outermost call
+drops a table or reruns.  The lemma checks make a fresh Dag per call.
 """
 
 from __future__ import annotations
@@ -247,6 +250,8 @@ class Dag:
 
 # The long-lived table of each role; see the module docstring.
 TABLES: dict[str, Dag] = {}
+# The table of each role's outermost `shared` call in progress.
+_OPEN: dict[str, Dag] = {}
 
 _PROBE_ROLES = ("probe", "probe-verify")
 
@@ -255,18 +260,28 @@ def shared(role: str, compute: Callable[[Dag], T]) -> T:
     """compute(dag) on the role's long-lived table; see the module docstring.
 
     compute must return no id: the table may be dropped after it returns.
+    A call made inside another call on the same role joins its table: it
+    neither drops the table nor reruns, and a CapExceeded it raises
+    reaches the outermost call, which alone drops and reruns, so the ids
+    that call holds stay valid and its cap is that of one call.
     """
+    dag = _OPEN.get(role)
+    if dag is not None:
+        return compute(dag)
     dag = TABLES.get(role)
     bound = config.PROBE_TABLE_ENTRIES if role in _PROBE_ROLES else config.NODE_CAP // 2
     if dag is None or dag.size >= bound:
         dag = TABLES[role] = Dag()
     warm = len(dag.nodes) > len(_LEAVES)
+    _OPEN[role] = dag
     try:
         return compute(dag)
     except WordLengthCapExceeded:
         raise  # it depends on the words alone: a fresh table would raise it too
     except CapExceeded:
         TABLES.pop(role, None)
-        if warm:
-            return shared(role, compute)
-        raise
+        if not warm:
+            raise
+    finally:
+        del _OPEN[role]
+    return shared(role, compute)

@@ -35,10 +35,13 @@ from a non-Engel pair (h, y1) in K, embedded as y with
 psi(y) = (y1, [y1, h]^(g1^-1)).  Each replay walks one DAG tower and
 hands its entries to `exact_witness`.  Lemma 2 is stated once, in
 `certificates.right_towers`: it pairs each [x,_{m+1} y] with the sections
-the lemma predicts from those of a.x and y, here [h,_{m+1} y1]^y1 at
-vertex 0.  The right verifier checks that pairing on every certificate,
-and `lemma2_check` reads both coordinates from it; the right replay
-does not walk it.  Neither element depends on x, since psi(K) contains
+the lemma predicts from those of a.x and y, here
+[h,_{m+1} y1]^y1 = [h^y1,_{m+1} y1] at vertex 0.  The right verifier
+checks that pairing on every certificate, and `lemma2_check` reads both
+coordinates from it.  The right replay does not walk it apart: the pair
+search's test walks [h^y1,_n y1], and the replay runs the search inside
+its own call on "decide", so its tower finds those sections interned.
+Neither element depends on x, since psi(K) contains
 K x K (checked in tests/test_k_facts.py): `search_high_order` and
 `search_nonengel_pair` find them through `branch.first_qualifying`, the
 one search loop, and are memoized per process, so a process that
@@ -56,7 +59,7 @@ interned from one call to the next.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -263,10 +266,14 @@ def search_nonengel_pair(
     """A pair (h, y1) of TWords with [flatten(h),_n flatten(y1)] != 1, n <= bound.
 
     Bounded evidence for the fact that K is not an Engel group: up to
-    `budget` random pairs, each decided on a fresh Dag.  Deterministic
-    given the seed, and memoized per process on the arguments;
-    SearchExhausted and CapExceeded are raised again on every call, never
-    cached.
+    `budget` random pairs, each decided on the "decide" table.  A pair's
+    test walks [h^y1,_n y1] = [h,_n y1]^y1, trivial at the same depths as
+    [h,_n y1].  Its entries past the first are the sections at vertex 0
+    of the right replay's tower (Lemma 2), and the replay runs the search
+    inside its own call on that table, so it reads them back interned.
+    Deterministic given the seed, and memoized per process on the
+    arguments; SearchExhausted and CapExceeded are raised again on every
+    call, never cached.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -274,10 +281,12 @@ def search_nonengel_pair(
         raise ValueError("budget must be >= 0")
     rng = random.Random(seed)
 
+    def walk(pair: tuple[TWord, TWord], dag: Dag) -> bool:
+        h, y1 = (dag.from_word(flatten(k)) for k in pair)
+        return IDENTITY not in islice(dag.tower(dag.conjugate(h, y1), y1), bound)
+
     def qualifies(pair: tuple[TWord, TWord]) -> bool:
-        dag = Dag()
-        towers = dag.tower(*(dag.from_word(flatten(k)) for k in pair))  # [h,_n y1]
-        return IDENTITY not in islice(towers, bound)
+        return shared("decide", partial(walk, pair))
 
     draws = (
         (random_tword(rng, max_factors=2), random_tword(rng, max_factors=2))
@@ -310,9 +319,12 @@ def replay_right(
     (y1^-1)^(g1^-1) . y1^(h g1^-1), embeds y with psi(y) = (y1, y2), and
     records for every m <= bound a vertex moved by [x_active,_{m+1} y],
     read off one walk of `Dag.tower` and checked by `exact_witness`
-    against leafperm.  That each entry's first section is the one Lemma 2
-    predicts, [h,_{m+1} y1]^y1, is left to `certificates.verify`, which
-    checks it on every right certificate.
+    against leafperm.  The search runs inside the same call on "decide"
+    as that walk, so the entries of [h^y1,_n y1] it tests are interned
+    when the walk needs them as its sections at vertex 0.  That each
+    entry's first section is the one Lemma 2 predicts,
+    [h,_{m+1} y1]^y1 = [h^y1,_{m+1} y1], is left to `certificates.verify`,
+    which checks it on every right certificate.
 
     y is the word emb_pair(y1, y2), assembled from the memoized halves
     emb_pair(y1, 1) and emb_pair(1, [y1, h]), which do not depend on x:
@@ -329,25 +341,24 @@ def replay_right(
     x = reduce_word(x)
     chain, active = section_chain(x)
     g1_inverse = invert(decompose(multiply("a", active)).left)
-    h, y1 = search_nonengel_pair(bound + 1, budget=budget, seed=seed)
-    bracket = _bracket(h, y1)
-    y2 = TWord(tuple((multiply(w, g1_inverse), s) for w, s in bracket.factors))
-    # emb_pair(y1, y2), with its two x-independent halves built once.
-    y = multiply(
-        emb_pair(y1, TWord()),
-        conjugate(emb_pair(TWord(), bracket), lift_second(g1_inverse)),
-    )
 
-    def witnesses(dag: Dag) -> tuple[str, ...]:
+    def issue(dag: Dag) -> RightRefutation:
+        h, y1 = search_nonengel_pair(bound + 1, budget=budget, seed=seed)
+        bracket = _bracket(h, y1)
+        y2 = TWord(tuple((multiply(w, g1_inverse), s) for w, s in bracket.factors))
+        # emb_pair(y1, y2), with its two x-independent halves built once.
+        y = multiply(
+            emb_pair(y1, TWord()),
+            conjugate(emb_pair(TWord(), bracket), lift_second(g1_inverse)),
+        )
         towers = dag.tower(dag.from_word(active), dag.from_word(y))
         next(towers)  # [x_active,_1 y] is not recorded
         # A sunk tower stays trivial, which exact_witness rejects.
         entries = {m: next(towers, IDENTITY) for m in range(2, bound + 2)}
-        return tuple(exact_witness(dag, entries, active, y).values())
+        witnesses = tuple(exact_witness(dag, entries, active, y).values())
+        return RightRefutation(x, chain, active, h, y1, y2, y, bound, witnesses)
 
-    return RightRefutation(
-        x, chain, active, h, y1, y2, y, bound, shared("decide", witnesses)
-    )
+    return shared("decide", issue)
 
 
 def random_involution(rng: random.Random, length: int = config.WALK_LENGTH) -> str:

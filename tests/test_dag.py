@@ -214,6 +214,34 @@ def test_tower_entries_count_in_the_size_that_shared_bounds(monkeypatch):
     assert TABLES["decide"] is not table
 
 
+def test_a_nested_call_joins_the_outer_table():
+    # The inner call runs on the outer call's table, and a cap it hits
+    # reaches the outer call, which alone drops the table and reruns.
+    shared("decide", lambda dag: dag.from_word("abacabad"))
+    warm = TABLES["decide"]
+    seen = []
+
+    def inner(dag):
+        seen.append(dag)
+        if len(seen) == 1:
+            raise CapExceeded("section DAG grew past the cap")
+        return True
+
+    def outer(dag):
+        assert shared("decide", inner) and seen[-1] is dag is TABLES["decide"]
+        return len(seen)
+
+    assert shared("decide", outer) == 2
+    assert seen[0] is warm and seen[1] is not warm
+    # On a fresh table the inner cap is raised, and no table is kept.
+    seen.clear()
+    TABLES.clear()
+    with pytest.raises(CapExceeded, match="the cap"):
+        shared("decide", outer)
+    assert len(seen) == 1 and "decide" not in TABLES
+    assert shared("decide", lambda dag: dag is TABLES["decide"])
+
+
 def test_act_agrees_with_the_bit_by_bit_action():
     # Every vertex to depth 6 under 200 seeded elements, against the walk
     # that checks and converts one bit at a time.

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from grigor import config, leafperm
 from grigor.branch import T_ATOM, emb_pair, random_tword
 from grigor.certificates import (
-    EngelSink, NoSinkUpTo, TWord, dumps, flatten, probe, right_towers, to_dict, tower
+    EngelSink, NoSinkUpTo, TWord, dumps, flatten, format_tword, probe, right_towers, to_dict,
+    tower,
 )
 from grigor.dag import IDENTITY, TABLES, Dag
 from grigor.decide import are_equal, is_trivial, order, witness_vertex
@@ -134,6 +135,13 @@ def test_probe_matches_the_definitional_tower(x, g, depth):
     lengths, m, t = probe(dag, x, g, depth)
     assert (lengths, m) == expected[:2]
     assert t == dag.from_word(expected[2])
+
+
+@pytest.mark.parametrize("g", ["d", "ad"])  # an involution, and not
+@pytest.mark.parametrize("depth", [0, -1])
+def test_probe_rejects_a_depth_below_one(g, depth):
+    with pytest.raises(ValueError, match="^depth must be >= 1$"):
+        probe(Dag(), "ab", g, depth)
 
 
 @pytest.mark.parametrize(
@@ -540,6 +548,29 @@ def test_replay_certificate_bytes_survive_a_partly_evicted_witness_memo():
     after = memo.cache_info()
     assert after.hits > info.hits and after.misses > info.misses
     assert _replay_digest(reversed(certs)) == REPLAY_DIGEST
+
+
+# From bound 17 on, the search returns pair P = (d^-1, dac^-1); REPLAY_DIGEST
+# uses bounds 3 and 8 and the search pins stop at 9, so these pin P and
+# the bytes of right refutations built on it, as first issued.
+PAIR_P = "d^-1 dac^-1"
+RIGHT_P_DIGESTS = {
+    16: "6e9149de3a11e3db9470fb88c91df747efe98fcc0fe42c57112df32aced4db9b",
+    24: "4ecb2f34fee563b078ffa628ff4a0ad0579f90a1fcffbbbc934d6d666cb4962b",
+}
+
+
+@pytest.mark.parametrize("bound", [17, 25])
+def test_search_returns_pair_p(bound):
+    assert " ".join(map(format_tword, search_nonengel_pair(bound))) == PAIR_P
+
+
+@pytest.mark.parametrize("bound", sorted(RIGHT_P_DIGESTS))
+def test_right_refutation_bytes_on_pair_p(bound):
+    cert = replay_right("a", bound)
+    assert " ".join(map(format_tword, (cert.h, cert.y1))) == PAIR_P
+    digest = hashlib.sha256(dumps(to_dict(cert)).encode()).hexdigest()
+    assert digest == RIGHT_P_DIGESTS[bound]
 
 
 def test_replay_right_rejects_identity():

@@ -13,10 +13,11 @@ import random
 
 import pytest
 
-from grigor import certificates, config, dag
+from grigor import certificates, config, dag, engel
 from grigor.decide import is_trivial
 from grigor.engel import (
-    left_engel_probe, random_involution, random_word, replay_bounded_left, replay_right
+    left_engel_probe, random_involution, random_word, replay_bounded_left, replay_right,
+    search_nonengel_pair,
 )
 from grigor.errors import CapExceeded, WordLengthCapExceeded
 from grigor.words import a_parity, reduce_word
@@ -104,27 +105,87 @@ def test_half_full_table_is_dropped_at_entry(monkeypatch):
     assert _nodes("decide") == left_nodes
 
 
-def test_warm_overflow_reruns_cold(monkeypatch):
-    cold = certificates.dumps(certificates.to_dict(replay_right("ad", 8)))
-    monkeypatch.setattr(config, "NODE_CAP", _nodes("decide"))  # fits only a fresh table
+def _text(cert):
+    return certificates.dumps(certificates.to_dict(cert))
+
+
+def _fresh_process():
+    """Empty tables and an empty pair-search memo, so that a right replay
+    runs its search on its own table, as it does in a fresh process."""
     dag.TABLES.clear()
+    search_nonengel_pair.cache_clear()
+
+
+def test_warm_overflow_reruns_cold(monkeypatch):
+    cold = _text(replay_right("ad", 8))
+    full = _nodes("decide")  # the search's nodes and the tower's
+    dag.TABLES.clear()
+    replay_right("ad", 8)
+    memoized = _nodes("decide")  # the tower's alone, the search read from its memo
+    monkeypatch.setattr(config, "NODE_CAP", full)  # a cold replay fits only a fresh table
+    _fresh_process()
     # Warms the table with a few nodes of a word the replay does not need;
     # a whole replay would pass half the cap in entries.
     is_trivial(make_reduced_word(random.Random(7), 96))
     warm = dag.TABLES["decide"]
     assert warm.size < config.NODE_CAP // 2  # so the table is not dropped at entry
-    assert certificates.dumps(certificates.to_dict(replay_right("ad", 8))) == cold
+    assert _text(replay_right("ad", 8)) == cold
     assert dag.TABLES["decide"] is not warm  # the warm attempt overflowed
-    assert _nodes("decide") == config.NODE_CAP
+    # It overflowed in its tower, after the search had returned and been
+    # memoized, so the rerun on a fresh table walks the tower alone.
+    assert _nodes("decide") == memoized < config.NODE_CAP
 
 
 def test_cold_overflow_still_raises(monkeypatch):
     replay_right("ad", 8)
     monkeypatch.setattr(config, "NODE_CAP", _nodes("decide") - 1)
-    dag.TABLES.clear()
+    _fresh_process()
     with pytest.raises(CapExceeded, match="nodes"):
         replay_right("ad", 8)
     assert "decide" not in dag.TABLES  # a failed table is not kept
+
+
+def test_right_replay_reads_its_search_tower_back(monkeypatch):
+    # The search walks [h^y1,_n y1] on the replay's table, and by Lemma 2
+    # its entries are the sections at vertex 0 of the replay's tower, so
+    # that tower interns few nodes past the search's: 116 of 22,636.
+    search = engel.search_nonengel_pair
+    searched = []
+
+    def counted(*args, **kwargs):
+        pair = search(*args, **kwargs)
+        searched.append(_nodes("decide"))
+        return pair
+
+    monkeypatch.setattr(engel, "search_nonengel_pair", counted)
+    replay_right("a", 24)
+    [search_nodes] = searched
+    assert _nodes("decide") - search_nodes < search_nodes // 100
+    # With the search memoized, the tower alone interns about as many.
+    dag.TABLES.clear()
+    replay_right("a", 24)
+    assert _nodes("decide") > 0.9 * search_nodes
+
+
+def test_search_overflow_inside_a_warm_replay_reruns_it_cold(monkeypatch):
+    # The search joins the replay's call on "decide", so a cap it hits on a
+    # warm table reaches the replay, which runs once more, whole, on a
+    # fresh table: the search is not memoized, and runs again there.
+    cold = _text(replay_right("a", 24))
+    monkeypatch.setattr(config, "NODE_CAP", _nodes("decide"))  # fits only a fresh table
+    _fresh_process()
+    # More nodes the replay does not need than its tower adds to the
+    # search's, so the warm attempt overflows inside the search.
+    rng = random.Random(7)
+    for _ in range(60):
+        is_trivial(make_reduced_word(rng, 96))
+    warm = dag.TABLES["decide"]
+    assert warm.size < config.NODE_CAP // 2
+    assert _text(replay_right("a", 24)) == cold
+    assert dag.TABLES["decide"] is not warm
+    assert _nodes("decide") == config.NODE_CAP
+    info = search_nonengel_pair.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
 
 
 def test_golden_bytes_on_warm_tables():
