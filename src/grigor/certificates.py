@@ -27,8 +27,8 @@ Every check -- triviality, the section chain, the order of k, the
 embedding y, every commutator tower and its moved vertices -- is
 section-DAG arithmetic on ids, and each property is checked once.  The
 verifiers decide on their own tables of `dag.shared`, "verify" and, for
-the probe kinds, the small "probe-verify", which nothing that issues an
-answer fills.  The facts the checks rest on:
+the probe kinds, "probe-verify", which nothing that issues an answer
+fills.  The facts the checks rest on:
 
 - K membership: letter counts in Gamma/K = D8 x Z/2, and St(3) <= K, so
   an even verdict is the level-3 one.

@@ -25,20 +25,19 @@ are four roles: "decide", for the word API (`decide.is_trivial`,
 replays, whose towers of x-independent elements repeat from call to
 call; "verify", for the refutation verifiers; and "probe" and
 "probe-verify", for Engel probes and their verifiers, whose towers
-share the near-nucleus elements.  A
-verifier decides every check on its own role's table, and so never reads
-a table an issuer filled.  A table is dropped at call entry once its
-entries (`Dag.size`) reach NODE_CAP // 2, or PROBE_TABLE_ENTRIES for the
-two probe roles: one probe fills about 50-130 entries of a fresh table
-(means over survey and benchmark probes), so a small table keeps the
-shared part warm without holding every tower.  A call that hits a cap on
-a warm table runs once more on a fresh one, so it raises exactly when it
-would in a fresh process; the word-length cap depends on the words
-alone, so it is raised at once and the table kept.  A call made inside
-another call on the same role joins the outer call's table, so the right
-replay runs the pair search on "decide" within its own call and reads
-the search's tower back as its own sections; only the outermost call
-drops a table or reruns.  The lemma checks make a fresh Dag per call.
+share the near-nucleus elements and products made many probes earlier.
+Probes keep their own tables because their entries would otherwise fill
+"decide" to its bound.  A verifier decides every check on its own role's
+table, and so never reads a table an issuer filled.  Every table is
+dropped at call entry once its entries (`Dag.size`) reach NODE_CAP // 2.
+A call that hits a cap on a warm table runs once more on a fresh one, so
+it raises exactly when it would in a fresh process; the word-length cap
+depends on the words alone, so it is raised at once and the table kept.
+A call made inside another call on the same role joins the outer call's
+table, so the right replay runs the pair search on "decide" within its
+own call and reads the search's tower back as its own sections; only the
+outermost call drops a table or reruns.  The lemma checks make a fresh
+Dag per call.
 """
 
 from __future__ import annotations
@@ -253,8 +252,6 @@ TABLES: dict[str, Dag] = {}
 # The table of each role's outermost `shared` call in progress.
 _OPEN: dict[str, Dag] = {}
 
-_PROBE_ROLES = ("probe", "probe-verify")
-
 
 def shared(role: str, compute: Callable[[Dag], T]) -> T:
     """compute(dag) on the role's long-lived table; see the module docstring.
@@ -269,8 +266,7 @@ def shared(role: str, compute: Callable[[Dag], T]) -> T:
     if dag is not None:
         return compute(dag)
     dag = TABLES.get(role)
-    bound = config.PROBE_TABLE_ENTRIES if role in _PROBE_ROLES else config.NODE_CAP // 2
-    if dag is None or dag.size >= bound:
+    if dag is None or dag.size >= config.NODE_CAP // 2:
         dag = TABLES[role] = Dag()
     warm = len(dag.nodes) > len(_LEAVES)
     _OPEN[role] = dag

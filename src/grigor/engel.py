@@ -22,7 +22,7 @@ moved vertices per (x, g, level, depths), and the check runs on every
 call.  The records issued here, the word tower (for probe transcripts
 only) and `probe`, the one probe walk, live in the verifier kernel
 `certificates`, which imports nothing from this module.
-`left_engel_probe` issues on the small long-lived "probe" table of
+`left_engel_probe` issues on the long-lived "probe" table of
 `dag.shared`, and the probe verifiers check on "probe-verify": probe
 towers of different words share their near-nucleus elements.  The lemma
 checks decide both sides of their identities on one fresh Dag.  Words

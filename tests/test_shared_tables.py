@@ -1,8 +1,10 @@
 """The long-lived section-DAG tables of the issuers and the verifiers.
 
 `dag.shared` keeps one table per role: "decide" for the word API and the
-replays, "verify" for the refutation verifiers, and the small "probe" and
-"probe-verify" tables for Engel probes and their verifiers.
+replays, "verify" for the refutation verifiers, and "probe" and
+"probe-verify" for Engel probes and their verifiers.  Every table is
+dropped at call entry at the one bound NODE_CAP // 2, so the probe tables
+keep the work that probes share across many calls.
 A warm table must change nothing a caller can see: certificate bytes,
 verdicts and the calls that raise CapExceeded are those of a fresh
 process.
@@ -14,12 +16,13 @@ import random
 import pytest
 
 from grigor import certificates, config, dag, engel
-from grigor.decide import is_trivial
+from grigor.decide import is_trivial, order
 from grigor.engel import (
     left_engel_probe, random_involution, random_word, replay_bounded_left, replay_right,
     search_nonengel_pair,
 )
 from grigor.errors import CapExceeded, WordLengthCapExceeded
+from grigor.tree import act
 from grigor.words import a_parity, reduce_word
 
 from conftest import make_reduced_word
@@ -261,7 +264,7 @@ def test_probe_bytes_do_not_depend_on_warmth(monkeypatch):
         ok, detail = certificates.verify(json.loads(text))
         assert ok, detail
     # A forced drop: the table is replaced at the next call's entry.
-    monkeypatch.setattr(config, "PROBE_TABLE_ENTRIES", dag.TABLES["probe"].size)
+    monkeypatch.setattr(config, "NODE_CAP", 2 * dag.TABLES["probe"].size)
     assert _probe_texts() == cold
     assert dag.TABLES["probe"] is not warm
 
@@ -284,7 +287,7 @@ def test_warm_probe_verifier_rejects_an_off_by_one_transcript():
 
 
 def test_probe_table_is_dropped_at_its_bound(monkeypatch):
-    monkeypatch.setattr(config, "PROBE_TABLE_ENTRIES", 2000)
+    monkeypatch.setattr(config, "NODE_CAP", 4000)
     left_engel_probe(*PROBES[0])
     first = dag.TABLES["probe"]
     rng = random.Random(53)
@@ -294,12 +297,62 @@ def test_probe_table_is_dropped_at_its_bound(monkeypatch):
         left_engel_probe(random_involution(rng, 16), random_word(rng, 16), 40)
         if dag.TABLES["probe"] is not first:
             break
-    assert max(sizes[:-1]) < config.PROBE_TABLE_ENTRIES <= sizes[-1]
+    assert max(sizes[:-1]) < config.NODE_CAP // 2 <= sizes[-1]
     assert first._mul and first.size == (
         len(first.nodes) + len(first._mul) + len(first._inv)
         + len(first._exponent) + len(first._words)
     )
-    assert dag.TABLES["probe"].size < config.PROBE_TABLE_ENTRIES
+    assert dag.TABLES["probe"].size < config.NODE_CAP // 2
+
+
+def _benchmark_probes(seed):
+    """Probes drawn as the benchmark's queries workload draws them: x from a
+    fixed pool of reduced words, cut to 32 letters, against fresh
+    involutions (a conjugate of an element of order 2), bound 40."""
+    rng = random.Random(seed)
+    pool = [make_reduced_word(rng, n)[:32] for n in (24, 64) for _ in range(32)]
+    cores = ("a", "b", "c", "d", "adad", "ac" * 4, "ab" * 8)
+    while True:
+        u = make_reduced_word(rng, rng.randint(0, 16))
+        yield reduce_word(u[::-1] + rng.choice(cores) + u), rng.choice(pool), 40
+
+
+def test_probe_table_keeps_its_working_set_past_two_to_the_fourteen():
+    # Probes reuse products made hundreds of probes earlier, so the table
+    # keeps them: a table of more than 2^14 entries still answers a
+    # recurring probe with no new node.
+    probes = _benchmark_probes(61)
+    first = next(probes)
+    left_engel_probe(*first)
+    table = dag.TABLES["probe"]
+    while table.size <= 1 << 14:
+        left_engel_probe(*next(probes))
+    nodes = len(table.nodes)
+    left_engel_probe(*first)
+    assert dag.TABLES["probe"] is table
+    assert len(table.nodes) == nodes
+
+
+def test_probes_and_the_word_api_keep_to_their_own_tables():
+    """The probe roles stay apart from "decide".  Issued on "decide" and
+    verified on "verify", probes made the benchmark's queries workload's
+    median operation 0.064 -> 0.094 ms (3 pairs of 20-s runs against
+    their own tables): probe entries filled "decide" to its bound, so the
+    word API lost its table to drops."""
+    rng = random.Random(67)
+    words = [make_reduced_word(rng, 48) for _ in range(4)]
+    probes = _benchmark_probes(71)
+    is_trivial(words[0])
+    decide = dag.TABLES["decide"].size
+    for _ in range(20):
+        _verify(left_engel_probe(*next(probes)))
+    assert dag.TABLES["decide"].size == decide
+    probe = _sizes(("probe", "probe-verify"))
+    for w in words:
+        is_trivial(w + w)
+        order(w)
+        act(w, "01101")
+    assert _sizes(probe) == probe
 
 
 def test_word_cap_keeps_the_warm_probe_table():
